@@ -37,7 +37,6 @@ from .numerics import (
     EigenDecomposition,
     RngStream,
     eig_symmetric,
-    fft_real,
     kmeans,
     min_cost_assignment,
 )

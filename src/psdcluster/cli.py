@@ -1,9 +1,10 @@
 """Command-line front end: clustering runs, the synthetic benchmark,
 guarantee checks, eigengap estimation, and motion-capture conversion.
 
-Exit codes: 0 on success, 2 for parameter or validation problems, 1 for I/O
-problems. For a fixed input, configuration, and seed every output file is
-byte-identical across runs.
+Exit codes: 0 on success, 2 for parameter or validation problems and for
+allocations that do not fit in memory, 1 for I/O problems. For a fixed
+input, configuration, and seed every output file is byte-identical across
+runs.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict
 from itertools import product
@@ -241,8 +243,8 @@ def _float_list(config, key, default):
         raise ValueError(f"'{key}' must be a non-empty list")
     values = []
     for item in raw:
-        if isinstance(item, bool) or not isinstance(item, (int, float)) or item < 0:
-            raise ValueError(f"'{key}' entries must be nonnegative numbers")
+        if isinstance(item, bool) or not isinstance(item, (int, float)) or not 0 <= item < math.inf:
+            raise ValueError(f"'{key}' entries must be finite nonnegative numbers, got {item!r}")
         values.append(float(item))
     return values
 
@@ -262,6 +264,9 @@ def _parse_config(config) -> dict:
         raise ValueError("'window' must be an object with at least a 'kind'")
     if set(window_cfg) - {"kind", "std"}:
         raise ValueError("'window' accepts only 'kind' and 'std'")
+    std = window_cfg.get("std", DEFAULT_WINDOW_STD)
+    if isinstance(std, bool) or not isinstance(std, (int, float)) or not 0 < std < math.inf:
+        raise ValueError(f"'window' std must be a positive finite number, got {std!r}")
     return {
         "models": models,
         "M_list": _int_list(config, "M_list", minimum=2),
@@ -270,7 +275,7 @@ def _parse_config(config) -> dict:
         "n_per_model": _int_option(config, "n_per_model", DEFAULT_N_PER_MODEL, minimum=1),
         "q": _int_option(config, "q", DEFAULT_NEIGHBORS, minimum=1),
         "window_kind": window_cfg["kind"],
-        "window_std": float(window_cfg.get("std", DEFAULT_WINDOW_STD)),
+        "window_std": float(std),
         "grid_factor": _int_option(config, "grid_factor", DEFAULT_GRID_FACTOR, minimum=2),
         "seed": _int_option(config, "seed", 0, minimum=0),
     }
@@ -542,6 +547,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

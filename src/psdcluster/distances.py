@@ -10,30 +10,32 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+from scipy.spatial.distance import pdist, squareform
 
 from .spectra import PsdEstimate
 
 
+def _stack(psds: Sequence[PsdEstimate]) -> np.ndarray:
+    if len({p.grid_size for p in psds}) != 1:
+        raise ValueError("PSD estimates must share one frequency grid")
+    return np.stack([p.values for p in psds])
+
+
+def _pairwise_l1(stacked: np.ndarray) -> np.ndarray:
+    """Condensed distances between the rows of an (N, F) array of PSD samples."""
+    return pdist(stacked, "cityblock") * (0.5 / stacked.shape[1])
+
+
 def l1_distance(first: PsdEstimate, second: PsdEstimate) -> float:
     """Half the grid-averaged absolute difference between two PSD estimates."""
-    if first.grid_size != second.grid_size:
-        raise ValueError("PSD estimates must share one frequency grid")
-    return 0.5 * float(np.mean(np.abs(first.values - second.values)))
+    return float(_pairwise_l1(_stack([first, second]))[0])
 
 
 def distance_matrix(psds: Sequence[PsdEstimate]) -> np.ndarray:
     """Symmetric matrix of pairwise L1 PSD distances with a zero diagonal."""
     if len(psds) == 0:
         raise ValueError("need at least one PSD estimate")
-    sizes = {p.grid_size for p in psds}
-    if len(sizes) != 1:
-        raise ValueError("PSD estimates must share one frequency grid")
-    stacked = np.stack([p.values for p in psds])
-    n = stacked.shape[0]
-    out = np.zeros((n, n))
-    for i in range(n - 1):
-        out[i, i + 1:] = 0.5 * np.mean(np.abs(stacked[i + 1:] - stacked[i]), axis=1)
-    return out + out.T
+    return squareform(_pairwise_l1(_stack(psds)))
 
 
 def validate_distance_matrix(dist) -> np.ndarray:

@@ -94,6 +94,11 @@ def true_acf(model: GenerativeModel, max_lag: int) -> np.ndarray:
     return np.fft.ifft(model.fine_grid_psd).real[: max_lag + 1]
 
 
+def _check_noise_variance(noise_variance: float) -> None:
+    if not 0.0 <= noise_variance < np.inf:
+        raise ValueError(f"noise variance must be a finite nonnegative number, got {noise_variance!r}")
+
+
 def _burn_in(model: GenerativeModel) -> int:
     return max(1000, 50 * (model.ar.size + model.ma.size))
 
@@ -110,13 +115,14 @@ def _simulate_with(
     noise_std = float(np.sqrt(noise_variance))
     burn = _burn_in(model)
     if mode == "independent":
-        out = np.empty((count, length))
-        for i in range(count):
-            innovations = gen.standard_normal(burn + length)
-            path = lfilter(model.ma, model.ar, innovations)[burn:]
-            if noise_std > 0.0:
-                path = path + noise_std * gen.standard_normal(length)
-            out[i] = path
+        # Each row consumes the stream as innovations, then noise; normal
+        # draws carry no state between calls, so one (count, width) draw
+        # yields exactly the numbers a row-by-row loop would.
+        width = burn + length + (length if noise_std > 0.0 else 0)
+        draws = gen.standard_normal((count, width))
+        out = lfilter(model.ma, model.ar, draws[:, : burn + length], axis=1)[:, burn:]
+        if noise_std > 0.0:
+            out = out + noise_std * draws[:, burn + length :]
         return out
     if mode == "segments":
         if stride is None or stride < 1:
@@ -151,8 +157,7 @@ def simulate(
         raise ValueError("observation length must be >= 2")
     if count < 1:
         raise ValueError("count must be positive")
-    if noise_variance < 0.0:
-        raise ValueError("noise variance must be nonnegative")
+    _check_noise_variance(noise_variance)
     _check_stable(model.ar)
     return _simulate_with(model, noise_variance, length, count, mode, stride, rng.generator())
 
@@ -188,8 +193,7 @@ def make_benchmark_dataset(
         raise ValueError("n_per_model must be positive")
     if length < 2:
         raise ValueError("observation length must be >= 2")
-    if noise_variance < 0.0:
-        raise ValueError("noise variance must be nonnegative")
+    _check_noise_variance(noise_variance)
     gen = rng.generator()
     blocks = []
     labels = []

@@ -1,10 +1,10 @@
-"""Low-level numerical kernels: FFT, symmetric eigendecomposition, k-means,
-and minimum-cost assignment.
+"""Low-level numerical kernels: seeded random streams, symmetric
+eigendecomposition, k-means, and minimum-cost assignment.
 
-The FFT and the eigendecomposition delegate to numpy's pocketfft/LAPACK
-backends. k-means and the assignment wrapper add the guarantees the
-clustering pipeline relies on: explicit seeding, canonical point ordering,
-and fixed tie-breaking, so identical inputs always produce identical output.
+The eigendecomposition delegates to numpy's LAPACK backend. k-means and the
+assignment wrapper add the guarantees the clustering pipeline relies on:
+explicit seeding, canonical point ordering, and fixed tie-breaking, so
+identical inputs always produce identical output.
 """
 
 from __future__ import annotations
@@ -39,20 +39,6 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-
-def fft_real(x) -> np.ndarray:
-    """DFT of a real vector whose length is a power of two.
-
-    Returns X[k] = sum_n x[n] exp(-i 2 pi k n / F) for k = 0..F-1.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("fft_real expects a 1-D vector")
-    n = x.shape[0]
-    if n < 2 or n & (n - 1):
-        raise ValueError(f"length must be a power of two >= 2, got {n}")
-    return np.fft.fft(x)
 
 
 def eig_symmetric(matrix) -> EigenDecomposition:

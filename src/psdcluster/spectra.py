@@ -5,25 +5,25 @@ autocorrelation tapered by an even lag window,
 
     s_hat(f) = sum_{|m| < M} g[m] r_hat[m] exp(-i 2 pi f m),
 
-evaluated on a uniform grid f = j/F with F a power of two, so the whole sum
-collapses into a single FFT of a length-F buffer holding the symmetric lag
-sequence. r_hat divides by M (not M - |m|), which keeps the implied
-autocorrelation sequence positive semidefinite.
+evaluated on a uniform grid f = j/F with F a power of two and F >= 2M.
+r_hat divides by M (not M - |m|), which keeps the implied autocorrelation
+sequence positive semidefinite. A whole stack of observations goes through
+one zero-padded real FFT pair for the autocorrelations and one DCT-I for the
+spectra; the sum is even in f, so the DCT-I gives bins 0..F/2 and the rest
+of the grid is their mirror image.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .numerics import fft_real
+from scipy.fft import dct
 
 WINDOW_SCAN_POINTS = 4096
 DEFAULT_GAUSSIAN_STD = 50.0
 WINDOW_KINDS = ("gaussian", "bartlett", "rectangular")
-
-_IMAG_RESIDUE_TOL = 1e-9
 
 
 def next_pow2(n: int) -> int:
@@ -66,25 +66,26 @@ class PsdEstimate:
         return int(self.values.shape[0])
 
 
-def _embed_even_lags(zero_lag: float, positive_lags: np.ndarray, grid: int) -> np.ndarray:
-    """Pack the even lag sequence into an FFT buffer of the given size."""
-    m = positive_lags.shape[0] + 1
-    if grid < 2 * m:
-        raise ValueError(f"grid of {grid} points cannot hold lags up to {m - 1}")
-    buf = np.zeros(grid)
-    buf[0] = zero_lag
-    if m > 1:
-        buf[1:m] = positive_lags
-        buf[grid - m + 1:] = positive_lags[::-1]
-    return buf
+def _even_half_spectrum(lags: np.ndarray, grid: int) -> np.ndarray:
+    """Transform of each row's even lag sequence at f = j/grid, j = 0..grid/2.
+
+    Row r holds c[0..L-1] with L <= grid/2; the result is
+    c[0] + 2 sum_{m=1}^{L-1} c[m] cos(2 pi j m / grid), one DCT-I of the
+    lags zero-padded to grid/2 + 1 points. The transform is even, so these
+    bins determine the whole grid.
+    """
+    half = np.zeros((lags.shape[0], grid // 2 + 1))
+    half[:, : lags.shape[1]] = lags
+    return dct(half, type=1, axis=1, overwrite_x=True)
 
 
 def _window_transform_scan(values: np.ndarray) -> np.ndarray:
-    """Sample the window transform on WINDOW_SCAN_POINTS frequencies in [0, 1)."""
+    """Sample the window transform at f = j/WINDOW_SCAN_POINTS in [0, 1/2].
+
+    The transform is even, so its extremes over [0, 1) are attained there.
+    """
     grid = max(WINDOW_SCAN_POINTS, next_pow2(2 * values.shape[0]))
-    buf = _embed_even_lags(values[0], values[1:], grid)
-    spectrum = np.fft.fft(buf).real
-    return spectrum[:: grid // WINDOW_SCAN_POINTS]
+    return _even_half_spectrum(values[None, :], grid)[0, :: grid // WINDOW_SCAN_POINTS]
 
 
 def make_window(kind: str, length: int, std: float | None = None) -> WindowSpec:
@@ -100,8 +101,8 @@ def make_window(kind: str, length: int, std: float | None = None) -> WindowSpec:
     if kind == "gaussian":
         if std is None:
             std = DEFAULT_GAUSSIAN_STD
-        if std <= 0:
-            raise ValueError("gaussian window std must be positive")
+        if not (math.isfinite(std) and std > 0):
+            raise ValueError(f"gaussian window std must be a positive finite number, got {std!r}")
         values = np.exp(-(lags**2) / (2.0 * std * std))
     elif kind == "bartlett":
         values = 1.0 - lags / length
@@ -122,6 +123,40 @@ def make_window(kind: str, length: int, std: float | None = None) -> WindowSpec:
     )
 
 
+def _acf_rows(obs: np.ndarray) -> np.ndarray:
+    """Biased autocorrelations of each row, lags 0..M-1, from one zero-padded FFT pair."""
+    m = obs.shape[1]
+    grid = next_pow2(2 * m)  # enough zero padding to keep lags non-circular
+    spectrum = np.fft.rfft(obs, grid, axis=1)
+    return np.fft.irfft(spectrum * spectrum.conj(), grid, axis=1)[:, :m] / m
+
+
+def _psd_rows(obs: np.ndarray, window: WindowSpec, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """PSD estimates of every row of obs on the full grid, and each row's lag-zero ACF.
+
+    Checks the window, the grid and finiteness once for the whole stack.
+    """
+    m = obs.shape[1]
+    if m < 2:
+        raise ValueError("observations need at least 2 samples")
+    if window.length != m:
+        raise ValueError(f"window was built for length {window.length}, observation has {m}")
+    f = int(grid_size)
+    if f < 2 * m or f & (f - 1):
+        raise ValueError(f"grid size must be a power of two >= {2 * m}, got {grid_size}")
+    if not np.all(np.isfinite(obs)):
+        raise ValueError("observation samples must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        acf = _acf_rows(obs)
+        half = _even_half_spectrum(acf * window.values, f)
+    values = np.empty((obs.shape[0], f))
+    values[:, : f // 2 + 1] = half
+    values[:, f // 2 + 1 :] = half[:, f // 2 - 1 : 0 : -1]
+    if not np.all(np.isfinite(values)):
+        raise ValueError("PSD estimation overflowed: sample magnitudes are too large for the autocorrelation FFT")
+    return values, acf[:, 0]
+
+
 def estimate_acf(samples) -> np.ndarray:
     """Biased sample autocorrelation r[m] = (1/M) sum_n x[n+m] x[n], m = 0..M-1."""
     x = np.asarray(samples, dtype=float)
@@ -129,11 +164,7 @@ def estimate_acf(samples) -> np.ndarray:
         raise ValueError("observation must be a 1-D vector with at least 2 samples")
     if not np.all(np.isfinite(x)):
         raise ValueError("observation samples must be finite")
-    m = x.shape[0]
-    grid = next_pow2(2 * m)  # enough zero padding to keep lags non-circular
-    spectrum = np.fft.rfft(x, grid)
-    corr = np.fft.irfft(spectrum * spectrum.conj(), grid)[:m]
-    return corr / m
+    return _acf_rows(x[None, :])[0]
 
 
 def bt_psd(samples, window: WindowSpec, grid_size: int) -> PsdEstimate:
@@ -145,28 +176,22 @@ def bt_psd(samples, window: WindowSpec, grid_size: int) -> PsdEstimate:
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
         raise ValueError("observation must be a 1-D vector")
-    m = x.shape[0]
-    if window.length != m:
-        raise ValueError(f"window was built for length {window.length}, observation has {m}")
-    f = int(grid_size)
-    if f < 2 * m or f & (f - 1):
-        raise ValueError(f"grid size must be a power of two >= {2 * m}, got {grid_size}")
-    acf = estimate_acf(x)
-    buf = _embed_even_lags(acf[0], window.values[1:] * acf[1:], f)
-    spectrum = fft_real(buf)
-    values = spectrum.real
-    scale = float(np.abs(values).max())
-    if scale > 0.0 and float(np.abs(spectrum.imag).max()) > _IMAG_RESIDUE_TOL * scale:
-        raise RuntimeError("FFT of the even lag sequence left a nontrivial imaginary part")
-    return PsdEstimate(values=values, acf_zero=float(acf[0]))
+    values, acf_zero = _psd_rows(x[None, :], window, grid_size)
+    return PsdEstimate(values=values[0], acf_zero=float(acf_zero[0]))
+
+
+def _unit_power_rows(values: np.ndarray, acf_zero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Divide each PSD row, and its lag-zero ACF, by the row's grid mean."""
+    power = values.mean(axis=1)
+    if np.any(power <= 0.0):
+        raise ValueError("cannot normalize a PSD with nonpositive power")
+    return values / power[:, None], acf_zero / power
 
 
 def normalize_unit_power(psd: PsdEstimate) -> PsdEstimate:
     """Rescale so the PSD averages to one over the grid (unit power)."""
-    power = float(np.mean(psd.values))
-    if power <= 0.0:
-        raise ValueError("cannot normalize a PSD with nonpositive power")
-    return PsdEstimate(values=psd.values / power, acf_zero=psd.acf_zero / power)
+    values, acf_zero = _unit_power_rows(psd.values[None, :], np.array([psd.acf_zero]))
+    return PsdEstimate(values=values[0], acf_zero=float(acf_zero[0]))
 
 
 def estimate_dataset_psds(
@@ -178,6 +203,7 @@ def estimate_dataset_psds(
     """PSD estimates for a stack of equal-length observations (one per row).
 
     Defaults: gaussian window with std 50 and a grid of next_pow2(4 M) points.
+    The estimates are row views into one (N, grid_size) array.
     """
     obs = np.asarray(observations, dtype=float)
     if obs.ndim == 1:
@@ -189,7 +215,7 @@ def estimate_dataset_psds(
         window = make_window("gaussian", m, std=DEFAULT_GAUSSIAN_STD)
     if grid_size is None:
         grid_size = next_pow2(4 * m)
-    psds = [bt_psd(row, window, grid_size) for row in obs]
+    values, acf_zero = _psd_rows(obs, window, grid_size)
     if unit_power:
-        psds = [normalize_unit_power(p) for p in psds]
-    return psds
+        values, acf_zero = _unit_power_rows(values, acf_zero)
+    return [PsdEstimate(values=row, acf_zero=float(a)) for row, a in zip(values, acf_zero)]

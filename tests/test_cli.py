@@ -3,6 +3,7 @@ byte-level determinism, and exit codes (0 ok, 2 validation, 1 I/O)."""
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +211,35 @@ class TestCluster:
         capsys.readouterr()
 
 
+class TestBoundaryValidation:
+    """Bad numbers fail where they enter, with exit 2 and the culprit named."""
+
+    def test_nan_window_std_is_rejected(self, dataset_csv, tmp_path, capsys):
+        code = main(["cluster", str(dataset_csv), "--truth", "--clusters", "2", "--neighbors", "3",
+                     "--std", "nan", "--labels-out", str(tmp_path / "labels.csv")])
+        assert code == 2
+        assert "window std" in capsys.readouterr().err
+
+    def test_huge_samples_fail_at_the_psd_stage(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        rows = 1e307 * np.random.default_rng(3).standard_normal((4, 64))
+        path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["cluster", str(path), "--clusters", "2", "--neighbors", "1",
+                         "--labels-out", str(tmp_path / "labels.csv")])
+        assert code == 2
+        assert "PSD estimation overflowed" in capsys.readouterr().err
+
+    def test_oversized_grid_is_an_out_of_memory_error(self, dataset_csv, tmp_path, capsys):
+        # 12 rows x 2^50 grid bins is about 1e17 bytes, beyond any address
+        # space, so the allocation is refused before any memory is touched
+        code = main(["cluster", str(dataset_csv), "--truth", "--clusters", "2", "--neighbors", "3",
+                     "--grid-factor", "4000000000000", "--labels-out", str(tmp_path / "labels.csv")])
+        assert code == 2
+        assert "error: out of memory" in capsys.readouterr().err
+
+
 class TestEstimateL:
     def test_estimates_two_groups(self, dataset_csv, capsys):
         code = main(["estimate-l", str(dataset_csv), "--truth", "--neighbors", "3"])
@@ -307,6 +337,23 @@ class TestSynthBench:
         code = main(["synth-bench", "--config", str(config), "--out", str(tmp_path / "out.csv")])
         assert code == 2
         capsys.readouterr()
+
+    def test_nan_window_std_in_config_is_rejected(self, tmp_path, capsys):
+        config = self.write_config(
+            tmp_path, {"preset": "arma3", "M_list": [64], "window": {"kind": "gaussian", "std": float("nan")}}
+        )
+        code = main(["synth-bench", "--config", str(config), "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert "'window' std" in capsys.readouterr().err
+
+    def test_nan_noise_variance_in_config_is_rejected(self, tmp_path, capsys):
+        config = self.write_config(
+            tmp_path, {"preset": "arma3", "M_list": [64], "sigma2_list": [float("nan")], "trials": 1}
+        )
+        code = main(["synth-bench", "--config", str(config), "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert "'sigma2_list'" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_invalid_json_rejected(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -3,6 +3,8 @@ consistency with the pairwise scalar routine, and validator error paths."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdcluster.distances import distance_matrix, l1_distance, validate_distance_matrix
 from psdcluster.spectra import PsdEstimate
@@ -61,6 +63,27 @@ def test_matrix_matches_pairwise_distances():
         for j in range(6):
             np.testing.assert_allclose(d[i, j], l1_distance(psds[i], psds[j]), atol=1e-15)
     validate_distance_matrix(d)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    n_psds=st.integers(1, 6),
+    grid=st.integers(1, 80),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-3.0, 3.0),
+)
+def test_matrix_matches_pairwise_distances_property(n_psds, grid, seed, log_scale):
+    gen = np.random.default_rng(seed)
+    psds = [
+        PsdEstimate(values=10.0**log_scale * gen.standard_normal(grid), acf_zero=0.0) for _ in range(n_psds)
+    ]
+    d = distance_matrix(psds)
+    expected = np.array([[l1_distance(a, b) for b in psds] for a in psds])
+    np.testing.assert_allclose(d, expected, rtol=0, atol=1e-15)
+    # independent loop reference; summation order differs, so the tolerance
+    # is a few hundred float64 ulps of the largest distance
+    loop = np.array([[0.5 * np.mean(np.abs(a.values - b.values)) for b in psds] for a in psds])
+    np.testing.assert_allclose(d, loop, rtol=0, atol=1e-13 * max(loop.max(), 1e-300))
 
 
 def test_matrix_needs_input():

@@ -6,8 +6,13 @@ frequencies, trapezoid quadrature on a non-power-of-two grid, and seeded
 Monte Carlo convergence of the estimated PSD to the true one.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from psdcluster.generators import (
     FINE_GRID,
@@ -29,6 +34,22 @@ def psd_by_polynomial(ar, ma, freqs):
     num = np.abs(sum(c * z**-k for k, c in enumerate(ma))) ** 2
     den = np.abs(sum(c * z**-k for k, c in enumerate(ar))) ** 2
     return num / den
+
+
+def dataset_by_rows(models, n_per_model, length, noise_variance, rng):
+    """Benchmark dataset simulated one row and one lfilter call at a time."""
+    gen = rng.generator()
+    rows, labels = [], []
+    for index, model in enumerate(models):
+        burn = max(1000, 50 * (model.ar.size + model.ma.size))
+        for _ in range(n_per_model):
+            path = lfilter(model.ma, model.ar, gen.standard_normal(burn + length))[burn:]
+            if noise_variance > 0.0:
+                path = path + math.sqrt(noise_variance) * gen.standard_normal(length)
+            rows.append(path)
+            labels.append(index)
+    perm = gen.permutation(len(rows))
+    return np.stack(rows)[perm], np.array(labels)[perm]
 
 
 class TestArmaPsd:
@@ -156,6 +177,11 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(model, 0.0, 64, 1, RngStream(0), mode="bogus")
 
+    @pytest.mark.parametrize("variance", [math.nan, math.inf])
+    def test_rejects_non_finite_noise_variance(self, variance):
+        with pytest.raises(ValueError, match="noise variance"):
+            simulate(benchmark_models()[0], variance, 64, 1, RngStream(0))
+
     def test_sample_power_tracks_model_plus_noise(self):
         # unit-power model + sigma^2 noise: sample second moment near 1 + sigma^2
         model = benchmark_models()[1]
@@ -206,3 +232,23 @@ class TestBenchmarkDataset:
             make_benchmark_dataset(models, 0, 64, 0.0, RngStream(0))
         with pytest.raises(ValueError):
             make_benchmark_dataset(models, 4, 64, -1.0, RngStream(0))
+
+    @pytest.mark.parametrize("variance", [math.nan, math.inf])
+    def test_rejects_non_finite_noise_variance(self, variance):
+        with pytest.raises(ValueError, match="noise variance"):
+            make_benchmark_dataset(benchmark_models(), 4, 64, variance, RngStream(0))
+
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @given(
+        n_per_model=st.integers(1, 5),
+        length=st.integers(2, 300),
+        noise_variance=st.sampled_from([0.0, 0.25]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_row_by_row_simulation(self, n_per_model, length, noise_variance, seed):
+        # the batched lfilter keeps the draw order and the arithmetic of one call per row
+        models = benchmark_models()
+        data = make_benchmark_dataset(models, n_per_model, length, noise_variance, RngStream(seed))
+        observations, labels = dataset_by_rows(models, n_per_model, length, noise_variance, RngStream(seed))
+        np.testing.assert_array_equal(data.observations, observations)
+        np.testing.assert_array_equal(data.labels, labels)

@@ -1,8 +1,8 @@
 """Numerical kernel tests.
 
-Oracles: closed-form DFT/eigen cases evaluated by hand, a direct O(n^2) DFT
-summation, exhaustive label-assignment search for k-means, and brute-force
-permutation search for the assignment problem.
+Oracles: closed-form eigen cases evaluated by hand, exhaustive
+label-assignment search for k-means, and brute-force permutation search for
+the assignment problem.
 """
 
 from itertools import permutations, product
@@ -13,17 +13,9 @@ import pytest
 from psdcluster.numerics import (
     RngStream,
     eig_symmetric,
-    fft_real,
     kmeans,
     min_cost_assignment,
 )
-
-
-def dft_direct(x):
-    """O(n^2) reference DFT: X[k] = sum_n x[n] exp(-2i pi k n / F)."""
-    n = len(x)
-    grid = np.arange(n)
-    return np.asarray(x) @ np.exp(-2j * np.pi * np.outer(grid, grid) / n)
 
 
 def wcss_of(points, labels, k):
@@ -68,38 +60,6 @@ class TestRngStream:
         first = stream.generator().random(5)
         second = stream.generator().random(5)
         np.testing.assert_array_equal(first, second)
-
-
-class TestFftReal:
-    def test_alternating_vector(self):
-        # hand DFT: [0,1,0,-1] -> [0, -2i, 0, 2i]
-        out = fft_real([0.0, 1.0, 0.0, -1.0])
-        np.testing.assert_allclose(out, [0, -2j, 0, 2j], atol=1e-12)
-
-    def test_impulse_is_flat(self):
-        out = fft_real([1.0, 0.0, 0.0, 0.0])
-        np.testing.assert_allclose(out, np.ones(4), atol=1e-12)
-
-    def test_constant_concentrates_at_zero(self):
-        out = fft_real(np.ones(8))
-        expected = np.zeros(8, dtype=complex)
-        expected[0] = 8.0
-        np.testing.assert_allclose(out, expected, atol=1e-12)
-
-    def test_matches_direct_summation(self):
-        gen = np.random.default_rng(2024)
-        for size in (2, 4, 8, 16, 32, 64):
-            x = gen.standard_normal(size)
-            np.testing.assert_allclose(fft_real(x), dft_direct(x), rtol=1e-10, atol=1e-10)
-
-    @pytest.mark.parametrize("bad", [[1.0], [1.0, 2.0, 3.0], list(range(12))])
-    def test_rejects_non_power_of_two(self, bad):
-        with pytest.raises(ValueError):
-            fft_real(bad)
-
-    def test_rejects_matrix_input(self):
-        with pytest.raises(ValueError):
-            fft_real(np.ones((2, 2)))
 
 
 class TestEigSymmetric:

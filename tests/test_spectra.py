@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdcluster.spectra import (
     DEFAULT_GAUSSIAN_STD,
@@ -93,6 +95,11 @@ class TestMakeWindow:
             make_window("gaussian", 1)
         with pytest.raises(ValueError):
             make_window("gaussian", 64, std=0.0)
+
+    @pytest.mark.parametrize("std", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_std(self, std):
+        with pytest.raises(ValueError, match="std"):
+            make_window("gaussian", 64, std=std)
 
 
 class TestEstimateAcf:
@@ -195,6 +202,41 @@ class TestEstimateDatasetPsds:
     def test_rejects_higher_rank_input(self):
         with pytest.raises(ValueError):
             estimate_dataset_psds(np.ones((2, 2, 2)))
+
+    def test_rows_are_views_of_one_array(self):
+        psds = estimate_dataset_psds(np.random.default_rng(9).standard_normal((3, 16)))
+        base = psds[0].values.base
+        assert base is not None
+        assert all(p.values.base is base for p in psds)
+
+    def test_overflow_names_the_psd_stage(self):
+        huge = 1e307 * np.random.default_rng(1).standard_normal((2, 32))
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="PSD estimation"):
+            estimate_dataset_psds(huge)
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(
+        n_obs=st.integers(1, 6),
+        obs_len=st.integers(2, 70),
+        kind=st.sampled_from(["gaussian", "bartlett", "rectangular"]),
+        grid_factor=st.sampled_from([2, 8]),
+        unit_power=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-3.0, 3.0),
+    )
+    def test_rows_match_direct_summation(self, n_obs, obs_len, kind, grid_factor, unit_power, seed, log_scale):
+        # every row of the batched kernel equals the O(M F) cosine sum
+        obs = 10.0**log_scale * np.random.default_rng(seed).standard_normal((n_obs, obs_len))
+        window = make_window(kind, obs_len, std=7.0 if kind == "gaussian" else None)
+        grid = next_pow2(grid_factor * obs_len)
+        psds = estimate_dataset_psds(obs, window=window, grid_size=grid, unit_power=unit_power)
+        assert len(psds) == n_obs
+        for row, psd in zip(obs, psds):
+            expected = bt_direct(row, window, grid)
+            if unit_power:
+                expected = expected / expected.mean()
+            scale = np.abs(expected).max()
+            np.testing.assert_allclose(psd.values, expected, rtol=0, atol=1e-11 * scale)
 
 
 class TestWhiteNoiseConsistency:
