@@ -25,9 +25,12 @@ from .generators import (
 from .km import assign_to_centers, farthest_point_centers, km_cluster
 from .metrics import clustering_error, confusion_entropy, confusion_matrix
 from .nnpc import (
+    LaplacianSpectrum,
     NnpcResult,
     build_adjacency,
+    eigengap_count,
     estimate_cluster_count,
+    laplacian_spectrum,
     nearest_neighbor_sets,
     nnpc_cluster,
     normalized_laplacian,

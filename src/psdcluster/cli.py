@@ -28,7 +28,7 @@ from .metrics import clustering_error, confusion_entropy
 from .nnpc import (
     build_adjacency,
     cluster_from_distances as nnpc_from_distances,
-    estimate_cluster_count,
+    eigengap_count,
     nearest_neighbor_sets,
     normalized_laplacian,
 )
@@ -385,8 +385,8 @@ def cmd_estimate_l(args) -> int:
     psds = estimate_dataset_psds(observations, window=window, grid_size=grid_size, unit_power=args.normalize_psd)
     dist = distance_matrix(psds)
     adjacency = build_adjacency(dist, nearest_neighbor_sets(dist, args.neighbors))
-    estimate = estimate_cluster_count(adjacency, min(args.max_clusters, n_obs))
     eigenvalues = eig_symmetric(normalized_laplacian(adjacency)).eigenvalues
+    estimate = eigengap_count(eigenvalues, min(args.max_clusters, n_obs))
     _dump_json({"estimate": estimate, "eigenvalues": [float(v) for v in eigenvalues]})
     return 0
 

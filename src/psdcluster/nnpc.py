@@ -1,9 +1,11 @@
 """Nearest-neighbor graph clustering of PSD estimates.
 
 Each observation keeps its q nearest neighbors under the L1 PSD distance;
-edges are weighted by exp(-2 d) and symmetrized, and the resulting graph is
-partitioned with normalized spectral clustering. The cluster count can be
-given or estimated from the largest eigengap of the normalized Laplacian.
+edges are weighted by exp(-2 d) and symmetrized, and the resulting sparse
+graph is partitioned with normalized spectral clustering. The cluster count
+can be given or estimated from the largest eigengap of the normalized
+Laplacian. One partial eigensolve serves both the estimate and the
+embedding.
 """
 
 from __future__ import annotations
@@ -12,12 +14,18 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array, issparse
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import LinearOperator
 
 from .distances import distance_matrix, validate_distance_matrix
-from .numerics import RngStream, eig_symmetric, kmeans
+from .numerics import RngStream, eig_symmetric, kmeans, relabel_first_seen
 from .spectra import WindowSpec, estimate_dataset_psds
 
 KMEANS_RESTARTS = 10
+# Moves the known zero eigenspace above the rest of the spectrum, which a
+# normalized Laplacian keeps within [0, 2].
+ZERO_SPACE_SHIFT = 3.0
 
 
 @dataclass(frozen=True)
@@ -26,6 +34,26 @@ class NnpcResult:
 
     labels: np.ndarray
     n_clusters: int
+
+
+@dataclass(frozen=True)
+class LaplacianSpectrum:
+    """Smallest normalized-Laplacian eigenpairs of a graph's non-isolated part.
+
+    `core` lists the nodes of positive degree, and `eigenvectors` has one row
+    per core node. The zero eigenspace comes first and is canonical: one unit
+    sqrt-degree vector per connected component, in order of each component's
+    lowest node.
+    """
+
+    n_nodes: int
+    core: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+    def graph_eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of the whole graph: one 0 per isolated node first."""
+        return np.concatenate([np.zeros(self.n_nodes - self.core.size), self.eigenvalues])
 
 
 def nearest_neighbor_sets(dist, n_neighbors: int) -> np.ndarray:
@@ -38,58 +66,131 @@ def nearest_neighbor_sets(dist, n_neighbors: int) -> np.ndarray:
     n = d.shape[0]
     if not 1 <= n_neighbors <= n - 1:
         raise ValueError(f"n_neighbors must be in 1..{n - 1}, got {n_neighbors}")
+    q = n_neighbors
     work = d.copy()
     np.fill_diagonal(work, np.inf)
-    order = np.argsort(work, axis=1, kind="stable")
-    return order[:, :n_neighbors]
+    # the q smallest of each row in index order, so a stable sort by distance breaks ties low
+    part = np.sort(np.argpartition(work, q - 1, axis=1)[:, :q], axis=1)
+    by_distance = np.argsort(np.take_along_axis(work, part, axis=1), axis=1, kind="stable")
+    order = np.take_along_axis(part, by_distance, axis=1)
+    # a row whose q-th distance ties with a left-out one takes the full stable sort
+    kth = np.take_along_axis(work, order[:, -1:], axis=1)
+    tied = np.flatnonzero((work <= kth).sum(axis=1) > q)
+    order[tied] = np.argsort(work[tied], axis=1, kind="stable")[:, :q]
+    return order
 
 
-def build_adjacency(dist, neighbor_sets) -> np.ndarray:
-    """Weighted q-NN adjacency A = Z + Z^T, Z[i, j] = exp(-2 d(i, j)) for j in T_i.
+def build_adjacency(dist, neighbor_sets) -> csr_array:
+    """Sparse weighted q-NN adjacency A = Z + Z^T, Z[i, j] = exp(-2 d(i, j)) for j in T_i.
 
     Entries are 0 (no edge), exp(-2 d) (one-sided neighbor), or 2 exp(-2 d)
-    (mutual neighbors).
+    (mutual neighbors); at most 2 N q of them are stored.
     """
     d = validate_distance_matrix(dist)
     t = np.asarray(neighbor_sets, dtype=int)
     n = d.shape[0]
     if t.ndim != 2 or t.shape[0] != n or t.min(initial=0) < 0 or t.max(initial=0) >= n:
         raise ValueError("neighbor sets do not match the distance matrix")
-    z = np.zeros((n, n))
-    rows = np.arange(n)[:, None]
-    z[rows, t] = np.exp(-2.0 * d[rows, t])
-    return z + z.T
+    if np.any(np.diff(np.sort(t, axis=1), axis=1) == 0):
+        raise ValueError("neighbor sets must not repeat an index")
+    rows = np.repeat(np.arange(n), t.shape[1])
+    cols = t.ravel()
+    weights = np.exp(-2.0 * d[rows, cols])
+    # Z and Z^T as one coordinate list; the CSR conversion sums a mutual pair
+    a = csr_array((np.concatenate([weights, weights]), (np.concatenate([rows, cols]), np.concatenate([cols, rows]))), shape=(n, n))
+    a.eliminate_zeros()  # an underflowed weight is no edge
+    return a
 
 
-def _validate_adjacency(adjacency) -> np.ndarray:
-    a = np.asarray(adjacency, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+def _as_adjacency(adjacency) -> csr_array:
+    """Validated CSR copy of a dense or sparse adjacency, without stored zeros."""
+    if issparse(adjacency):
+        a = csr_array(adjacency, dtype=float, copy=True)
+    else:
+        dense = np.asarray(adjacency, dtype=float)
+        if dense.ndim != 2:
+            raise ValueError("adjacency matrix must be square")
+        a = csr_array(dense)
+    if a.shape[0] != a.shape[1]:
         raise ValueError("adjacency matrix must be square")
-    if not np.all(np.isfinite(a)):
+    a.sum_duplicates()
+    a.eliminate_zeros()
+    if not np.all(np.isfinite(a.data)):
         raise ValueError("adjacency entries must be finite")
-    if a.size and float(a.min()) < 0.0:
+    if a.nnz and float(a.data.min()) < 0.0:
         raise ValueError("adjacency entries must be nonnegative")
-    if not np.allclose(a, a.T, rtol=1e-9, atol=1e-12):
+    mirror = a.T.tocsr()
+    mirror.sort_indices()
+    a.sort_indices()
+    if not (
+        np.array_equal(a.indptr, mirror.indptr)
+        and np.array_equal(a.indices, mirror.indices)
+        and np.allclose(a.data, mirror.data, rtol=1e-9, atol=1e-12)
+    ):
         raise ValueError("adjacency matrix must be symmetric")
     return a
 
 
-def normalized_laplacian(adjacency) -> np.ndarray:
-    """Symmetric normalized Laplacian I - D^{-1/2} A D^{-1/2}.
+def normalized_laplacian(adjacency) -> csr_array:
+    """Sparse symmetric normalized Laplacian I - D^{-1/2} A D^{-1/2}.
 
     Zero-degree nodes get an all-zero row and column. That keeps each of them
     a connected component of its own, so the multiplicity of the eigenvalue 0
     still counts components.
     """
-    a = _validate_adjacency(adjacency)
+    a = _as_adjacency(adjacency)
     deg = a.sum(axis=1)
     pos = deg > 0
     inv_sqrt = np.zeros_like(deg)
     inv_sqrt[pos] = deg[pos] ** -0.5
-    lap = -(inv_sqrt[:, None] * a * inv_sqrt[None, :])
-    idx = np.diag_indices_from(lap)
-    lap[idx] += pos.astype(float)
-    return lap
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    diag = np.flatnonzero(pos)
+    values = np.concatenate([-(inv_sqrt[rows] * a.data * inv_sqrt[a.indices]), np.ones(diag.size)])
+    return csr_array((values, (np.concatenate([rows, diag]), np.concatenate([a.indices, diag]))), shape=a.shape)
+
+
+def laplacian_spectrum(adjacency, count: int) -> LaplacianSpectrum:
+    """The `count` smallest normalized-Laplacian eigenpairs of the non-isolated nodes.
+
+    The zero eigenspace is supplied exactly, one sqrt-degree vector per
+    connected component, and only the rest of the spectrum is solved for, on
+    the Laplacian shifted by ZERO_SPACE_SHIFT along that space. A Krylov
+    solver would otherwise miss copies of the repeated eigenvalue 0. The
+    count is capped at the number of non-isolated nodes.
+    """
+    a = _as_adjacency(adjacency)
+    n = a.shape[0]
+    if count < 1:
+        raise ValueError(f"count must be positive, got {count}")
+    deg = a.sum(axis=1)
+    core = np.flatnonzero(deg > 0)
+    if core.size < n:
+        a = a[core][:, core]
+        deg = deg[core]
+    m = core.size
+    count = min(count, m)
+    n_components, component = connected_components(a, directed=False)
+    unit = np.sqrt(deg / np.bincount(component, weights=deg)[component])
+    zero_space = csr_array((unit, (np.arange(m), component)), shape=(m, n_components))
+    n_zero = min(count, n_components)
+    values = np.zeros(n_zero)
+    vectors = zero_space[:, :n_zero].toarray()
+    if count > n_components:
+        lap = normalized_laplacian(a)
+
+        def shifted(x):
+            return lap @ x + ZERO_SPACE_SHIFT * (zero_space @ (zero_space.T @ x))
+
+        rest = eig_symmetric(LinearOperator((m, m), matvec=shifted, matmat=shifted, dtype=float), count - n_components)
+        values = np.concatenate([values, rest.eigenvalues])
+        vectors = np.hstack([vectors, rest.eigenvectors])
+    return LaplacianSpectrum(n_nodes=n, core=core, eigenvalues=values, eigenvectors=vectors)
+
+
+def _check_spectrum(spectrum: LaplacianSpectrum, n_nodes: int, count: int) -> None:
+    """Reject a spectrum of another graph, or one with fewer than `count` pairs."""
+    if spectrum.n_nodes != n_nodes or spectrum.eigenvalues.size < min(count, spectrum.core.size):
+        raise ValueError("spectrum does not match the adjacency or holds too few eigenpairs")
 
 
 def _sign_canonicalize(columns: np.ndarray) -> np.ndarray:
@@ -105,53 +206,66 @@ def _sign_canonicalize(columns: np.ndarray) -> np.ndarray:
     return out
 
 
-def _embed_and_kmeans(a: np.ndarray, n_clusters: int, rng: RngStream) -> np.ndarray:
-    """Spectral embedding of a graph without isolated nodes, then k-means."""
-    decomposition = eig_symmetric(normalized_laplacian(a))
-    emb = _sign_canonicalize(decomposition.eigenvectors[:, :n_clusters])
+def _embed_and_kmeans(spectrum: LaplacianSpectrum, n_clusters: int, rng: RngStream) -> np.ndarray:
+    """Row-normalized spectral embedding of the core nodes, then k-means."""
+    emb = _sign_canonicalize(spectrum.eigenvectors[:, :n_clusters])
     norms = np.linalg.norm(emb, axis=1)
     scale = norms > 0
     emb[scale] = emb[scale] / norms[scale, None]
     return kmeans(emb, n_clusters, restarts=KMEANS_RESTARTS, rng=rng)
 
 
-def spectral_cluster(adjacency, n_clusters: int, rng: RngStream | None = None, dist=None) -> np.ndarray:
+def spectral_cluster(
+    adjacency,
+    n_clusters: int,
+    rng: RngStream | None = None,
+    dist=None,
+    *,
+    spectrum: LaplacianSpectrum | None = None,
+) -> np.ndarray:
     """Normalized spectral clustering of a nonnegative symmetric adjacency.
 
     The graph is embedded by the eigenvectors of the `n_clusters` smallest
     Laplacian eigenvalues, rows are normalized to unit length, and k-means
-    (10 restarts) partitions the embedded points.
+    (10 restarts) partitions the embedded points. `spectrum`, from
+    laplacian_spectrum of the same adjacency with at least `n_clusters`
+    pairs, saves the eigensolve.
 
     Isolated (zero-degree) nodes cannot be placed by the embedding. Each gets
     a label of its own while the cluster budget allows; any further ones are
     attached to the cluster of their nearest neighbor under `dist`, which is
     required in that case. A warning is emitted whenever isolated nodes occur.
+
+    Clusters are named 0, 1, ... in order of their lowest observation index,
+    so observation 0 is always in cluster 0.
     """
-    a = _validate_adjacency(adjacency)
+    a = _as_adjacency(adjacency)
     n = a.shape[0]
     if not 1 <= n_clusters <= n:
         raise ValueError(f"n_clusters must be in 1..{n}, got {n_clusters}")
     if rng is None:
         rng = RngStream(0)
+    if spectrum is None:
+        spectrum = laplacian_spectrum(a, n_clusters)
+    _check_spectrum(spectrum, n, n_clusters)
 
-    deg = a.sum(axis=1)
-    isolated = np.flatnonzero(deg == 0)
-    if isolated.size == 0:
-        return _embed_and_kmeans(a, n_clusters, rng)
+    core = spectrum.core
+    if core.size == n:
+        return relabel_first_seen(_embed_and_kmeans(spectrum, n_clusters, rng), n_clusters)
 
+    isolated = np.setdiff1d(np.arange(n), core)
     warnings.warn(
         f"{isolated.size} isolated node(s) in the neighborhood graph",
         RuntimeWarning,
         stacklevel=2,
     )
-    core = np.flatnonzero(deg > 0)
     labels = np.full(n, -1, dtype=int)
     if isolated.size < n_clusters:
         # spend one label on each isolated node, the rest on the connected part
         core_clusters = n_clusters - isolated.size
-        labels[core] = _embed_and_kmeans(a[np.ix_(core, core)], core_clusters, rng)
+        labels[core] = _embed_and_kmeans(spectrum, core_clusters, rng)
         labels[isolated] = core_clusters + np.arange(isolated.size)
-        return labels
+        return relabel_first_seen(labels, n_clusters)
 
     if dist is None:
         raise ValueError("a distance matrix is needed to place isolated nodes once they exceed the cluster budget")
@@ -159,7 +273,7 @@ def spectral_cluster(adjacency, n_clusters: int, rng: RngStream | None = None, d
     if d.shape[0] != n:
         raise ValueError("distance matrix does not match the adjacency")
     if core.size:
-        labels[core] = _embed_and_kmeans(a[np.ix_(core, core)], n_clusters, rng)
+        labels[core] = _embed_and_kmeans(spectrum, n_clusters, rng)
     else:
         labels[isolated[:n_clusters]] = np.arange(n_clusters)
     for i in isolated:
@@ -167,25 +281,38 @@ def spectral_cluster(adjacency, n_clusters: int, rng: RngStream | None = None, d
             continue
         placed = np.flatnonzero(labels >= 0)
         labels[i] = labels[placed[np.argmin(d[i, placed])]]
-    return labels
+    return relabel_first_seen(labels, n_clusters)
 
 
-def estimate_cluster_count(adjacency, max_clusters: int) -> int:
+def eigengap_count(eigenvalues, max_clusters: int) -> int:
+    """The k <= max_clusters maximizing the gap between ascending eigenvalues k-1 and k.
+
+    Ties go to the smaller k; with fewer than two eigenvalues the count is 1.
+    """
+    if max_clusters < 1:
+        raise ValueError(f"max_clusters must be positive, got {max_clusters}")
+    gaps = np.diff(np.asarray(eigenvalues, dtype=float)[: max_clusters + 1])
+    return int(np.argmax(gaps)) + 1 if gaps.size else 1
+
+
+def estimate_cluster_count(adjacency, max_clusters: int, *, spectrum: LaplacianSpectrum | None = None) -> int:
     """Eigengap heuristic for the cluster count.
 
     Returns the k <= max_clusters maximizing the gap between consecutive
     ascending eigenvalues of the normalized Laplacian; ties go to smaller k.
+    `spectrum`, from laplacian_spectrum of the same adjacency with at least
+    max_clusters + 1 pairs, saves the eigensolve.
     """
-    a = _validate_adjacency(adjacency)
+    a = _as_adjacency(adjacency)
     n = a.shape[0]
     if not 1 <= max_clusters <= n:
         raise ValueError(f"max_clusters must be in 1..{n}, got {max_clusters}")
     if n == 1:
         return 1
-    eigenvalues = eig_symmetric(normalized_laplacian(a)).eigenvalues
-    gaps = np.diff(eigenvalues)
-    upper = min(max_clusters, n - 1)
-    return int(np.argmax(gaps[:upper])) + 1
+    if spectrum is None:
+        spectrum = laplacian_spectrum(a, max_clusters + 1)
+    _check_spectrum(spectrum, n, max_clusters + 1)
+    return eigengap_count(spectrum.graph_eigenvalues(), max_clusters)
 
 
 def cluster_from_distances(
@@ -195,13 +322,18 @@ def cluster_from_distances(
     rng: RngStream | None = None,
     max_clusters: int = 10,
 ) -> NnpcResult:
-    """Neighbor graph plus spectral clustering, starting from a distance matrix."""
+    """Neighbor graph plus spectral clustering, starting from a distance matrix.
+
+    One eigensolve serves both the count estimate and the embedding.
+    """
     d = validate_distance_matrix(dist)
     neighbor_sets = nearest_neighbor_sets(d, n_neighbors)
     adjacency = build_adjacency(d, neighbor_sets)
+    max_clusters = min(max_clusters, d.shape[0])
+    spectrum = laplacian_spectrum(adjacency, max_clusters + 1 if n_clusters is None else n_clusters)
     if n_clusters is None:
-        n_clusters = estimate_cluster_count(adjacency, min(max_clusters, d.shape[0]))
-    labels = spectral_cluster(adjacency, n_clusters, rng=rng, dist=d)
+        n_clusters = estimate_cluster_count(adjacency, max_clusters, spectrum=spectrum)
+    labels = spectral_cluster(adjacency, n_clusters, rng=rng, dist=d, spectrum=spectrum)
     return NnpcResult(labels=labels, n_clusters=int(n_clusters))
 
 

@@ -1,7 +1,8 @@
 """Low-level numerical kernels: seeded random streams, symmetric
 eigendecomposition, k-means, and minimum-cost assignment.
 
-The eigendecomposition delegates to numpy's LAPACK backend. k-means and the
+The eigendecomposition delegates to numpy's LAPACK backend, or to ARPACK when
+only a few eigenpairs of a large matrix are wanted. k-means and the
 assignment wrapper add the guarantees the clustering pipeline relies on:
 explicit seeding, canonical point ordering, and fixed tie-breaking, so
 identical inputs always produce identical output.
@@ -13,8 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import issparse
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 LLOYD_MAX_ITER = 300
+# Below this order a full LAPACK eigh is faster than ARPACK for a few pairs.
+DENSE_EIGH_MAX_N = 200
 
 
 @dataclass(frozen=True)
@@ -41,19 +46,42 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def eig_symmetric(matrix) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix.
+def eig_symmetric(matrix, count: int | None = None) -> EigenDecomposition:
+    """Eigendecomposition of a symmetric matrix: all pairs, or the `count` smallest.
 
-    Only the upper triangle is read; the lower triangle is assumed to mirror
-    it. Raises numpy.linalg.LinAlgError if the solver fails to converge.
+    `matrix` may be a dense array, a scipy sparse array, or a scipy
+    LinearOperator. The full dense LAPACK solve runs when no count is given,
+    or when the matrix is small or count >= n - 1; then only the upper
+    triangle is read. Otherwise ARPACK (`eigsh`) finds the `count` smallest
+    algebraic eigenpairs to machine precision from a fixed start vector, so
+    repeated calls agree exactly. ARPACK can miss copies of a repeated
+    eigenvalue: deflate a known eigenspace before asking for the rest.
+    Raises numpy.linalg.LinAlgError if the solver fails to converge.
     """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if issparse(matrix):
+        entries = matrix.data
+    elif isinstance(matrix, LinearOperator):
+        entries = np.zeros(0)  # an operator exposes no entries to check
+    else:
+        matrix = entries = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("expected a square matrix")
-    if not np.all(np.isfinite(m)):
+    if not np.all(np.isfinite(entries)):
         raise ValueError("matrix entries must be finite")
-    values, vectors = np.linalg.eigh(m, UPLO="U")
-    return EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
+    n = matrix.shape[0]
+    if count is not None and not 1 <= count <= n:
+        raise ValueError(f"count must be in 1..{n}, got {count}")
+    if count is None or count >= n - 1 or n <= DENSE_EIGH_MAX_N:
+        dense = matrix if isinstance(matrix, np.ndarray) else matrix @ np.eye(n)
+        values, vectors = np.linalg.eigh(dense, UPLO="U")
+        return EigenDecomposition(eigenvalues=values[:count], eigenvectors=vectors[:, :count])
+    start = np.random.default_rng(0).standard_normal(n)
+    try:
+        values, vectors = eigsh(matrix, k=count, which="SA", tol=0.0, v0=start)
+    except ArpackNoConvergence as exc:
+        raise np.linalg.LinAlgError(f"ARPACK did not converge: {exc}") from exc
+    order = np.argsort(values, kind="stable")
+    return EigenDecomposition(eigenvalues=values[order], eigenvectors=vectors[:, order])
 
 
 def kmeans(points, k: int, restarts: int = 10, rng: RngStream | None = None) -> np.ndarray:
@@ -93,7 +121,7 @@ def kmeans(points, k: int, restarts: int = 10, rng: RngStream | None = None) -> 
             best_labels = labels
 
     out = np.empty(n, dtype=int)
-    out[order] = _relabel_first_seen(best_labels, k)
+    out[order] = relabel_first_seen(best_labels, k)
     return out
 
 
@@ -142,8 +170,8 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, list[float
     return labels, history
 
 
-def _relabel_first_seen(labels: np.ndarray, k: int) -> np.ndarray:
-    """Renumber labels by order of first appearance."""
+def relabel_first_seen(labels: np.ndarray, k: int) -> np.ndarray:
+    """Renumber labels 0..k-1 by order of first appearance."""
     mapping = np.full(k, -1, dtype=int)
     next_id = 0
     for lab in labels:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+from scipy.sparse import coo_array, issparse
 
 from .distances import validate_distance_matrix
 from .generators import FINE_GRID, GenerativeModel, true_acf
@@ -195,14 +196,22 @@ def check_separation(dist, labels) -> SeparationReport:
 
 
 def check_nfc(adjacency, labels) -> bool:
-    """True iff every graph edge joins observations with the same label."""
-    a = np.asarray(adjacency, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    """True iff every graph edge joins observations with the same label.
+
+    The adjacency may be a dense array or a scipy sparse array; a stored
+    zero is no edge.
+    """
+    if issparse(adjacency):
+        a = coo_array(adjacency)
+    else:
+        dense = np.asarray(adjacency, dtype=float)
+        if dense.ndim != 2:
+            raise ValueError("adjacency matrix must be square")
+        a = coo_array(dense)
+    if a.shape[0] != a.shape[1]:
         raise ValueError("adjacency matrix must be square")
     y = np.asarray(labels).ravel()
     if y.shape[0] != a.shape[0]:
         raise ValueError("labels do not match the adjacency matrix")
-    upper = np.triu_indices(a.shape[0], k=1)
-    edges = a[upper] != 0.0
-    cross = y[upper[0]] != y[upper[1]]
-    return not bool(np.any(edges & cross))
+    edges = a.data != 0.0
+    return not bool(np.any(y[a.row[edges]] != y[a.col[edges]]))

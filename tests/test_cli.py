@@ -3,11 +3,16 @@ byte-level determinism, and exit codes (0 ok, 2 validation, 1 I/O)."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import psdcluster
 from psdcluster.cli import main
 from psdcluster.generators import benchmark_models, make_benchmark_dataset
 from psdcluster.numerics import RngStream
@@ -147,6 +152,32 @@ class TestCluster:
             )
             outputs.append((report_path.read_bytes(), labels_path.read_bytes()))
         assert outputs[0] == outputs[1]
+
+    def test_outputs_are_identical_across_blas_thread_counts(self, tmp_path):
+        # 210 rows put the graph above the dense-solver cutoff, and it has two
+        # connected components, so the zero eigenspace is repeated
+        data = make_benchmark_dataset(benchmark_models(), 70, 256, 0.0, RngStream(5))
+        path = tmp_path / "obs.csv"
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            for row, label in zip(data.observations, data.labels):
+                writer.writerow([f"m{label}"] + [repr(float(v)) for v in row])
+        src = str(Path(psdcluster.__file__).resolve().parent.parent)
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            labels_path, report_path = tmp_path / f"labels-{threads}.csv", tmp_path / f"report-{threads}.json"
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from psdcluster.cli import main; sys.exit(main(sys.argv[1:]))",
+                 "cluster", str(path), "--truth", "--clusters", "auto",
+                 "--labels-out", str(labels_path), "--report-out", str(report_path)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((labels_path.read_bytes(), report_path.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert read_json(tmp_path / "report-1.json")["estimated_clusters"] == 3
 
     def test_report_goes_to_stdout_by_default(self, dataset_csv, tmp_path, capsys):
         code = main(
@@ -382,6 +413,14 @@ class TestCheckCondition:
         assert payload["satisfied"] is False
         assert payload["obs_len"] == 512
         assert payload["noise_term"] > payload["min_model_distance"]
+
+    def test_acceptance_benchmark_config(self, tmp_path, capsys):
+        # the criterion-5 config: M=256 with the default gaussian std of 50
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"preset": "arma3", "M_list": [256, 1024, 4096], "sigma2_list": [0, 0.25]}))
+        assert main(["check-condition", "--config", str(config)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [r["obs_len"] for r in payload] == [256, 256, 1024, 1024, 4096, 4096]
 
     def test_multiple_combinations_make_a_list(self, tmp_path, capsys):
         config = tmp_path / "config.json"

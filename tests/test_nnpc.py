@@ -1,28 +1,46 @@
 """Nearest-neighbor graph clustering tests.
 
 Oracles: hand-evaluated 3- and 4-node neighbor graphs, eigenvalue structure
-of disconnected graphs (zero-eigenvalue multiplicity counts components), and
-exact recovery on separated block distance matrices.
+of disconnected graphs (zero-eigenvalue multiplicity counts components),
+exact recovery on separated block distance matrices, a full stable argsort
+for the neighbor sets, and the dense LAPACK solve for the sparse spectrum.
 """
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
+from psdcluster import numerics
 from psdcluster.generators import benchmark_models, make_benchmark_dataset
 from psdcluster.metrics import clustering_error
 from psdcluster.nnpc import (
     NnpcResult,
     build_adjacency,
     cluster_from_distances,
+    eigengap_count,
     estimate_cluster_count,
+    laplacian_spectrum,
     nearest_neighbor_sets,
     nnpc_cluster,
     normalized_laplacian,
     spectral_cluster,
 )
 from psdcluster.numerics import RngStream, eig_symmetric
+
+PROPERTY = settings(max_examples=40, deadline=None, database=None, derandomize=True)
+
+
+@contextmanager
+def solver(kind):
+    """Route every partial eigensolve to LAPACK ("dense") or to ARPACK ("sparse")."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numerics, "DENSE_EIGH_MAX_N", 10**9 if kind == "dense" else 0)
+        yield
 
 
 def four_node_matrix():
@@ -44,7 +62,35 @@ def separated_block_matrix(gen, sizes):
     return d, labels
 
 
+def gapped_block_matrix(gen, sizes, gap=400.0):
+    """Random distances within blocks and `gap` across them.
+
+    With gap 400 a cross-block weight exp(-800) underflows to 0, so no edge
+    leaves a block: a block of one node is isolated, and a larger block
+    holds one or more connected components.
+    """
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    d = np.triu(gen.uniform(0.01, 1.0, (labels.size, labels.size)), 1)
+    d = d + d.T
+    d[labels[:, None] != labels[None, :]] = gap
+    return d
+
+
+def dense_eigenvalues(adjacency):
+    return np.linalg.eigvalsh(normalized_laplacian(adjacency).toarray())
+
+
 class TestNearestNeighborSets:
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), levels=st.integers(1, 4), data=st.data())
+    def test_matches_stable_argsort_on_ties(self, seed, n, levels, data):
+        q = data.draw(st.integers(1, n - 1))
+        d = np.triu(np.random.default_rng(seed).integers(0, levels, (n, n)).astype(float), 1)
+        d = d + d.T
+        work = d + np.diag(np.full(n, np.inf))
+        expected = np.argsort(work, axis=1, kind="stable")[:, :q]
+        np.testing.assert_array_equal(nearest_neighbor_sets(d, q), expected)
+
     def test_hand_case(self):
         t = nearest_neighbor_sets(four_node_matrix(), 1)
         np.testing.assert_array_equal(t, [[1], [0], [3], [2]])
@@ -91,7 +137,7 @@ class TestBuildAdjacency:
         expected = np.zeros((4, 4))
         expected[0, 1] = expected[1, 0] = 2.0 * math.exp(-0.2)
         expected[2, 3] = expected[3, 2] = 2.0 * math.exp(-0.4)
-        np.testing.assert_allclose(a, expected, atol=1e-15)
+        np.testing.assert_allclose(a.toarray(), expected, atol=1e-15)
 
     def test_one_sided_edge(self):
         # 1 is 2's neighbor and vice versa; 0 points at 1 but not back
@@ -123,12 +169,21 @@ class TestBuildAdjacency:
         d = four_node_matrix()
         with pytest.raises(ValueError):
             build_adjacency(d, np.array([[4], [0], [1], [2]]))
+        with pytest.raises(ValueError):
+            build_adjacency(d, np.array([[1, 1], [0, 2], [0, 1], [0, 1]]))
+
+    def test_sparse_with_underflowed_weights_dropped(self):
+        d = gapped_block_matrix(np.random.default_rng(5), [3, 3])
+        a = build_adjacency(d, nearest_neighbor_sets(d, 3))
+        assert isinstance(a, csr_array)
+        assert a.nnz == 12  # both blocks complete; every cross-block weight is 0
+        assert np.all(a.data > 0.0)
 
 
 class TestNormalizedLaplacian:
     def test_connected_graph_diag_is_one(self):
         d = four_node_matrix()
-        lap = normalized_laplacian(build_adjacency(d, nearest_neighbor_sets(d, 2)))
+        lap = normalized_laplacian(build_adjacency(d, nearest_neighbor_sets(d, 2))).toarray()
         np.testing.assert_allclose(np.diag(lap), np.ones(4))
         np.testing.assert_allclose(lap, lap.T, atol=1e-15)
 
@@ -146,20 +201,118 @@ class TestNormalizedLaplacian:
         a[0, 1] = a[1, 0] = 1.0
         a[2, 3] = a[3, 2] = 0.5
         lap = normalized_laplacian(a)
-        np.testing.assert_array_equal(lap[4], np.zeros(5))
+        np.testing.assert_array_equal(lap.toarray()[4], np.zeros(5))
         w = eig_symmetric(lap).eigenvalues
         assert int(np.sum(np.abs(w) < 1e-9)) == 3
+
+    def test_dense_and_sparse_input_agree(self):
+        gen = np.random.default_rng(15)
+        d, _ = separated_block_matrix(gen, [5, 6])
+        a = build_adjacency(d, nearest_neighbor_sets(d, 3))
+        np.testing.assert_array_equal(normalized_laplacian(a.toarray()).toarray(), normalized_laplacian(a).toarray())
 
     def test_rejects_bad_adjacency(self):
         with pytest.raises(ValueError):
             normalized_laplacian([[0.0, -1.0], [-1.0, 0.0]])
+        with pytest.raises(ValueError):
+            normalized_laplacian(csr_array(np.array([[0.0, 1.0], [0.0, 0.0]])))
         with pytest.raises(ValueError):
             normalized_laplacian([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError):
             normalized_laplacian(np.ones((2, 3)))
 
 
+class TestLaplacianSpectrum:
+    @PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        # block size 1 is an isolated node; size 2 is left out because a
+        # two-node component repeats the eigenvalue 2, which a Krylov solver
+        # can miss and which only graphs far below the dense cutoff reach
+        sizes=st.lists(st.one_of(st.just(1), st.integers(3, 30)), min_size=1, max_size=12),
+        q=st.integers(2, 5),
+        count=st.integers(1, 13),
+    )
+    def test_sparse_matches_dense_oracle(self, seed, sizes, q, count):
+        d = gapped_block_matrix(np.random.default_rng(seed), sizes)
+        if d.shape[0] <= q:
+            return
+        a = build_adjacency(d, nearest_neighbor_sets(d, q))
+        oracle = dense_eigenvalues(a)
+        with solver("sparse"):
+            values = laplacian_spectrum(a, count).graph_eigenvalues()
+            estimate = estimate_cluster_count(a, min(12, d.shape[0]))
+        np.testing.assert_allclose(values, oracle[: values.size], rtol=0.0, atol=1e-10)
+        if int(np.sum(oracle < 1e-9)) <= 12:
+            # more zeros than the cap would leave only rounding noise to compare
+            assert estimate == eigengap_count(oracle, min(12, d.shape[0]))
+
+    def test_six_components_regression(self):
+        # plain ARPACK on this Laplacian finds 4 of the 6 zero eigenvalues
+        d = gapped_block_matrix(np.random.default_rng(606), [20] * 6, gap=5.0)
+        a = build_adjacency(d, nearest_neighbor_sets(d, 5))
+        with solver("sparse"):
+            spectrum = laplacian_spectrum(a, 8)
+        np.testing.assert_allclose(spectrum.eigenvalues, dense_eigenvalues(a)[:8], rtol=0.0, atol=1e-10)
+        np.testing.assert_array_equal(spectrum.eigenvalues[:6], np.zeros(6))
+
+    def test_zero_space_is_canonical(self):
+        # one unit sqrt-degree vector per component, in order of lowest node
+        a = np.zeros((6, 6))
+        a[0, 3] = a[3, 0] = 1.0
+        a[3, 5] = a[5, 3] = 3.0
+        a[1, 2] = a[2, 1] = 0.5
+        spectrum = laplacian_spectrum(a, 2)
+        np.testing.assert_array_equal(spectrum.core, [0, 1, 2, 3, 5])
+        expected = np.zeros((5, 2))
+        expected[[0, 3, 4], 0] = np.sqrt([1.0, 4.0, 3.0] / np.float64(8.0))
+        expected[[1, 2], 1] = np.sqrt(0.5)
+        np.testing.assert_allclose(spectrum.eigenvectors, expected, atol=1e-15)
+        np.testing.assert_array_equal(spectrum.graph_eigenvalues(), np.zeros(3))
+
+    def test_rejects_bad_count(self):
+        with pytest.raises(ValueError):
+            laplacian_spectrum(np.ones((3, 3)) - np.eye(3), 0)
+
+    def test_callers_reject_a_mismatched_spectrum(self):
+        a = np.ones((4, 4)) - np.eye(4)
+        with pytest.raises(ValueError):
+            spectral_cluster(a, 3, spectrum=laplacian_spectrum(a, 2))
+        with pytest.raises(ValueError):
+            estimate_cluster_count(a, 3, spectrum=laplacian_spectrum(np.ones((3, 3)) - np.eye(3), 3))
+
+
 class TestSpectralCluster:
+    @PROPERTY
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_blocks=st.integers(2, 5),
+        size=st.integers(4, 40),
+        connected=st.booleans(),
+    )
+    def test_labels_equal_dense_oracle(self, seed, n_blocks, size, connected):
+        d, truth = separated_block_matrix(np.random.default_rng(seed), [size] * n_blocks)
+        # q = size - 1 leaves one component per block; q = size links them
+        a = build_adjacency(d, nearest_neighbor_sets(d, size if connected else size - 1))
+        with solver("dense"):
+            dense = spectral_cluster(a, n_blocks, rng=RngStream(3))
+        with solver("sparse"):
+            sparse = spectral_cluster(a, n_blocks, rng=RngStream(3))
+        np.testing.assert_array_equal(sparse, dense)
+        assert sparse[0] == 0
+        assert clustering_error(sparse, truth) == 0.0
+
+    def test_clusters_named_by_lowest_index(self):
+        gen = np.random.default_rng(12)
+        d, truth = separated_block_matrix(gen, [4, 4, 4])
+        perm = gen.permutation(12)
+        d = d[np.ix_(perm, perm)]
+        labels = spectral_cluster(build_adjacency(d, nearest_neighbor_sets(d, 3)), 3)
+        _, first = np.unique(labels, return_index=True)
+        np.testing.assert_array_equal(first, np.sort(first))
+        assert labels[0] == 0
+        assert clustering_error(labels, truth[perm]) == 0.0
+
     def test_exact_on_block_graphs(self):
         gen = np.random.default_rng(31)
         for _ in range(20):
@@ -197,8 +350,14 @@ class TestSpectralCluster:
         a[0, 1] = a[1, 0] = 1.0
         with pytest.warns(RuntimeWarning):
             labels = spectral_cluster(a, 2)
-        assert labels[0] == labels[1]
-        assert labels[2] != labels[0]
+        np.testing.assert_array_equal(labels, [0, 0, 1])
+
+    def test_isolated_first_node_is_named_zero(self):
+        a = np.zeros((3, 3))
+        a[1, 2] = a[2, 1] = 1.0
+        with pytest.warns(RuntimeWarning):
+            labels = spectral_cluster(a, 2)
+        np.testing.assert_array_equal(labels, [0, 1, 1])
 
     def test_isolated_nodes_beyond_budget_need_distances(self):
         a = np.zeros((4, 4))
@@ -219,15 +378,14 @@ class TestSpectralCluster:
         d[2, 3] = d[3, 2] = 0.9
         with pytest.warns(RuntimeWarning):
             labels = spectral_cluster(a, 2, dist=d)
-        assert labels[2] == labels[0]
-        assert labels[3] == labels[1]
-        assert labels[0] != labels[1]
+        np.testing.assert_array_equal(labels, [0, 1, 0, 1])
 
     def test_fully_isolated_graph(self):
         d = four_node_matrix()
         with pytest.warns(RuntimeWarning):
             labels = spectral_cluster(np.zeros((4, 4)), 2, dist=d)
         assert set(labels) == {0, 1}
+        assert labels[0] == 0
 
     def test_rejects_bad_cluster_count(self):
         a = np.ones((3, 3)) - np.eye(3)
@@ -281,6 +439,18 @@ class TestClusterFromDistances:
         result = cluster_from_distances(d, 4, None, rng=RngStream(0))
         assert result.n_clusters == 3
         assert clustering_error(result.labels, truth) == 0.0
+
+    def test_one_eigensolve_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(matrix, count=None):
+            calls.append(count)
+            return eig_symmetric(matrix, count)
+
+        monkeypatch.setattr("psdcluster.nnpc.eig_symmetric", counted)
+        d = gapped_block_matrix(np.random.default_rng(46), [30, 30], gap=5.0)
+        assert cluster_from_distances(d, 5, None).n_clusters == 2
+        assert calls == [11 - 2]  # max_clusters + 1 pairs, the 2 zeros supplied
 
 
 def test_end_to_end_on_synthetic_data():

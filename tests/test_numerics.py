@@ -10,6 +10,10 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
+from scipy.sparse import csr_array, diags_array
+from scipy.sparse.linalg import aslinearoperator
+
+from psdcluster import numerics
 from psdcluster.numerics import (
     RngStream,
     eig_symmetric,
@@ -89,6 +93,34 @@ class TestEigSymmetric:
             eig_symmetric(np.ones((2, 3)))
         with pytest.raises(ValueError):
             eig_symmetric([[np.nan, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError):
+            eig_symmetric(csr_array(np.array([[np.inf, 0.0], [0.0, 1.0]])))
+        with pytest.raises(ValueError):
+            eig_symmetric(np.eye(3), 0)
+        with pytest.raises(ValueError):
+            eig_symmetric(np.eye(3), 4)
+
+    @pytest.mark.parametrize("form", ["dense", "sparse", "operator"])
+    def test_partial_solve_matches_full(self, form, monkeypatch):
+        # a path graph Laplacian plus a random diagonal: distinct eigenvalues
+        gen = np.random.default_rng(6)
+        n = 300
+        m = diags_array([np.full(n - 1, -1.0), 2.0 + gen.uniform(0, 1, n), np.full(n - 1, -1.0)], offsets=[-1, 0, 1])
+        full = eig_symmetric(m.toarray())
+        matrix = {"dense": m.toarray(), "sparse": m.tocsr(), "operator": aslinearoperator(m)}[form]
+        for cutoff in (0, 10**9):  # ARPACK, then LAPACK
+            monkeypatch.setattr(numerics, "DENSE_EIGH_MAX_N", cutoff)
+            out = eig_symmetric(matrix, 5)
+            np.testing.assert_allclose(out.eigenvalues, full.eigenvalues[:5], rtol=0.0, atol=1e-12)
+            signs = np.sign((out.eigenvectors * full.eigenvectors[:, :5]).sum(axis=0))
+            np.testing.assert_allclose(out.eigenvectors * signs, full.eigenvectors[:, :5], atol=1e-9)
+
+    def test_arpack_is_repeatable(self, monkeypatch):
+        monkeypatch.setattr(numerics, "DENSE_EIGH_MAX_N", 0)
+        m = diags_array([np.full(99, -1.0), np.full(100, 2.0), np.full(99, -1.0)], offsets=[-1, 0, 1]).tocsr()
+        first, second = eig_symmetric(m, 4), eig_symmetric(m, 4)
+        np.testing.assert_array_equal(first.eigenvalues, second.eigenvalues)
+        np.testing.assert_array_equal(first.eigenvectors, second.eigenvectors)
 
 
 class TestKmeans:

@@ -82,6 +82,12 @@ class TestMakeWindow:
     def test_bartlett_is_always_admissible(self):
         assert make_window("bartlett", 64).theory_valid
 
+    def test_truncation_ringing_is_admissible(self):
+        # at M=256 the std-50 gaussian's transform dips to -2e-7 of its peak;
+        # at M=200 the dip is -4e-5 of it, a real sign change
+        assert make_window("gaussian", 256).theory_valid
+        assert not make_window("gaussian", 200).theory_valid
+
     def test_rectangular_flagged_invalid(self):
         w = make_window("rectangular", 256)
         assert not w.theory_valid

@@ -265,6 +265,8 @@ class TestCheckNfc:
                 d[i, j] = d[j, i] = gen.uniform(low, high)
         a = build_adjacency(d, nearest_neighbor_sets(d, 2))
         assert check_nfc(a, labels)
+        assert check_nfc(a.toarray(), labels)
+        assert not check_nfc(a, [0, 0, 1, 1, 1, 1])
 
     def test_cross_edge_fails(self):
         a = np.zeros((3, 3))
