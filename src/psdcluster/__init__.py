@@ -28,7 +28,6 @@ from .nnpc import (
     LaplacianSpectrum,
     NnpcResult,
     build_adjacency,
-    eigengap_count,
     estimate_cluster_count,
     laplacian_spectrum,
     nearest_neighbor_sets,

@@ -23,13 +23,13 @@ import numpy as np
 from . import __version__
 from .distances import distance_matrix
 from .generators import benchmark_models, make_benchmark_dataset, make_model, normalize_model
-from .km import cluster_from_distances as km_from_distances
+from .km import km_from_distances
 from .metrics import clustering_error, confusion_entropy
 from .nnpc import (
     build_adjacency,
-    cluster_from_distances as nnpc_from_distances,
-    eigengap_count,
+    estimate_cluster_count,
     nearest_neighbor_sets,
+    nnpc_from_distances,
     normalized_laplacian,
 )
 from .numerics import RngStream, eig_symmetric
@@ -134,17 +134,22 @@ def _dump_json(payload, path=None) -> None:
 def cmd_cluster(args) -> int:
     observations, truth = _read_observation_csv(args.input, args.truth, args.pad_zeros, args.subtract_mean)
     n_obs, obs_len = observations.shape
+    auto = args.clusters == "auto"
+    requested = None if auto else int(args.clusters)
+    if requested is not None and requested > n_obs:
+        raise ValueError(f"cluster count {requested} exceeds the {n_obs} observations")
+    if args.algorithm == "nnpc" and not 1 <= args.neighbors <= n_obs - 1:
+        raise ValueError(f"neighbor count must be in 1..{n_obs - 1}, got {args.neighbors}")
+    if args.algorithm == "km" and auto:
+        raise ValueError("the km algorithm needs an explicit cluster count")
+    if auto and args.max_clusters < 1:
+        raise ValueError(f"the cluster-count cap must be positive, got {args.max_clusters}")
     window = _window_for(args.window, obs_len, args.std)
     if args.grid_factor < 2:
         raise ValueError("grid factor must be >= 2")
     grid_size = next_pow2(args.grid_factor * obs_len)
     psds = estimate_dataset_psds(observations, window=window, grid_size=grid_size, unit_power=args.normalize_psd)
     dist = distance_matrix(psds)
-
-    auto = args.clusters == "auto"
-    requested = None if auto else int(args.clusters)
-    if requested is not None and requested > n_obs:
-        raise ValueError(f"cluster count {requested} exceeds the {n_obs} observations")
 
     report = {
         "input": str(args.input),
@@ -159,8 +164,6 @@ def cmd_cluster(args) -> int:
         "seed": args.seed,
     }
     if args.algorithm == "nnpc":
-        if not 1 <= args.neighbors <= n_obs - 1:
-            raise ValueError(f"neighbor count must be in 1..{n_obs - 1}, got {args.neighbors}")
         result = nnpc_from_distances(
             dist,
             args.neighbors,
@@ -174,8 +177,6 @@ def cmd_cluster(args) -> int:
         if auto:
             report["estimated_clusters"] = result.n_clusters
     else:
-        if auto:
-            raise ValueError("the km algorithm needs an explicit cluster count")
         labels = km_from_distances(dist, requested)
         report["n_clusters"] = requested
 
@@ -386,7 +387,7 @@ def cmd_estimate_l(args) -> int:
     dist = distance_matrix(psds)
     adjacency = build_adjacency(dist, nearest_neighbor_sets(dist, args.neighbors))
     eigenvalues = eig_symmetric(normalized_laplacian(adjacency)).eigenvalues
-    estimate = eigengap_count(eigenvalues, min(args.max_clusters, n_obs))
+    estimate = estimate_cluster_count(eigenvalues, min(args.max_clusters, n_obs))
     _dump_json({"estimate": estimate, "eigenvalues": [float(v) for v in eigenvalues]})
     return 0
 

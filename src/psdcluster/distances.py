@@ -38,15 +38,21 @@ def distance_matrix(psds: Sequence[PsdEstimate]) -> np.ndarray:
     return squareform(_pairwise_l1(_stack(psds)))
 
 
+def check_distance_entries(values: np.ndarray) -> np.ndarray:
+    """Return `values` after checking that each entry is finite and nonnegative."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("distance matrix entries must be finite")
+    if values.size and float(values.min()) < -1e-12:
+        raise ValueError("distance matrix entries must be nonnegative")
+    return values
+
+
 def validate_distance_matrix(dist) -> np.ndarray:
     """Check that `dist` is a finite, nonnegative, symmetric, zero-diagonal matrix."""
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError("distance matrix must be square")
-    if not np.all(np.isfinite(d)):
-        raise ValueError("distance matrix entries must be finite")
-    if d.size and float(d.min()) < -1e-12:
-        raise ValueError("distance matrix entries must be nonnegative")
+    check_distance_entries(d)
     if not np.allclose(d, d.T, rtol=1e-9, atol=1e-12):
         raise ValueError("distance matrix must be symmetric")
     if float(np.abs(np.diagonal(d)).max(initial=0.0)) > 1e-12:

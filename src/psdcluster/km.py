@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .distances import distance_matrix, validate_distance_matrix
+from .distances import check_distance_entries, distance_matrix, validate_distance_matrix
 from .spectra import WindowSpec, estimate_dataset_psds
 
 
@@ -29,16 +29,21 @@ def farthest_point_centers(dist, n_clusters: int) -> np.ndarray:
 
 
 def assign_to_centers(dist, centers) -> np.ndarray:
-    """Label each observation by its nearest center (ties to the lower center position)."""
-    d = validate_distance_matrix(dist)
+    """Label each observation by its nearest center (ties to the lower center position).
+
+    Only the k center columns are read and checked.
+    """
+    d = np.asarray(dist, dtype=float)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise ValueError("distance matrix must be square")
     c = np.asarray(centers, dtype=int)
     if c.ndim != 1 or c.size == 0 or c.min() < 0 or c.max() >= d.shape[0]:
         raise ValueError("center indices must be a non-empty vector of valid row indices")
-    return np.argmin(d[:, c], axis=1)
+    return np.argmin(check_distance_entries(d[:, c]), axis=1)
 
 
-def cluster_from_distances(dist, n_clusters: int) -> np.ndarray:
-    """Farthest-point seeding plus one assignment pass on a distance matrix."""
+def km_from_distances(dist, n_clusters: int) -> np.ndarray:
+    """Farthest-point seeding, which validates the matrix, plus one assignment pass."""
     return assign_to_centers(dist, farthest_point_centers(dist, n_clusters))
 
 
@@ -52,4 +57,4 @@ def km_cluster(
 ) -> np.ndarray:
     """End-to-end deterministic clustering: PSDs, distances, one assignment pass."""
     psds = estimate_dataset_psds(observations, window=window, grid_size=grid_size, unit_power=unit_power)
-    return cluster_from_distances(distance_matrix(psds), n_clusters)
+    return km_from_distances(distance_matrix(psds), n_clusters)

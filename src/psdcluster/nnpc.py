@@ -14,11 +14,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array, issparse
+from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import LinearOperator
 
-from .distances import distance_matrix, validate_distance_matrix
+from .distances import check_distance_entries, distance_matrix, validate_distance_matrix
 from .numerics import RngStream, eig_symmetric, kmeans, relabel_first_seen
 from .spectra import WindowSpec, estimate_dataset_psds
 
@@ -84,9 +84,13 @@ def build_adjacency(dist, neighbor_sets) -> csr_array:
     """Sparse weighted q-NN adjacency A = Z + Z^T, Z[i, j] = exp(-2 d(i, j)) for j in T_i.
 
     Entries are 0 (no edge), exp(-2 d) (one-sided neighbor), or 2 exp(-2 d)
-    (mutual neighbors); at most 2 N q of them are stored.
+    (mutual neighbors); at most 2 N q of them are stored. Only the N q
+    entries d(i, j), j in T_i, are read, so only they and the shape of
+    `dist` are checked; A is symmetric by construction.
     """
-    d = validate_distance_matrix(dist)
+    d = np.asarray(dist, dtype=float)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise ValueError("distance matrix must be square")
     t = np.asarray(neighbor_sets, dtype=int)
     n = d.shape[0]
     if t.ndim != 2 or t.shape[0] != n or t.min(initial=0) < 0 or t.max(initial=0) >= n:
@@ -95,7 +99,7 @@ def build_adjacency(dist, neighbor_sets) -> csr_array:
         raise ValueError("neighbor sets must not repeat an index")
     rows = np.repeat(np.arange(n), t.shape[1])
     cols = t.ravel()
-    weights = np.exp(-2.0 * d[rows, cols])
+    weights = np.exp(-2.0 * check_distance_entries(d[rows, cols]))
     # Z and Z^T as one coordinate list; the CSR conversion sums a mutual pair
     a = csr_array((np.concatenate([weights, weights]), (np.concatenate([rows, cols]), np.concatenate([cols, rows]))), shape=(n, n))
     a.eliminate_zeros()  # an underflowed weight is no edge
@@ -104,14 +108,8 @@ def build_adjacency(dist, neighbor_sets) -> csr_array:
 
 def _as_adjacency(adjacency) -> csr_array:
     """Validated CSR copy of a dense or sparse adjacency, without stored zeros."""
-    if issparse(adjacency):
-        a = csr_array(adjacency, dtype=float, copy=True)
-    else:
-        dense = np.asarray(adjacency, dtype=float)
-        if dense.ndim != 2:
-            raise ValueError("adjacency matrix must be square")
-        a = csr_array(dense)
-    if a.shape[0] != a.shape[1]:
+    a = csr_array(adjacency, dtype=float, copy=True)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("adjacency matrix must be square")
     a.sum_duplicates()
     a.eliminate_zeros()
@@ -187,12 +185,6 @@ def laplacian_spectrum(adjacency, count: int) -> LaplacianSpectrum:
     return LaplacianSpectrum(n_nodes=n, core=core, eigenvalues=values, eigenvectors=vectors)
 
 
-def _check_spectrum(spectrum: LaplacianSpectrum, n_nodes: int, count: int) -> None:
-    """Reject a spectrum of another graph, or one with fewer than `count` pairs."""
-    if spectrum.n_nodes != n_nodes or spectrum.eigenvalues.size < min(count, spectrum.core.size):
-        raise ValueError("spectrum does not match the adjacency or holds too few eigenpairs")
-
-
 def _sign_canonicalize(columns: np.ndarray) -> np.ndarray:
     """Fix each column's sign by a permutation-invariant odd statistic."""
     out = columns.copy()
@@ -215,41 +207,31 @@ def _embed_and_kmeans(spectrum: LaplacianSpectrum, n_clusters: int, rng: RngStre
     return kmeans(emb, n_clusters, restarts=KMEANS_RESTARTS, rng=rng)
 
 
-def spectral_cluster(
-    adjacency,
-    n_clusters: int,
-    rng: RngStream | None = None,
-    dist=None,
-    *,
-    spectrum: LaplacianSpectrum | None = None,
-) -> np.ndarray:
-    """Normalized spectral clustering of a nonnegative symmetric adjacency.
+def spectral_cluster(spectrum: LaplacianSpectrum, n_clusters: int, rng: RngStream | None = None, dist=None) -> np.ndarray:
+    """Normalized spectral clustering of a graph, given its Laplacian spectrum.
 
-    The graph is embedded by the eigenvectors of the `n_clusters` smallest
-    Laplacian eigenvalues, rows are normalized to unit length, and k-means
-    (10 restarts) partitions the embedded points. `spectrum`, from
-    laplacian_spectrum of the same adjacency with at least `n_clusters`
-    pairs, saves the eigensolve.
+    `spectrum` comes from laplacian_spectrum with at least `n_clusters`
+    pairs. The non-isolated nodes are embedded by the eigenvectors of the
+    `n_clusters` smallest Laplacian eigenvalues, rows are normalized to unit
+    length, and k-means (10 restarts) partitions the embedded points.
 
     Isolated (zero-degree) nodes cannot be placed by the embedding. Each gets
     a label of its own while the cluster budget allows; any further ones are
     attached to the cluster of their nearest neighbor under `dist`, which is
-    required in that case. A warning is emitted whenever isolated nodes occur.
+    required in that case and read only in their rows. A warning is emitted
+    whenever isolated nodes occur.
 
     Clusters are named 0, 1, ... in order of their lowest observation index,
     so observation 0 is always in cluster 0.
     """
-    a = _as_adjacency(adjacency)
-    n = a.shape[0]
+    n = spectrum.n_nodes
+    core = spectrum.core
     if not 1 <= n_clusters <= n:
         raise ValueError(f"n_clusters must be in 1..{n}, got {n_clusters}")
+    if spectrum.eigenvalues.size < min(n_clusters, core.size):
+        raise ValueError(f"spectrum holds {spectrum.eigenvalues.size} eigenpairs, fewer than the {n_clusters} clusters")
     if rng is None:
         rng = RngStream(0)
-    if spectrum is None:
-        spectrum = laplacian_spectrum(a, n_clusters)
-    _check_spectrum(spectrum, n, n_clusters)
-
-    core = spectrum.core
     if core.size == n:
         return relabel_first_seen(_embed_and_kmeans(spectrum, n_clusters, rng), n_clusters)
 
@@ -269,9 +251,10 @@ def spectral_cluster(
 
     if dist is None:
         raise ValueError("a distance matrix is needed to place isolated nodes once they exceed the cluster budget")
-    d = validate_distance_matrix(dist)
-    if d.shape[0] != n:
-        raise ValueError("distance matrix does not match the adjacency")
+    d = np.asarray(dist, dtype=float)
+    if d.shape != (n, n):
+        raise ValueError("distance matrix does not match the spectrum")
+    check_distance_entries(d[isolated])
     if core.size:
         labels[core] = _embed_and_kmeans(spectrum, n_clusters, rng)
     else:
@@ -284,38 +267,23 @@ def spectral_cluster(
     return relabel_first_seen(labels, n_clusters)
 
 
-def eigengap_count(eigenvalues, max_clusters: int) -> int:
-    """The k <= max_clusters maximizing the gap between ascending eigenvalues k-1 and k.
+def estimate_cluster_count(eigenvalues, max_clusters: int) -> int:
+    """Eigengap heuristic for the cluster count.
 
-    Ties go to the smaller k; with fewer than two eigenvalues the count is 1.
+    `eigenvalues` are a graph's smallest normalized-Laplacian eigenvalues in
+    ascending order, such as LaplacianSpectrum.graph_eigenvalues() from at
+    least max_clusters + 1 pairs. Returns the k <= max_clusters maximizing
+    the gap between eigenvalues k and k + 1 (counting from 1); ties go to the
+    smaller k, and a single eigenvalue gives 1.
     """
-    if max_clusters < 1:
-        raise ValueError(f"max_clusters must be positive, got {max_clusters}")
-    gaps = np.diff(np.asarray(eigenvalues, dtype=float)[: max_clusters + 1])
+    values = np.asarray(eigenvalues, dtype=float)
+    if not 1 <= max_clusters <= values.size:
+        raise ValueError(f"max_clusters must be in 1..{values.size}, got {max_clusters}")
+    gaps = np.diff(values[: max_clusters + 1])
     return int(np.argmax(gaps)) + 1 if gaps.size else 1
 
 
-def estimate_cluster_count(adjacency, max_clusters: int, *, spectrum: LaplacianSpectrum | None = None) -> int:
-    """Eigengap heuristic for the cluster count.
-
-    Returns the k <= max_clusters maximizing the gap between consecutive
-    ascending eigenvalues of the normalized Laplacian; ties go to smaller k.
-    `spectrum`, from laplacian_spectrum of the same adjacency with at least
-    max_clusters + 1 pairs, saves the eigensolve.
-    """
-    a = _as_adjacency(adjacency)
-    n = a.shape[0]
-    if not 1 <= max_clusters <= n:
-        raise ValueError(f"max_clusters must be in 1..{n}, got {max_clusters}")
-    if n == 1:
-        return 1
-    if spectrum is None:
-        spectrum = laplacian_spectrum(a, max_clusters + 1)
-    _check_spectrum(spectrum, n, max_clusters + 1)
-    return eigengap_count(spectrum.graph_eigenvalues(), max_clusters)
-
-
-def cluster_from_distances(
+def nnpc_from_distances(
     dist,
     n_neighbors: int,
     n_clusters: int | None = None,
@@ -324,16 +292,16 @@ def cluster_from_distances(
 ) -> NnpcResult:
     """Neighbor graph plus spectral clustering, starting from a distance matrix.
 
-    One eigensolve serves both the count estimate and the embedding.
+    nearest_neighbor_sets validates the matrix once, and one eigensolve
+    serves both the count estimate and the embedding.
     """
-    d = validate_distance_matrix(dist)
-    neighbor_sets = nearest_neighbor_sets(d, n_neighbors)
-    adjacency = build_adjacency(d, neighbor_sets)
-    max_clusters = min(max_clusters, d.shape[0])
+    neighbor_sets = nearest_neighbor_sets(dist, n_neighbors)
+    adjacency = build_adjacency(dist, neighbor_sets)
+    max_clusters = min(max_clusters, len(neighbor_sets))
     spectrum = laplacian_spectrum(adjacency, max_clusters + 1 if n_clusters is None else n_clusters)
     if n_clusters is None:
-        n_clusters = estimate_cluster_count(adjacency, max_clusters, spectrum=spectrum)
-    labels = spectral_cluster(adjacency, n_clusters, rng=rng, dist=d, spectrum=spectrum)
+        n_clusters = estimate_cluster_count(spectrum.graph_eigenvalues(), max_clusters)
+    labels = spectral_cluster(spectrum, n_clusters, rng=rng, dist=dist)
     return NnpcResult(labels=labels, n_clusters=int(n_clusters))
 
 
@@ -354,6 +322,4 @@ def nnpc_cluster(
     capped at max_clusters.
     """
     psds = estimate_dataset_psds(observations, window=window, grid_size=grid_size, unit_power=unit_power)
-    return cluster_from_distances(
-        distance_matrix(psds), n_neighbors, n_clusters, rng=rng, max_clusters=max_clusters
-    )
+    return nnpc_from_distances(distance_matrix(psds), n_neighbors, n_clusters, rng=rng, max_clusters=max_clusters)

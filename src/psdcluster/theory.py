@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.sparse import coo_array, issparse
+from scipy.sparse import coo_array
 
 from .distances import validate_distance_matrix
 from .generators import FINE_GRID, GenerativeModel, true_acf
@@ -201,14 +201,8 @@ def check_nfc(adjacency, labels) -> bool:
     The adjacency may be a dense array or a scipy sparse array; a stored
     zero is no edge.
     """
-    if issparse(adjacency):
-        a = coo_array(adjacency)
-    else:
-        dense = np.asarray(adjacency, dtype=float)
-        if dense.ndim != 2:
-            raise ValueError("adjacency matrix must be square")
-        a = coo_array(dense)
-    if a.shape[0] != a.shape[1]:
+    a = coo_array(adjacency)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("adjacency matrix must be square")
     y = np.asarray(labels).ravel()
     if y.shape[0] != a.shape[0]:

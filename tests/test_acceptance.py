@@ -25,9 +25,15 @@ import pytest
 from psdcluster.cli import _read_observation_csv, run_synth_bench
 from psdcluster.distances import distance_matrix, l1_distance
 from psdcluster.generators import benchmark_models, make_benchmark_dataset, make_model, normalize_model
-from psdcluster.km import cluster_from_distances as km_from_distances
+from psdcluster.km import km_from_distances
 from psdcluster.metrics import clustering_error, confusion_entropy
-from psdcluster.nnpc import build_adjacency, estimate_cluster_count, nearest_neighbor_sets, spectral_cluster
+from psdcluster.nnpc import (
+    build_adjacency,
+    estimate_cluster_count,
+    laplacian_spectrum,
+    nearest_neighbor_sets,
+    spectral_cluster,
+)
 from psdcluster.numerics import RngStream
 from psdcluster.spectra import PsdEstimate, bt_psd, estimate_dataset_psds, make_window, next_pow2
 from psdcluster.theory import check_nfc, check_separation, nfc_probability_bound, noise_term, true_model_distance
@@ -130,7 +136,7 @@ def test_criterion_3_separated_blocks_cluster_exactly():
                 continue
             if all(subgraph_connected(adjacency, block) for block in blocks):
                 nnpc_checks += 1
-                labels = spectral_cluster(adjacency, n_blocks, rng=RngStream(0))
+                labels = spectral_cluster(laplacian_spectrum(adjacency, n_blocks), n_blocks, rng=RngStream(0))
                 if clustering_error(labels, truth) != 0.0:
                     failures += 1
         km_checks += 1
@@ -204,7 +210,7 @@ def test_criterion_6_eigengap_recovers_model_count():
         data = make_benchmark_dataset(models, 25, m, 0.0, RngStream(606, trial))
         dist = distance_matrix(estimate_dataset_psds(data.observations, window=window, grid_size=grid))
         adjacency = build_adjacency(dist, nearest_neighbor_sets(dist, 10))
-        hits += estimate_cluster_count(adjacency, 10) == 3
+        hits += estimate_cluster_count(laplacian_spectrum(adjacency, 11).graph_eigenvalues(), 10) == 3
     elapsed = time.perf_counter() - start
     _report(6, hits >= 90 and elapsed < 600.0, f"{hits}/100 trials, {elapsed:.0f}s")
 
@@ -262,7 +268,7 @@ def test_criterion_9_motion_capture_replication():
         psds = estimate_dataset_psds(observations, unit_power=True)
         dist = distance_matrix(psds)
         adjacency = build_adjacency(dist, nearest_neighbor_sets(dist, 6))
-        nnpc_labels = spectral_cluster(adjacency, 2, rng=RngStream(0), dist=dist)
+        nnpc_labels = spectral_cluster(laplacian_spectrum(adjacency, 2), 2, rng=RngStream(0), dist=dist)
         km_labels = km_from_distances(dist, 2)
         scores = {
             "nnpc": clustering_error(nnpc_labels, truth),

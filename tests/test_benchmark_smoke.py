@@ -15,7 +15,12 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["synth-mc", "cluster-wide", "cluster-long"])
+# one full distance-matrix validation per clustering run: synth-mc runs nnpc
+# and km on each dataset, cluster-wide runs nnpc, cluster-long runs km
+VALIDATE_CALLS = {"synth-mc": 2, "cluster-wide": 1, "cluster-long": 1}
+
+
+@pytest.mark.parametrize("workload", list(VALIDATE_CALLS))
 def test_traced_smoke_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", "0", "--seconds", "1",
@@ -27,3 +32,4 @@ def test_traced_smoke_run_is_correct(workload):
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["metrics"]["trace.absent_targets"]["value"] == 0
+    assert result["metrics"]["distances.validate_calls"]["value"] == VALIDATE_CALLS[workload]

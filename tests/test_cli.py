@@ -241,6 +241,25 @@ class TestCluster:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--algorithm", "km"], "the km algorithm needs an explicit cluster count"),
+            (["--clusters", "13"], "cluster count 13 exceeds the 12 observations"),
+            (["--clusters", "2", "--neighbors", "12"], "neighbor count must be in 1..11, got 12"),
+            (["--neighbors", "0"], "neighbor count must be in 1..11, got 0"),
+            (["--max-clusters", "0"], "the cluster-count cap must be positive, got 0"),
+        ],
+    )
+    def test_bad_options_fail_before_the_psd_stage(self, dataset_csv, tmp_path, capsys, monkeypatch, options, message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("PSDs estimated before the options were checked")
+
+        monkeypatch.setattr("psdcluster.cli.estimate_dataset_psds", unreachable)
+        code = main(["cluster", str(dataset_csv), "--truth", *options, "--labels-out", str(tmp_path / "labels.csv")])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
 
 class TestBoundaryValidation:
     """Bad numbers fail where they enter, with exit 2 and the culprit named."""

@@ -7,7 +7,8 @@ and exact recovery on separated random block matrices.
 import numpy as np
 import pytest
 
-from psdcluster.km import assign_to_centers, cluster_from_distances, farthest_point_centers, km_cluster
+from psdcluster.distances import validate_distance_matrix
+from psdcluster.km import assign_to_centers, farthest_point_centers, km_cluster, km_from_distances
 from psdcluster.metrics import clustering_error
 from psdcluster.numerics import RngStream
 from psdcluster.generators import benchmark_models, make_benchmark_dataset
@@ -71,10 +72,17 @@ class TestAssignToCenters:
         with pytest.raises(ValueError):
             assign_to_centers(four_node_matrix(), [-1])
 
+    @pytest.mark.parametrize("value, message", [(np.nan, "finite"), (-0.5, "nonnegative")])
+    def test_rejects_a_bad_center_distance(self, value, message):
+        d = four_node_matrix()
+        d[1, 3] = value  # in the column of center 3
+        with pytest.raises(ValueError, match=f"distance matrix entries must be {message}"):
+            assign_to_centers(d, [0, 3])
+
 
 class TestClusterFromDistances:
     def test_hand_case(self):
-        np.testing.assert_array_equal(cluster_from_distances(four_node_matrix(), 2), [0, 0, 1, 1])
+        np.testing.assert_array_equal(km_from_distances(four_node_matrix(), 2), [0, 0, 1, 1])
 
     def test_exact_on_separated_blocks(self):
         gen = np.random.default_rng(55)
@@ -82,13 +90,24 @@ class TestClusterFromDistances:
             n_blocks = int(gen.integers(2, 5))
             sizes = gen.integers(2, 6, size=n_blocks)
             d, truth = separated_block_matrix(gen, sizes)
-            labels = cluster_from_distances(d, n_blocks)
+            labels = km_from_distances(d, n_blocks)
             assert clustering_error(labels, truth) == 0.0
 
     def test_deterministic(self):
         gen = np.random.default_rng(7)
         d, _ = separated_block_matrix(gen, [3, 4, 5])
-        np.testing.assert_array_equal(cluster_from_distances(d, 3), cluster_from_distances(d, 3))
+        np.testing.assert_array_equal(km_from_distances(d, 3), km_from_distances(d, 3))
+
+    def test_one_validation_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(dist):
+            calls.append(np.shape(dist))
+            return validate_distance_matrix(dist)
+
+        monkeypatch.setattr("psdcluster.km.validate_distance_matrix", counted)
+        np.testing.assert_array_equal(km_from_distances(four_node_matrix(), 2), [0, 0, 1, 1])
+        assert calls == [(4, 4)]
 
 
 def test_end_to_end_on_synthetic_data():

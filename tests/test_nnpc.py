@@ -16,17 +16,17 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
 from psdcluster import numerics
+from psdcluster.distances import validate_distance_matrix
 from psdcluster.generators import benchmark_models, make_benchmark_dataset
 from psdcluster.metrics import clustering_error
 from psdcluster.nnpc import (
     NnpcResult,
     build_adjacency,
-    cluster_from_distances,
-    eigengap_count,
     estimate_cluster_count,
     laplacian_spectrum,
     nearest_neighbor_sets,
     nnpc_cluster,
+    nnpc_from_distances,
     normalized_laplacian,
     spectral_cluster,
 )
@@ -172,6 +172,14 @@ class TestBuildAdjacency:
         with pytest.raises(ValueError):
             build_adjacency(d, np.array([[1, 1], [0, 2], [0, 1], [0, 1]]))
 
+    @pytest.mark.parametrize("value, message", [(np.nan, "finite"), (-0.5, "nonnegative")])
+    def test_rejects_a_bad_neighbor_distance(self, value, message):
+        d = four_node_matrix()
+        t = nearest_neighbor_sets(d, 1)  # [[1], [0], [3], [2]]
+        d[2, 3] = value  # read as d(2, T_2); d(3, 2) stays valid
+        with pytest.raises(ValueError, match=f"distance matrix entries must be {message}"):
+            build_adjacency(d, t)
+
     def test_sparse_with_underflowed_weights_dropped(self):
         d = gapped_block_matrix(np.random.default_rng(5), [3, 3])
         a = build_adjacency(d, nearest_neighbor_sets(d, 3))
@@ -241,11 +249,12 @@ class TestLaplacianSpectrum:
         oracle = dense_eigenvalues(a)
         with solver("sparse"):
             values = laplacian_spectrum(a, count).graph_eigenvalues()
-            estimate = estimate_cluster_count(a, min(12, d.shape[0]))
+            cap = min(12, d.shape[0])
+            estimate = estimate_cluster_count(laplacian_spectrum(a, cap + 1).graph_eigenvalues(), cap)
         np.testing.assert_allclose(values, oracle[: values.size], rtol=0.0, atol=1e-10)
         if int(np.sum(oracle < 1e-9)) <= 12:
             # more zeros than the cap would leave only rounding noise to compare
-            assert estimate == eigengap_count(oracle, min(12, d.shape[0]))
+            assert estimate == estimate_cluster_count(oracle, cap)
 
     def test_six_components_regression(self):
         # plain ARPACK on this Laplacian finds 4 of the 6 zero eigenvalues
@@ -274,12 +283,12 @@ class TestLaplacianSpectrum:
         with pytest.raises(ValueError):
             laplacian_spectrum(np.ones((3, 3)) - np.eye(3), 0)
 
-    def test_callers_reject_a_mismatched_spectrum(self):
-        a = np.ones((4, 4)) - np.eye(4)
+    def test_callers_reject_a_short_spectrum(self):
+        spectrum = laplacian_spectrum(np.ones((4, 4)) - np.eye(4), 2)
         with pytest.raises(ValueError):
-            spectral_cluster(a, 3, spectrum=laplacian_spectrum(a, 2))
+            spectral_cluster(spectrum, 3)
         with pytest.raises(ValueError):
-            estimate_cluster_count(a, 3, spectrum=laplacian_spectrum(np.ones((3, 3)) - np.eye(3), 3))
+            estimate_cluster_count(spectrum.graph_eigenvalues(), 3)
 
 
 class TestSpectralCluster:
@@ -295,9 +304,9 @@ class TestSpectralCluster:
         # q = size - 1 leaves one component per block; q = size links them
         a = build_adjacency(d, nearest_neighbor_sets(d, size if connected else size - 1))
         with solver("dense"):
-            dense = spectral_cluster(a, n_blocks, rng=RngStream(3))
+            dense = spectral_cluster(laplacian_spectrum(a, n_blocks), n_blocks, rng=RngStream(3))
         with solver("sparse"):
-            sparse = spectral_cluster(a, n_blocks, rng=RngStream(3))
+            sparse = spectral_cluster(laplacian_spectrum(a, n_blocks), n_blocks, rng=RngStream(3))
         np.testing.assert_array_equal(sparse, dense)
         assert sparse[0] == 0
         assert clustering_error(sparse, truth) == 0.0
@@ -307,7 +316,7 @@ class TestSpectralCluster:
         d, truth = separated_block_matrix(gen, [4, 4, 4])
         perm = gen.permutation(12)
         d = d[np.ix_(perm, perm)]
-        labels = spectral_cluster(build_adjacency(d, nearest_neighbor_sets(d, 3)), 3)
+        labels = spectral_cluster(laplacian_spectrum(build_adjacency(d, nearest_neighbor_sets(d, 3)), 3), 3)
         _, first = np.unique(labels, return_index=True)
         np.testing.assert_array_equal(first, np.sort(first))
         assert labels[0] == 0
@@ -320,16 +329,16 @@ class TestSpectralCluster:
             n_blocks = int(gen.integers(2, 4))
             d, truth = separated_block_matrix(gen, [size] * n_blocks)
             a = build_adjacency(d, nearest_neighbor_sets(d, size - 1))
-            labels = spectral_cluster(a, n_blocks, rng=RngStream(0))
+            labels = spectral_cluster(laplacian_spectrum(a, n_blocks), n_blocks, rng=RngStream(0))
             assert clustering_error(labels, truth) == 0.0
 
     def test_partition_is_order_independent(self):
         gen = np.random.default_rng(8)
         d, _ = separated_block_matrix(gen, [4, 4, 4])
         a = build_adjacency(d, nearest_neighbor_sets(d, 3))
-        base = spectral_cluster(a, 3, rng=RngStream(1))
+        base = spectral_cluster(laplacian_spectrum(a, 3), 3, rng=RngStream(1))
         perm = gen.permutation(12)
-        shuffled = spectral_cluster(a[np.ix_(perm, perm)], 3, rng=RngStream(1))
+        shuffled = spectral_cluster(laplacian_spectrum(a[np.ix_(perm, perm)], 3), 3, rng=RngStream(1))
         assert clustering_error(shuffled, base[perm]) == 0.0
 
     def test_deterministic(self):
@@ -337,26 +346,27 @@ class TestSpectralCluster:
         d, _ = separated_block_matrix(gen, [5, 5])
         a = build_adjacency(d, nearest_neighbor_sets(d, 2))
         np.testing.assert_array_equal(
-            spectral_cluster(a, 2, rng=RngStream(2)), spectral_cluster(a, 2, rng=RngStream(2))
+            spectral_cluster(laplacian_spectrum(a, 2), 2, rng=RngStream(2)),
+            spectral_cluster(laplacian_spectrum(a, 2), 2, rng=RngStream(2)),
         )
 
     def test_single_cluster(self):
         d = four_node_matrix()
         a = build_adjacency(d, nearest_neighbor_sets(d, 2))
-        np.testing.assert_array_equal(spectral_cluster(a, 1), np.zeros(4, dtype=int))
+        np.testing.assert_array_equal(spectral_cluster(laplacian_spectrum(a, 1), 1), np.zeros(4, dtype=int))
 
     def test_isolated_node_gets_own_label(self):
         a = np.zeros((3, 3))
         a[0, 1] = a[1, 0] = 1.0
         with pytest.warns(RuntimeWarning):
-            labels = spectral_cluster(a, 2)
+            labels = spectral_cluster(laplacian_spectrum(a, 2), 2)
         np.testing.assert_array_equal(labels, [0, 0, 1])
 
     def test_isolated_first_node_is_named_zero(self):
         a = np.zeros((3, 3))
         a[1, 2] = a[2, 1] = 1.0
         with pytest.warns(RuntimeWarning):
-            labels = spectral_cluster(a, 2)
+            labels = spectral_cluster(laplacian_spectrum(a, 2), 2)
         np.testing.assert_array_equal(labels, [0, 1, 1])
 
     def test_isolated_nodes_beyond_budget_need_distances(self):
@@ -364,7 +374,7 @@ class TestSpectralCluster:
         a[0, 1] = a[1, 0] = 1.0
         with pytest.warns(RuntimeWarning):
             with pytest.raises(ValueError):
-                spectral_cluster(a, 2)
+                spectral_cluster(laplacian_spectrum(a, 2), 2)
 
     def test_isolated_nodes_attach_to_nearest(self):
         a = np.zeros((4, 4))
@@ -377,58 +387,58 @@ class TestSpectralCluster:
         d[1, 3] = d[3, 1] = 0.1
         d[2, 3] = d[3, 2] = 0.9
         with pytest.warns(RuntimeWarning):
-            labels = spectral_cluster(a, 2, dist=d)
+            labels = spectral_cluster(laplacian_spectrum(a, 2), 2, dist=d)
         np.testing.assert_array_equal(labels, [0, 1, 0, 1])
 
     def test_fully_isolated_graph(self):
         d = four_node_matrix()
         with pytest.warns(RuntimeWarning):
-            labels = spectral_cluster(np.zeros((4, 4)), 2, dist=d)
+            labels = spectral_cluster(laplacian_spectrum(np.zeros((4, 4)), 2), 2, dist=d)
         assert set(labels) == {0, 1}
         assert labels[0] == 0
 
     def test_rejects_bad_cluster_count(self):
-        a = np.ones((3, 3)) - np.eye(3)
+        spectrum = laplacian_spectrum(np.ones((3, 3)) - np.eye(3), 3)
         with pytest.raises(ValueError):
-            spectral_cluster(a, 0)
+            spectral_cluster(spectrum, 0)
         with pytest.raises(ValueError):
-            spectral_cluster(a, 4)
+            spectral_cluster(spectrum, 4)
 
 
 class TestEstimateClusterCount:
     def test_complete_graph_gives_one(self):
         a = np.ones((6, 6)) - np.eye(6)
-        assert estimate_cluster_count(a, 5) == 1
+        assert estimate_cluster_count(laplacian_spectrum(a, 6).graph_eigenvalues(), 5) == 1
 
     def test_counts_separated_blocks(self):
         gen = np.random.default_rng(23)
         for n_blocks in (2, 3, 4):
             d, _ = separated_block_matrix(gen, [4] * n_blocks)
             a = build_adjacency(d, nearest_neighbor_sets(d, 3))
-            assert estimate_cluster_count(a, 8) == n_blocks
+            assert estimate_cluster_count(laplacian_spectrum(a, 9).graph_eigenvalues(), 8) == n_blocks
 
     def test_cap_is_respected(self):
         gen = np.random.default_rng(6)
         d, _ = separated_block_matrix(gen, [4, 4, 4, 4])
         a = build_adjacency(d, nearest_neighbor_sets(d, 3))
-        assert estimate_cluster_count(a, 2) <= 2
+        assert estimate_cluster_count(laplacian_spectrum(a, 3).graph_eigenvalues(), 2) <= 2
 
     def test_single_node(self):
-        assert estimate_cluster_count(np.zeros((1, 1)), 1) == 1
+        assert estimate_cluster_count(laplacian_spectrum(np.zeros((1, 1)), 2).graph_eigenvalues(), 1) == 1
 
     def test_rejects_bad_cap(self):
-        a = np.ones((3, 3)) - np.eye(3)
+        eigenvalues = laplacian_spectrum(np.ones((3, 3)) - np.eye(3), 3).graph_eigenvalues()
         with pytest.raises(ValueError):
-            estimate_cluster_count(a, 0)
+            estimate_cluster_count(eigenvalues, 0)
         with pytest.raises(ValueError):
-            estimate_cluster_count(a, 4)
+            estimate_cluster_count(eigenvalues, 4)
 
 
 class TestClusterFromDistances:
     def test_known_count(self):
         gen = np.random.default_rng(44)
         d, truth = separated_block_matrix(gen, [4, 4])
-        result = cluster_from_distances(d, 3, 2, rng=RngStream(0))
+        result = nnpc_from_distances(d, 3, 2, rng=RngStream(0))
         assert isinstance(result, NnpcResult)
         assert result.n_clusters == 2
         assert clustering_error(result.labels, truth) == 0.0
@@ -436,7 +446,7 @@ class TestClusterFromDistances:
     def test_estimated_count(self):
         gen = np.random.default_rng(45)
         d, truth = separated_block_matrix(gen, [5, 5, 5])
-        result = cluster_from_distances(d, 4, None, rng=RngStream(0))
+        result = nnpc_from_distances(d, 4, None, rng=RngStream(0))
         assert result.n_clusters == 3
         assert clustering_error(result.labels, truth) == 0.0
 
@@ -449,8 +459,26 @@ class TestClusterFromDistances:
 
         monkeypatch.setattr("psdcluster.nnpc.eig_symmetric", counted)
         d = gapped_block_matrix(np.random.default_rng(46), [30, 30], gap=5.0)
-        assert cluster_from_distances(d, 5, None).n_clusters == 2
+        assert nnpc_from_distances(d, 5, None).n_clusters == 2
         assert calls == [11 - 2]  # max_clusters + 1 pairs, the 2 zeros supplied
+
+    def test_one_validation_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(dist):
+            calls.append(np.shape(dist))
+            return validate_distance_matrix(dist)
+
+        monkeypatch.setattr("psdcluster.nnpc.validate_distance_matrix", counted)
+        d, _ = separated_block_matrix(np.random.default_rng(47), [5, 5])
+        assert nnpc_from_distances(d, 4, None).n_clusters == 2
+        assert calls == [(10, 10)]
+
+    def test_rejects_an_asymmetric_matrix(self):
+        d, _ = separated_block_matrix(np.random.default_rng(48), [4, 4])
+        d[0, 5] += 0.1
+        with pytest.raises(ValueError, match="symmetric"):
+            nnpc_from_distances(d, 3, 2)
 
 
 def test_end_to_end_on_synthetic_data():
