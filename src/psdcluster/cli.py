@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -62,43 +62,96 @@ _CONFIG_KEYS = {
 # input handling
 
 
+def _csv_rows(path, lines, start: int = 0):
+    """Records of csv.reader(lines), numbered from start + 1.
+
+    A csv.Error (say, a stray quote that swallows the rest of a large file)
+    becomes a ValueError naming the file and the record.
+    """
+    record_no = start
+    try:
+        for record_no, record in enumerate(csv.reader(lines), start=start + 1):
+            yield record
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {record_no + 1}: {exc}") from exc
+
+
+def _observation_records(path, handle):
+    """Cells of each CSV record in handle, the same records csv.reader gives.
+
+    Lines are split on commas until the first line that holds a double quote
+    or a field longer than csv's size limit; csv.reader parses the rest.
+    """
+    limit = csv.field_size_limit()
+    record_no = 0
+    for line in handle:
+        cells = line.rstrip("\r\n").split(",")
+        if '"' in line or (len(line) > limit and max(map(len, cells)) > limit):
+            yield from _csv_rows(path, chain([line], handle), start=record_no)
+            return
+        record_no += 1
+        yield cells
+
+
+def _record_samples(path, line_no: int, cells: list[str], with_truth: bool):
+    """(truth cell or None, samples) of one record, or None if every cell is blank.
+
+    Blank and whitespace-only cells are dropped and the rest are stripped;
+    with_truth takes the first remaining cell as the label. A record with a
+    nonblank label and numeric cells throughout converts in one pass.
+    """
+    if cells and (not with_truth or cells[0].strip()):
+        try:
+            values = np.array(list(map(float, cells[1:] if with_truth else cells)))
+        except ValueError:
+            pass
+        else:
+            return (cells[0].strip() if with_truth else None), values
+    cells = [cell.strip() for cell in cells if cell.strip() != ""]
+    if not cells:
+        return None
+    label = None
+    if with_truth:
+        label, cells = cells[0], cells[1:]
+    try:
+        values = np.array([float(cell) for cell in cells])
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {line_no}: non-numeric sample value") from exc
+    return label, values
+
+
 def _read_observation_csv(path, with_truth: bool, pad_zeros: bool, subtract_mean: bool):
     """Load observations (one per row); optionally a leading truth-label column.
 
     Returns (observations, truth) with truth None unless requested. Ragged
     rows are zero-padded to the longest row when pad_zeros is set and are an
-    error otherwise. Mean subtraction happens before padding.
+    error otherwise. Mean subtraction happens before padding. The file is
+    read one line at a time.
     """
-    rows: list[np.ndarray] = []
+    rows: list[np.ndarray | None] = []
     truth_cells: list[str] = []
     with open(path, newline="", encoding="utf-8") as handle:
-        for line_no, record in enumerate(csv.reader(handle), start=1):
-            record = [cell.strip() for cell in record if cell.strip() != ""]
-            if not record:
+        for line_no, cells in enumerate(_observation_records(path, handle), start=1):
+            record = _record_samples(path, line_no, cells, with_truth)
+            if record is None:
                 continue
-            if with_truth:
-                truth_cells.append(record[0])
-                record = record[1:]
-            try:
-                values = np.array([float(cell) for cell in record])
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line_no}: non-numeric sample value") from exc
+            label, values = record
             if values.size < 2:
                 raise ValueError(f"{path}: line {line_no}: observations need at least 2 samples")
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{path}: line {line_no}: samples must be finite")
+            if with_truth:
+                truth_cells.append(label)
             rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no observations found")
-    if subtract_mean:
-        rows = [row - row.mean() for row in rows]
     lengths = {row.size for row in rows}
-    if len(lengths) > 1:
-        if not pad_zeros:
-            raise ValueError(f"{path}: rows have different lengths; pass --pad-zeros to zero-pad them")
-        longest = max(lengths)
-        rows = [np.pad(row, (0, longest - row.size)) for row in rows]
-    observations = np.stack(rows)
+    if len(lengths) > 1 and not pad_zeros:
+        raise ValueError(f"{path}: rows have different lengths; pass --pad-zeros to zero-pad them")
+    observations = np.zeros((len(rows), max(lengths)))
+    for index, row in enumerate(rows):
+        rows[index] = None  # free each parsed row once it is copied
+        observations[index, : row.size] = row - row.mean() if subtract_mean else row
     truth = None
     if with_truth:
         seen: dict[str, int] = {}
@@ -374,15 +427,17 @@ def cmd_check_condition(args) -> int:
 def cmd_estimate_l(args) -> int:
     observations, _ = _read_observation_csv(args.input, args.truth, args.pad_zeros, args.subtract_mean)
     n_obs, obs_len = observations.shape
-    if n_obs == 1:
-        _dump_json({"estimate": 1, "eigenvalues": [0.0]})
-        return 0
+    if args.neighbors < 1 or (n_obs > 1 and args.neighbors > n_obs - 1):
+        raise ValueError(f"neighbor count must be in 1..{n_obs - 1}, got {args.neighbors}")
+    if args.max_clusters < 1:
+        raise ValueError(f"the cluster-count cap must be positive, got {args.max_clusters}")
     window = _window_for(args.window, obs_len, args.std)
     if args.grid_factor < 2:
         raise ValueError("grid factor must be >= 2")
+    if n_obs == 1:
+        _dump_json({"estimate": 1, "eigenvalues": [0.0]})
+        return 0
     grid_size = next_pow2(args.grid_factor * obs_len)
-    if not 1 <= args.neighbors <= n_obs - 1:
-        raise ValueError(f"neighbor count must be in 1..{n_obs - 1}, got {args.neighbors}")
     psds = estimate_dataset_psds(observations, window=window, grid_size=grid_size, unit_power=args.normalize_psd)
     dist = distance_matrix(psds)
     adjacency = build_adjacency(dist, nearest_neighbor_sets(dist, args.neighbors))
@@ -403,7 +458,7 @@ def _extract_column(path, column: str) -> np.ndarray:
     detected automatically in index mode and required in name mode.
     """
     with open(path, newline="", encoding="utf-8") as handle:
-        records = [record for record in csv.reader(handle) if any(cell.strip() for cell in record)]
+        records = [record for record in _csv_rows(path, handle) if any(cell.strip() for cell in record)]
     if not records:
         raise ValueError(f"{path}: empty sequence file")
     try:
@@ -440,7 +495,7 @@ def _extract_column(path, column: str) -> np.ndarray:
 def _load_label_map(path) -> dict[str, str]:
     labels: dict[str, str] = {}
     with open(path, newline="", encoding="utf-8") as handle:
-        for record in csv.reader(handle):
+        for record in _csv_rows(path, handle):
             record = [cell.strip() for cell in record]
             if len(record) < 2 or not record[0]:
                 continue

@@ -3,6 +3,11 @@
 The distance is half the grid average of the absolute PSD difference, a
 Riemann sum for (1/2) integral over one period. For unit-power spectra it
 lies in [0, 1], with 1 reached by disjoint supports.
+
+Every estimate from `spectra` is even on its grid (bin F - j mirrors bin j),
+so when all rows are even the kernel folds the sum onto bins 0..F/2: the
+interior bins count twice and the two endpoints once, which halves the
+`pdist` work and the stacked copy.
 """
 
 from __future__ import annotations
@@ -15,27 +20,43 @@ from scipy.spatial.distance import pdist, squareform
 from .spectra import PsdEstimate
 
 
-def _stack(psds: Sequence[PsdEstimate]) -> np.ndarray:
-    if len({p.grid_size for p in psds}) != 1:
+def _even_halves(psds: Sequence[PsdEstimate], grid: int) -> np.ndarray | None:
+    """Bins 0..F/2 of every row, endpoints halved, if every row is even; else None.
+
+    A row is even when v[j] == v[F - j] exactly for j = 1..F/2 - 1 (F even).
+    """
+    if grid == 0 or grid % 2:
+        return None
+    h = grid // 2
+    if not all(np.array_equal(p.values[1:h], p.values[:h:-1]) for p in psds):
+        return None
+    half = np.stack([p.values[: h + 1] for p in psds])
+    half[:, [0, h]] *= 0.5
+    return half
+
+
+def _pairwise_l1(psds: Sequence[PsdEstimate]) -> np.ndarray:
+    """Condensed distances between PSD estimates that share one grid."""
+    grids = {p.grid_size for p in psds}
+    if len(grids) != 1:
         raise ValueError("PSD estimates must share one frequency grid")
-    return np.stack([p.values for p in psds])
-
-
-def _pairwise_l1(stacked: np.ndarray) -> np.ndarray:
-    """Condensed distances between the rows of an (N, F) array of PSD samples."""
-    return pdist(stacked, "cityblock") * (0.5 / stacked.shape[1])
+    (grid,) = grids
+    half = _even_halves(psds, grid)
+    if half is not None:
+        return pdist(half, "cityblock") * (1.0 / grid)
+    return pdist(np.stack([p.values for p in psds]), "cityblock") * (0.5 / grid)
 
 
 def l1_distance(first: PsdEstimate, second: PsdEstimate) -> float:
     """Half the grid-averaged absolute difference between two PSD estimates."""
-    return float(_pairwise_l1(_stack([first, second]))[0])
+    return float(_pairwise_l1([first, second])[0])
 
 
 def distance_matrix(psds: Sequence[PsdEstimate]) -> np.ndarray:
     """Symmetric matrix of pairwise L1 PSD distances with a zero diagonal."""
     if len(psds) == 0:
         raise ValueError("need at least one PSD estimate")
-    return squareform(_pairwise_l1(_stack(psds)))
+    return squareform(_pairwise_l1(psds))
 
 
 def check_distance_entries(values: np.ndarray) -> np.ndarray:

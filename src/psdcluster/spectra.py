@@ -185,17 +185,22 @@ def bt_psd(samples, window: WindowSpec, grid_size: int) -> PsdEstimate:
     return PsdEstimate(values=values[0], acf_zero=float(acf_zero[0]))
 
 
-def _unit_power_rows(values: np.ndarray, acf_zero: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Divide each PSD row, and its lag-zero ACF, by the row's grid mean."""
+def _unit_power_rows(values: np.ndarray, acf_zero: np.ndarray) -> np.ndarray:
+    """Divide each PSD row by its grid mean in place; return acf_zero divided likewise.
+
+    In place, so that normalizing a large stack needs no second copy of it.
+    """
     power = values.mean(axis=1)
     if np.any(power <= 0.0):
         raise ValueError("cannot normalize a PSD with nonpositive power")
-    return values / power[:, None], acf_zero / power
+    values /= power[:, None]
+    return acf_zero / power
 
 
 def normalize_unit_power(psd: PsdEstimate) -> PsdEstimate:
     """Rescale so the PSD averages to one over the grid (unit power)."""
-    values, acf_zero = _unit_power_rows(psd.values[None, :], np.array([psd.acf_zero]))
+    values = np.array(psd.values, dtype=float)[None, :]
+    acf_zero = _unit_power_rows(values, np.array([psd.acf_zero]))
     return PsdEstimate(values=values[0], acf_zero=float(acf_zero[0]))
 
 
@@ -222,5 +227,5 @@ def estimate_dataset_psds(
         grid_size = next_pow2(4 * m)
     values, acf_zero = _psd_rows(obs, window, grid_size)
     if unit_power:
-        values, acf_zero = _unit_power_rows(values, acf_zero)
+        acf_zero = _unit_power_rows(values, acf_zero)
     return [PsdEstimate(values=row, acf_zero=float(a)) for row, a in zip(values, acf_zero)]

@@ -11,9 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import psdcluster
-from psdcluster.cli import main
+from psdcluster.cli import _read_observation_csv, main
 from psdcluster.generators import benchmark_models, make_benchmark_dataset
 from psdcluster.numerics import RngStream
 
@@ -261,6 +263,160 @@ class TestCluster:
         assert f"error: {message}" in capsys.readouterr().err
 
 
+def reference_read_observation_csv(path, with_truth, pad_zeros, subtract_mean):
+    """The reader as it was before streaming: csv.reader on every record,
+    np.pad per ragged row, then np.stack. The oracle for the streaming reader."""
+    rows = []
+    truth_cells = []
+    with open(path, newline="", encoding="utf-8") as handle:
+        for line_no, record in enumerate(csv.reader(handle), start=1):
+            record = [cell.strip() for cell in record if cell.strip() != ""]
+            if not record:
+                continue
+            if with_truth:
+                truth_cells.append(record[0])
+                record = record[1:]
+            try:
+                values = np.array([float(cell) for cell in record])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line_no}: non-numeric sample value") from exc
+            if values.size < 2:
+                raise ValueError(f"{path}: line {line_no}: observations need at least 2 samples")
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{path}: line {line_no}: samples must be finite")
+            rows.append(values)
+    if not rows:
+        raise ValueError(f"{path}: no observations found")
+    if subtract_mean:
+        rows = [row - row.mean() for row in rows]
+    lengths = {row.size for row in rows}
+    if len(lengths) > 1:
+        if not pad_zeros:
+            raise ValueError(f"{path}: rows have different lengths; pass --pad-zeros to zero-pad them")
+        longest = max(lengths)
+        rows = [np.pad(row, (0, longest - row.size)) for row in rows]
+    observations = np.stack(rows)
+    truth = None
+    if with_truth:
+        seen = {}
+        truth = np.array([seen.setdefault(cell, len(seen)) for cell in truth_cells])
+    return observations, truth
+
+
+def read_outcome(reader, path, flags):
+    try:
+        observations, truth = reader(path, *flags)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("ok", observations.dtype, observations.shape, observations.tobytes(),
+            None if truth is None else truth.tolist())
+
+
+NUMERIC_CELLS = st.one_of(
+    st.floats(-1e6, 1e6).map(repr),
+    st.integers(-99, 99).map(str),
+    st.sampled_from(["", " ", " 1.5 ", "\t-2\t", "1_0", "1e3", "+.5", '"2.5"', '" 3 "']),
+)
+SAMPLE_CELLS = st.one_of(
+    NUMERIC_CELLS,
+    st.sampled_from(["\t", "nan", "inf", "-inf", "x", "a b", '"4,5"', '"', '""', ' "6"', '7"8']),
+)
+LABEL_CELLS = st.sampled_from(["m0", " m0", "m1", "m1\t", "3", '"m,0"'])
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+def csv_text(first_cells, sample_cells, min_samples):
+    """CSV text: rows of a first cell and samples, some with a trailing comma."""
+    lines = st.lists(
+        st.tuples(first_cells, st.lists(sample_cells, min_size=min_samples, max_size=6), st.booleans(), LINE_ENDS),
+        max_size=8,
+    )
+    return st.tuples(lines, st.booleans()).map(
+        lambda drawn: "".join(
+            ",".join([first, *cells]) + ("," if trailing else "") + end for first, cells, trailing, end in drawn[0]
+        ).rstrip("" if drawn[1] else "\r\n")
+    )
+
+
+class TestObservationReader:
+    """The streaming reader gives the arrays, labels and errors of the
+    csv.reader-per-record reference, line numbers included."""
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(data=st.data(), with_truth=st.booleans(), readable=st.booleans(), pad_zeros=st.booleans(),
+           subtract_mean=st.booleans())
+    def test_matches_the_reference_reader(self, tmp_path_factory, data, with_truth, readable, pad_zeros,
+                                          subtract_mean):
+        # readable files compare arrays and labels; the others compare errors
+        # and their line numbers
+        if readable:
+            text = data.draw(csv_text(LABEL_CELLS if with_truth else NUMERIC_CELLS, NUMERIC_CELLS, 2))
+        else:
+            text = data.draw(csv_text(st.one_of(LABEL_CELLS, SAMPLE_CELLS), SAMPLE_CELLS, 0))
+        path = tmp_path_factory.getbasetemp() / "reader-property.csv"
+        path.write_bytes(text.encode("utf-8"))
+        flags = (with_truth, pad_zeros, subtract_mean)
+        assert read_outcome(_read_observation_csv, path, flags) == read_outcome(
+            reference_read_observation_csv, path, flags
+        )
+
+    @pytest.mark.parametrize("flags", [(True, False, False), (True, True, True), (False, True, False)])
+    def test_matches_the_reference_on_generated_data(self, dataset_csv, tmp_path, flags):
+        ragged = tmp_path / "ragged.csv"
+        lines = dataset_csv.read_text().splitlines()
+        ragged.write_text("\r\n".join(line.rsplit(",", k)[0] for k, line in enumerate(lines)) + "\r\n")
+        for path in (dataset_csv, ragged):
+            outcome = read_outcome(_read_observation_csv, path, flags)
+            assert outcome == read_outcome(reference_read_observation_csv, path, flags)
+        # the ragged file needs --pad-zeros, and its label column needs --truth
+        assert outcome[0] == ("ok" if flags[:2] == (True, True) else "error")
+
+
+class TestStrayQuote:
+    """An unmatched quote in a file over csv's 128 KiB field limit is a
+    validation error naming the file and the record, not a traceback."""
+
+    def write_stray_quote_csv(self, path, first_cell):
+        rows = np.random.default_rng(4).standard_normal((40, 512))
+        with open(path, "w", newline="") as handle:
+            for index, row in enumerate(rows):
+                cell = first_cell if index == 0 else "m0"
+                handle.write(cell + "," + ",".join(repr(float(v)) for v in row) + "\n")
+        assert path.stat().st_size > 131072
+
+    def test_cluster_input(self, tmp_path, capsys):
+        path = tmp_path / "stray.csv"
+        self.write_stray_quote_csv(path, '"m0')
+        code = main(["cluster", str(path), "--truth", "--labels-out", str(tmp_path / "labels.csv")])
+        assert code == 2
+        assert f"error: {path}: line 1: field larger than field limit" in capsys.readouterr().err
+
+    def test_quote_after_unquoted_lines(self, tmp_path, capsys):
+        path = tmp_path / "stray.csv"
+        self.write_stray_quote_csv(path, "m0")
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = '"' + lines[3]
+        path.write_text("".join(lines))
+        code = main(["estimate-l", str(path), "--truth"])
+        assert code == 2
+        assert f"error: {path}: line 4: field larger than field limit" in capsys.readouterr().err
+
+    def test_mocap_sequence_and_label_files(self, tmp_path, capsys):
+        sequence = tmp_path / "seq.csv"
+        self.write_stray_quote_csv(sequence, '"0')
+        code = main(["convert-mocap", str(sequence), "--column", "1", "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert f"error: {sequence}: line 1: field larger than field limit" in capsys.readouterr().err
+        good = tmp_path / "good.csv"
+        good.write_text("0,1.0\n1,2.0\n")
+        labels_csv = tmp_path / "labels.csv"
+        self.write_stray_quote_csv(labels_csv, '"good.csv')
+        code = main(["convert-mocap", str(good), "--column", "1", "--out", str(tmp_path / "o.csv"),
+                     "--labels-csv", str(labels_csv)])
+        assert code == 2
+        assert f"error: {labels_csv}: line 1: field larger than field limit" in capsys.readouterr().err
+
+
 class TestBoundaryValidation:
     """Bad numbers fail where they enter, with exit 2 and the culprit named."""
 
@@ -306,6 +462,39 @@ class TestEstimateL:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"estimate": 1, "eigenvalues": [0.0]}
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--std", "nan"], "gaussian window std must be a positive finite number, got nan"),
+            (["--grid-factor", "1"], "grid factor must be >= 2"),
+            (["--max-clusters", "-3"], "the cluster-count cap must be positive, got -3"),
+            (["--neighbors", "0"], "neighbor count must be in 1..0, got 0"),
+        ],
+    )
+    def test_single_observation_still_checks_options(self, tmp_path, capsys, options, message):
+        path = tmp_path / "one.csv"
+        path.write_text("1.0,2.0,1.5,0.5\n")
+        code = main(["estimate-l", str(path), *options])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--max-clusters", "0"], "the cluster-count cap must be positive, got 0"),
+            (["--neighbors", "12"], "neighbor count must be in 1..11, got 12"),
+            (["--neighbors", "-1"], "neighbor count must be in 1..11, got -1"),
+        ],
+    )
+    def test_bad_options_fail_before_the_psd_stage(self, dataset_csv, capsys, monkeypatch, options, message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("PSDs estimated before the options were checked")
+
+        monkeypatch.setattr("psdcluster.cli.estimate_dataset_psds", unreachable)
+        code = main(["estimate-l", str(dataset_csv), "--truth", *options])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
 
 class TestSynthBench:

@@ -1,13 +1,16 @@
 """Distance tests: hand values, metric axioms on random spectra, matrix
-consistency with the pairwise scalar routine, and validator error paths."""
+consistency with the pairwise scalar routine, the folded kernel for even
+spectra against the full-grid formula, and validator error paths."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist, squareform
 
+import psdcluster.distances
 from psdcluster.distances import distance_matrix, l1_distance, validate_distance_matrix
-from psdcluster.spectra import PsdEstimate
+from psdcluster.spectra import PsdEstimate, estimate_dataset_psds, make_window
 
 
 def random_psd(gen, grid=64):
@@ -84,6 +87,108 @@ def test_matrix_matches_pairwise_distances_property(n_psds, grid, seed, log_scal
     # is a few hundred float64 ulps of the largest distance
     loop = np.array([[0.5 * np.mean(np.abs(a.values - b.values)) for b in psds] for a in psds])
     np.testing.assert_allclose(d, loop, rtol=0, atol=1e-13 * max(loop.max(), 1e-300))
+
+
+def full_grid_matrix(psds):
+    """The full-grid formula: pdist over all F bins, scaled by 1/(2F)."""
+    stacked = np.stack([p.values for p in psds])
+    return squareform(pdist(stacked, "cityblock") * (0.5 / stacked.shape[1]))
+
+
+def loop_matrix(psds):
+    return np.array([[0.5 * np.mean(np.abs(a.values - b.values)) for b in psds] for a in psds])
+
+
+def mirrored_psds(gen, n_psds, grid, scale=1.0):
+    """Even rows on an even grid: a random half spectrum and its mirror image."""
+    psds = []
+    for _ in range(n_psds):
+        half = scale * gen.standard_normal(grid // 2 + 1)
+        values = np.concatenate([half, half[-2:0:-1]])
+        psds.append(PsdEstimate(values=values, acf_zero=float(values.mean())))
+    return psds
+
+
+@pytest.fixture()
+def pdist_widths(monkeypatch):
+    """Record the row width of every array the distance kernel hands to pdist."""
+    widths = []
+
+    def recording_pdist(x, metric):
+        widths.append(x.shape[1])
+        return pdist(x, metric)
+
+    monkeypatch.setattr(psdcluster.distances, "pdist", recording_pdist)
+    return widths
+
+
+class TestFoldedKernel:
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(
+        n_psds=st.integers(1, 6),
+        half_grid=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        log_scale=st.floats(-3.0, 3.0),
+    )
+    def test_mirrored_rows_match_the_full_grid_loop(self, n_psds, half_grid, seed, log_scale):
+        grid = 2 * half_grid
+        psds = mirrored_psds(np.random.default_rng(seed), n_psds, grid, 10.0**log_scale)
+        d = distance_matrix(psds)
+        loop = loop_matrix(psds)
+        np.testing.assert_allclose(d, loop, rtol=0, atol=1e-13 * max(loop.max(), 1e-300))
+        for i, a in enumerate(psds):
+            for j, b in enumerate(psds):
+                assert l1_distance(a, b) == d[i, j]
+
+    @pytest.mark.parametrize("unit_power", [False, True])
+    @pytest.mark.parametrize("kind", ["gaussian", "bartlett", "rectangular"])
+    def test_estimated_psds_take_the_folded_path(self, pdist_widths, unit_power, kind):
+        obs = np.random.default_rng(3).standard_normal((7, 40))
+        psds = estimate_dataset_psds(obs, window=make_window(kind, 40, std=9.0 if kind == "gaussian" else None),
+                                     grid_size=128, unit_power=unit_power)
+        for p in psds:  # the even symmetry the fold relies on holds bit for bit
+            assert np.array_equal(p.values[1:64], p.values[:64:-1])
+        d = distance_matrix(psds)
+        assert pdist_widths == [65]
+        loop = loop_matrix(psds)
+        np.testing.assert_allclose(d, loop, rtol=0, atol=1e-13 * loop.max())
+        np.testing.assert_allclose(d, full_grid_matrix(psds), rtol=0, atol=1e-13 * loop.max())
+        for i, j in [(0, 1), (2, 6), (5, 3)]:
+            assert l1_distance(psds[i], psds[j]) == d[i, j]
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(
+        n_psds=st.integers(1, 6),
+        grid=st.integers(1, 80),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_other_rows_keep_the_full_grid_formula_bit_for_bit(self, n_psds, grid, seed):
+        gen = np.random.default_rng(seed)
+        psds = [PsdEstimate(values=gen.standard_normal(grid), acf_zero=0.0) for _ in range(n_psds)]
+        # random rows on more than 2 points are not even, so an even row added
+        # among them must not fold the matrix; on 1 or 2 points every row is
+        # even, and the fold only scales by powers of two, which is exact
+        if grid % 2 == 0 and grid > 2:
+            psds.append(mirrored_psds(gen, 1, grid)[0])
+        np.testing.assert_array_equal(distance_matrix(psds), full_grid_matrix(psds))
+
+    def test_one_uneven_row_unfolds_the_whole_matrix(self, pdist_widths):
+        psds = mirrored_psds(np.random.default_rng(8), 4, 32)
+        skewed = psds[2].values.copy()
+        skewed[5] = np.nextafter(skewed[5], np.inf)
+        psds[2] = PsdEstimate(values=skewed, acf_zero=psds[2].acf_zero)
+        np.testing.assert_array_equal(distance_matrix(psds), full_grid_matrix(psds))
+        assert pdist_widths == [32]
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(half_grid=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_folded_distance_is_a_metric(self, half_grid, seed):
+        a, b, c = mirrored_psds(np.random.default_rng(seed), 3, 2 * half_grid)
+        d_ab, d_ac, d_cb = l1_distance(a, b), l1_distance(a, c), l1_distance(c, b)
+        assert l1_distance(a, a) == 0.0
+        assert d_ab >= 0.0
+        assert d_ab == l1_distance(b, a)
+        assert d_ab <= d_ac + d_cb + 1e-13 * max(d_ab, d_ac, d_cb)
 
 
 def test_matrix_needs_input():

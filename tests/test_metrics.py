@@ -6,6 +6,8 @@ Oracles: a hand-filled confusion matrix, the frozen 4-point example (error
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdcluster.metrics import clustering_error, confusion_entropy, confusion_matrix
 
@@ -145,3 +147,19 @@ class TestPermutationInvariance:
             renamed_truth = relabel(truth, gen)
             assert clustering_error(predicted, renamed_truth) == ce
             assert confusion_entropy(predicted, renamed_truth) == pytest.approx(s, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(
+        pairs=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=40),
+        predicted_names=st.permutations(range(-3, 3)),
+        truth_names=st.permutations(["a", "b", "c", "d", "e", "f"]),
+    )
+    def test_renaming_labels_is_a_property_of_both_scores(self, pairs, predicted_names, truth_names):
+        predicted = np.array([p for p, _ in pairs])
+        truth = np.array([t for _, t in pairs])
+        renamed_predicted = np.array([predicted_names[p] for p in predicted])
+        renamed_truth = np.array([truth_names[t] for t in truth])
+        ce = clustering_error(predicted, truth)
+        s = confusion_entropy(predicted, truth)
+        assert clustering_error(renamed_predicted, renamed_truth) == ce
+        assert confusion_entropy(renamed_predicted, renamed_truth) == pytest.approx(s, abs=1e-12)

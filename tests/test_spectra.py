@@ -185,6 +185,19 @@ class TestNormalizeUnitPower:
         with pytest.raises(ValueError):
             normalize_unit_power(PsdEstimate(values=np.zeros(8), acf_zero=0.0))
 
+    def test_leaves_its_input_alone_and_matches_the_batch(self):
+        gen = np.random.default_rng(6)
+        obs = 2.0 * gen.standard_normal((3, 32))
+        window = make_window("gaussian", 32)
+        raw = estimate_dataset_psds(obs, window=window, grid_size=128)
+        before = [p.values.copy() for p in raw]
+        unit = estimate_dataset_psds(obs, window=window, grid_size=128, unit_power=True)
+        for psd, values, batch in zip(raw, before, unit):
+            single = normalize_unit_power(psd)
+            np.testing.assert_array_equal(psd.values, values)
+            np.testing.assert_array_equal(single.values, batch.values)
+            assert single.acf_zero == batch.acf_zero
+
 
 class TestEstimateDatasetPsds:
     def test_default_grid_and_window(self):
