@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .numerics import RngStream
 
@@ -112,6 +111,11 @@ def _simulate_with(
     stride: int | None,
     gen: np.random.Generator,
 ) -> np.ndarray:
+    # Imported here, not at module scope: scipy.signal (and the scipy.stats
+    # it pulls in) is half of the package's import time, and only
+    # simulation uses it.
+    from scipy.signal import lfilter
+
     noise_std = float(np.sqrt(noise_variance))
     burn = _burn_in(model)
     if mode == "independent":

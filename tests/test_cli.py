@@ -39,6 +39,12 @@ def read_json(path):
         return json.load(handle)
 
 
+def checkout_env(**extra):
+    """Environment for a fresh interpreter that imports this psdcluster."""
+    src = str(Path(psdcluster.__file__).resolve().parent.parent)
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 class TestCluster:
     def test_known_cluster_count(self, dataset_csv, tmp_path):
         report_path = tmp_path / "report.json"
@@ -164,11 +170,9 @@ class TestCluster:
             writer = csv.writer(handle, lineterminator="\n")
             for row, label in zip(data.observations, data.labels):
                 writer.writerow([f"m{label}"] + [repr(float(v)) for v in row])
-        src = str(Path(psdcluster.__file__).resolve().parent.parent)
         outputs = []
         for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            env = checkout_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
             labels_path, report_path = tmp_path / f"labels-{threads}.csv", tmp_path / f"report-{threads}.json"
             proc = subprocess.run(
                 [sys.executable, "-c", "import sys; from psdcluster.cli import main; sys.exit(main(sys.argv[1:]))",
@@ -741,3 +745,54 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["cluster", str(dataset_csv), "--clusters", "0"])
         capsys.readouterr()
+
+
+# Runs in a fresh interpreter: argv[1] is a JSON list of (stage, argv) pairs.
+# It prints, per stage, which of the simulation-only modules are loaded.
+IMPORT_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+
+def loaded():
+    return [name for name in ("scipy.signal", "scipy.stats") if name in sys.modules]
+
+seen = {}
+import psdcluster
+seen["import psdcluster"] = loaded()
+from psdcluster.cli import main
+seen["import psdcluster.cli"] = loaded()
+for stage, argv in json.loads(sys.argv[1]):
+    with redirect_stdout(io.StringIO()):
+        seen[stage] = [main(argv), loaded()]
+print(json.dumps(seen))
+"""
+
+
+class TestEntryPoints:
+    def test_only_simulation_loads_scipy_signal(self, dataset_csv, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"preset": "arma3", "M_list": [512], "trials": 1, "n_per_model": 4, "q": 3}))
+        stages = [
+            ("cluster", ["cluster", str(dataset_csv), "--truth", "--neighbors", "3", "--labels-out",
+                         str(tmp_path / "labels.csv"), "--report-out", str(tmp_path / "report.json")]),
+            ("estimate-l", ["estimate-l", str(dataset_csv), "--truth", "--neighbors", "3"]),
+            ("check-condition", ["check-condition", "--config", str(config)]),
+            ("synth-bench", ["synth-bench", "--config", str(config), "--out", str(tmp_path / "bench.csv")]),
+        ]
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(stages)], env=checkout_env(),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout)
+        assert seen["import psdcluster"] == []
+        assert seen["import psdcluster.cli"] == []
+        assert seen["cluster"] == [0, []]
+        assert seen["estimate-l"] == [0, []]
+        assert seen["check-condition"] == [0, []]
+        assert seen["synth-bench"][0] == 0
+        assert "scipy.signal" in seen["synth-bench"][1]
+
+    def test_python_dash_m_runs_the_cli(self):
+        proc = subprocess.run([sys.executable, "-m", "psdcluster", "--version"], env=checkout_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"psdcluster {psdcluster.__version__}"

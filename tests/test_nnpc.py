@@ -11,9 +11,10 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from psdcluster import numerics
 from psdcluster.distances import validate_distance_matrix
@@ -30,7 +31,7 @@ from psdcluster.nnpc import (
     normalized_laplacian,
     spectral_cluster,
 )
-from psdcluster.numerics import RngStream, eig_symmetric
+from psdcluster.numerics import RngStream, eig_symmetric, relabel_first_seen
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None, derandomize=True)
 
@@ -473,6 +474,47 @@ class TestClusterFromDistances:
         d, _ = separated_block_matrix(np.random.default_rng(47), [5, 5])
         assert nnpc_from_distances(d, 4, None).n_clusters == 2
         assert calls == [(10, 10)]
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), q=st.integers(1, 6), n_blocks=st.integers(2, 5),
+           estimate=st.booleans(), data=st.data())
+    def test_permutation_equivariant(self, seed, q, n_blocks, estimate, data):
+        """Permuting the input permutes the labels, up to renaming.
+
+        Only cases where the partition is decided by the data alone are drawn:
+        - Blocks hold q + 1 to 2q + 1 points, so every q-NN set stays inside
+          its block (within-block distances are below 0.2, cross-block ones
+          above 0.5) and links every node to at least half of the rest of
+          its block. Each block is then one connected component, the
+          embedding puts each component on one point, and k-means finds the
+          components whatever its restarts draw. With more components than
+          clusters, the restarts would choose which ones merge.
+        - No row has a tie between its q-th and (q+1)-th distance. There the
+          lower-index tie-break picks the q-NN set, and it is not
+          permutation-equivariant.
+        - With an estimated count, the eigengap at the block count beats
+          every other gap by more than rounding, so the two runs cannot
+          estimate different counts.
+        """
+        sizes = data.draw(st.lists(st.integers(q + 1, 2 * q + 1), min_size=n_blocks, max_size=n_blocks))
+        gen = np.random.default_rng(seed)
+        d, truth = separated_block_matrix(gen, sizes)
+        n = d.shape[0]
+        ranked = np.sort(d + np.diag(np.full(n, np.inf)), axis=1)
+        assume(np.all(ranked[:, q - 1] < ranked[:, q]))
+        a = build_adjacency(d, nearest_neighbor_sets(d, q))
+        assert connected_components(a, directed=False)[0] == n_blocks
+        if estimate:
+            max_clusters = min(10, n)
+            gaps = np.diff(laplacian_spectrum(a, max_clusters + 1).graph_eigenvalues()[: max_clusters + 1])
+            assume(gaps[n_blocks - 1] > np.delete(gaps, n_blocks - 1).max(initial=0.0) + 1e-9)
+        n_clusters = None if estimate else n_blocks
+        perm = gen.permutation(n)
+        base = nnpc_from_distances(d, q, n_clusters, rng=RngStream(0))
+        shuffled = nnpc_from_distances(d[np.ix_(perm, perm)], q, n_clusters, rng=RngStream(1))
+        assert base.n_clusters == shuffled.n_clusters == n_blocks
+        assert clustering_error(base.labels, truth) == 0.0
+        np.testing.assert_array_equal(shuffled.labels, relabel_first_seen(base.labels[perm], n_blocks))
 
     def test_rejects_an_asymmetric_matrix(self):
         d, _ = separated_block_matrix(np.random.default_rng(48), [4, 4])
