@@ -163,6 +163,20 @@ def _window_for(kind: str, length: int, std: float):
     return make_window(kind, length, std=std if kind == "gaussian" else None)
 
 
+def _psd_distances(args, observations) -> np.ndarray:
+    """L1 distance matrix of the observations' PSD estimates under the window and grid options.
+
+    The PSD estimates live only inside this call, so clustering runs without them.
+    """
+    obs_len = observations.shape[1]
+    window = _window_for(args.window, obs_len, args.std)
+    if args.grid_factor < 2:
+        raise ValueError("grid factor must be >= 2")
+    grid_size = next_pow2(args.grid_factor * obs_len)
+    psds = estimate_dataset_psds(observations, window=window, grid_size=grid_size, unit_power=args.normalize_psd)
+    return distance_matrix(psds)
+
+
 def _write_labels_csv(path, labels) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -197,20 +211,15 @@ def cmd_cluster(args) -> int:
         raise ValueError("the km algorithm needs an explicit cluster count")
     if auto and args.max_clusters < 1:
         raise ValueError(f"the cluster-count cap must be positive, got {args.max_clusters}")
-    window = _window_for(args.window, obs_len, args.std)
-    if args.grid_factor < 2:
-        raise ValueError("grid factor must be >= 2")
-    grid_size = next_pow2(args.grid_factor * obs_len)
-    psds = estimate_dataset_psds(observations, window=window, grid_size=grid_size, unit_power=args.normalize_psd)
-    dist = distance_matrix(psds)
+    dist = _psd_distances(args, observations)
 
     report = {
         "input": str(args.input),
         "algorithm": args.algorithm,
         "n_obs": n_obs,
         "obs_len": obs_len,
-        "window": {"kind": window.kind, "std": window.std},
-        "grid_size": grid_size,
+        "window": {"kind": args.window, "std": args.std if args.window == "gaussian" else None},
+        "grid_size": next_pow2(args.grid_factor * obs_len),
         "normalize_psd": bool(args.normalize_psd),
         "pad_zeros": bool(args.pad_zeros),
         "subtract_mean": bool(args.subtract_mean),
@@ -361,8 +370,7 @@ def run_synth_bench(config: dict) -> list[dict]:
             dataset = make_benchmark_dataset(
                 models, cfg["n_per_model"], obs_len, sigma2, RngStream(cfg["seed"], base)
             )
-            psds = estimate_dataset_psds(dataset.observations, window=window, grid_size=grid_size)
-            dist = distance_matrix(psds)
+            dist = distance_matrix(estimate_dataset_psds(dataset.observations, window=window, grid_size=grid_size))
             nnpc_result = nnpc_from_distances(dist, cfg["q"], n_clusters, rng=RngStream(cfg["seed"], base + 1))
             errors["nnpc"].append(clustering_error(nnpc_result.labels, dataset.labels))
             errors["km"].append(clustering_error(km_from_distances(dist, n_clusters), dataset.labels))
@@ -426,20 +434,15 @@ def cmd_check_condition(args) -> int:
 
 def cmd_estimate_l(args) -> int:
     observations, _ = _read_observation_csv(args.input, args.truth, args.pad_zeros, args.subtract_mean)
-    n_obs, obs_len = observations.shape
+    n_obs = len(observations)
     if args.neighbors < 1 or (n_obs > 1 and args.neighbors > n_obs - 1):
         raise ValueError(f"neighbor count must be in 1..{n_obs - 1}, got {args.neighbors}")
     if args.max_clusters < 1:
         raise ValueError(f"the cluster-count cap must be positive, got {args.max_clusters}")
-    window = _window_for(args.window, obs_len, args.std)
-    if args.grid_factor < 2:
-        raise ValueError("grid factor must be >= 2")
+    dist = _psd_distances(args, observations)
     if n_obs == 1:
         _dump_json({"estimate": 1, "eigenvalues": [0.0]})
         return 0
-    grid_size = next_pow2(args.grid_factor * obs_len)
-    psds = estimate_dataset_psds(observations, window=window, grid_size=grid_size, unit_power=args.normalize_psd)
-    dist = distance_matrix(psds)
     adjacency = build_adjacency(dist, nearest_neighbor_sets(dist, args.neighbors))
     eigenvalues = eig_symmetric(normalized_laplacian(adjacency)).eigenvalues
     estimate = estimate_cluster_count(eigenvalues, min(args.max_clusters, n_obs))

@@ -4,10 +4,9 @@ The distance is half the grid average of the absolute PSD difference, a
 Riemann sum for (1/2) integral over one period. For unit-power spectra it
 lies in [0, 1], with 1 reached by disjoint supports.
 
-Every estimate from `spectra` is even on its grid (bin F - j mirrors bin j),
-so when all rows are even the kernel folds the sum onto bins 0..F/2: the
-interior bins count twice and the two endpoints once, which halves the
-`pdist` work and the stacked copy.
+An estimate holds bins 0..F/2 of an even spectrum, so on the F-point grid
+the interior bins count twice and the two endpoints once: the kernel halves
+the endpoint columns and runs one `pdist` pass over the F/2 + 1 bins.
 """
 
 from __future__ import annotations
@@ -20,31 +19,17 @@ from scipy.spatial.distance import pdist, squareform
 from .spectra import PsdEstimate
 
 
-def _even_halves(psds: Sequence[PsdEstimate], grid: int) -> np.ndarray | None:
-    """Bins 0..F/2 of every row, endpoints halved, if every row is even; else None.
-
-    A row is even when v[j] == v[F - j] exactly for j = 1..F/2 - 1 (F even).
-    """
-    if grid == 0 or grid % 2:
-        return None
-    h = grid // 2
-    if not all(np.array_equal(p.values[1:h], p.values[:h:-1]) for p in psds):
-        return None
-    half = np.stack([p.values[: h + 1] for p in psds])
-    half[:, [0, h]] *= 0.5
-    return half
-
-
 def _pairwise_l1(psds: Sequence[PsdEstimate]) -> np.ndarray:
     """Condensed distances between PSD estimates that share one grid."""
     grids = {p.grid_size for p in psds}
     if len(grids) != 1:
         raise ValueError("PSD estimates must share one frequency grid")
     (grid,) = grids
-    half = _even_halves(psds, grid)
-    if half is not None:
-        return pdist(half, "cityblock") * (1.0 / grid)
-    return pdist(np.stack([p.values for p in psds]), "cityblock") * (0.5 / grid)
+    if grid < 2:
+        raise ValueError("PSD estimates need at least 2 bins (F >= 2)")
+    half = np.stack([p.values for p in psds])
+    half[:, [0, -1]] *= 0.5
+    return pdist(half, "cityblock") * (1.0 / grid)
 
 
 def l1_distance(first: PsdEstimate, second: PsdEstimate) -> float:

@@ -9,8 +9,8 @@ evaluated on a uniform grid f = j/F with F a power of two and F >= 2M.
 r_hat divides by M (not M - |m|), which keeps the implied autocorrelation
 sequence positive semidefinite. A whole stack of observations goes through
 one zero-padded real FFT pair for the autocorrelations and one DCT-I for the
-spectra; the sum is even in f, so the DCT-I gives bins 0..F/2 and the rest
-of the grid is their mirror image.
+spectra. The sum is even in f, so an estimate keeps only bins j = 0..F/2,
+the DCT-I output; bins F/2+1..F-1 would repeat bins F/2-1..1.
 """
 
 from __future__ import annotations
@@ -57,10 +57,12 @@ class WindowSpec:
 
 @dataclass(frozen=True)
 class PsdEstimate:
-    """PSD samples on the uniform grid f = j/F, j = 0..F-1.
+    """One-sided PSD samples: bins f = j/F, j = 0..F/2, of an even spectrum.
 
-    acf_zero keeps the lag-zero autocorrelation of the source observation
-    (its empirical power); the grid mean of `values` equals it.
+    The F-point grid holds bins 1..F/2-1 twice (at j and F - j) and the two
+    endpoints once. acf_zero keeps the lag-zero autocorrelation of the source
+    observation (its empirical power); the full-grid mean
+    (2 sum(values) - values[0] - values[F/2]) / F equals it.
     """
 
     values: np.ndarray
@@ -68,7 +70,7 @@ class PsdEstimate:
 
     @property
     def grid_size(self) -> int:
-        return int(self.values.shape[0])
+        return 2 * (int(self.values.shape[0]) - 1)
 
 
 def _even_half_spectrum(lags: np.ndarray, grid: int) -> np.ndarray:
@@ -137,7 +139,7 @@ def _acf_rows(obs: np.ndarray) -> np.ndarray:
 
 
 def _psd_rows(obs: np.ndarray, window: WindowSpec, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """PSD estimates of every row of obs on the full grid, and each row's lag-zero ACF.
+    """PSD estimates of every row of obs at bins 0..F/2, and each row's lag-zero ACF.
 
     Checks the window, the grid and finiteness once for the whole stack.
     """
@@ -153,10 +155,7 @@ def _psd_rows(obs: np.ndarray, window: WindowSpec, grid_size: int) -> tuple[np.n
         raise ValueError("observation samples must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         acf = _acf_rows(obs)
-        half = _even_half_spectrum(acf * window.values, f)
-    values = np.empty((obs.shape[0], f))
-    values[:, : f // 2 + 1] = half
-    values[:, f // 2 + 1 :] = half[:, f // 2 - 1 : 0 : -1]
+        values = _even_half_spectrum(acf * window.values, f)
     if not np.all(np.isfinite(values)):
         raise ValueError("PSD estimation overflowed: sample magnitudes are too large for the autocorrelation FFT")
     return values, acf[:, 0]
@@ -173,7 +172,7 @@ def estimate_acf(samples) -> np.ndarray:
 
 
 def bt_psd(samples, window: WindowSpec, grid_size: int) -> PsdEstimate:
-    """Windowed-autocorrelation PSD estimate on the grid f = j/grid_size.
+    """Windowed-autocorrelation PSD estimate at f = j/grid_size, j = 0..grid_size/2.
 
     grid_size must be a power of two and at least twice the observation
     length so the symmetric lag sequence embeds without aliasing.
@@ -186,20 +185,22 @@ def bt_psd(samples, window: WindowSpec, grid_size: int) -> PsdEstimate:
 
 
 def _unit_power_rows(values: np.ndarray, acf_zero: np.ndarray) -> np.ndarray:
-    """Divide each PSD row by its grid mean in place; return acf_zero divided likewise.
+    """Divide each PSD row by its full-grid mean in place; return acf_zero divided likewise.
 
     In place, so that normalizing a large stack needs no second copy of it.
     """
-    power = values.mean(axis=1)
-    if np.any(power <= 0.0):
+    power = (2.0 * values.sum(axis=1) - values[:, 0] - values[:, -1]) / (2 * (values.shape[1] - 1))
+    if not np.all(power > 0.0):
         raise ValueError("cannot normalize a PSD with nonpositive power")
     values /= power[:, None]
     return acf_zero / power
 
 
 def normalize_unit_power(psd: PsdEstimate) -> PsdEstimate:
-    """Rescale so the PSD averages to one over the grid (unit power)."""
+    """Rescale so the PSD averages to one over the full grid (unit power)."""
     values = np.array(psd.values, dtype=float)[None, :]
+    if values.shape[1] < 2:
+        raise ValueError("a PSD estimate needs at least 2 bins (F >= 2)")
     acf_zero = _unit_power_rows(values, np.array([psd.acf_zero]))
     return PsdEstimate(values=values[0], acf_zero=float(acf_zero[0]))
 
@@ -213,7 +214,7 @@ def estimate_dataset_psds(
     """PSD estimates for a stack of equal-length observations (one per row).
 
     Defaults: gaussian window with std 50 and a grid of next_pow2(4 M) points.
-    The estimates are row views into one (N, grid_size) array.
+    The estimates are row views into one (N, grid_size/2 + 1) array.
     """
     obs = np.asarray(observations, dtype=float)
     if obs.ndim == 1:

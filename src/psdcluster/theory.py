@@ -22,7 +22,7 @@ import numpy as np
 from scipy.sparse import coo_array
 
 from .distances import validate_distance_matrix
-from .generators import FINE_GRID, GenerativeModel, true_acf
+from .generators import FINE_GRID, GenerativeModel, _check_noise_variance, true_acf
 from .spectra import WindowSpec
 
 ACF_TAIL_TOL = 1e-9
@@ -98,6 +98,7 @@ def noise_term(spectral_bound: float, psd_sup: float, noise_variance: float, obs
     """Estimation-noise contribution 8 A (B + sigma^2) sqrt(2 ln M / M)."""
     if obs_len < 2:
         raise ValueError("observation length must be >= 2")
+    _check_noise_variance(noise_variance)
     return 8.0 * spectral_bound * (psd_sup + noise_variance) * math.sqrt(2.0 * math.log(obs_len) / obs_len)
 
 
@@ -140,8 +141,7 @@ def check_condition(models, window: WindowSpec, n_obs: int, noise_variance: floa
         raise ValueError("need at least two models")
     if n_obs < 1:
         raise ValueError("n_obs must be positive")
-    if noise_variance < 0.0:
-        raise ValueError("noise variance must be nonnegative")
+    _check_noise_variance(noise_variance)
     lhs = min(true_model_distance(a, b) for a, b in combinations(models, 2))
     psd_sup = max(float(model.fine_grid_psd.max()) for model in models)
     mu = mu_max(models, window)

@@ -88,7 +88,7 @@ def test_criterion_1_psd_estimator_matches_direct_summation():
     for m in (64, 257, 512):
         window = make_window("gaussian", m)
         grid = next_pow2(4 * m)
-        freqs = np.arange(grid) / grid
+        freqs = np.arange(grid // 2 + 1) / grid  # the estimate holds bins 0..F/2
         cos_table = np.cos(2.0 * np.pi * np.outer(freqs, np.arange(1, m)))
         for _ in range(50):
             x = gen.standard_normal(m)

@@ -18,6 +18,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # one full distance-matrix validation per clustering run: synth-mc runs nnpc
 # and km on each dataset, cluster-wide runs nnpc, cluster-long runs km
 VALIDATE_CALLS = {"synth-mc": 2, "cluster-wide": 1, "cluster-long": 1}
+# the frequency grid F of each smoke input: M = 256 on synth-mc and
+# cluster-wide, rows padded to 16384 on cluster-long
+GRID_SIZE = {"synth-mc": 1024, "cluster-wide": 1024, "cluster-long": 65536}
 
 
 @pytest.mark.parametrize("workload", list(VALIDATE_CALLS))
@@ -31,5 +34,10 @@ def test_traced_smoke_run_is_correct(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
-    assert result["metrics"]["trace.absent_targets"]["value"] == 0
-    assert result["metrics"]["distances.validate_calls"]["value"] == VALIDATE_CALLS[workload]
+    metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
+    assert metrics["trace.absent_targets"] == 0
+    assert metrics["distances.validate_calls"] == VALIDATE_CALLS[workload]
+    # an estimate holds bins 0..F/2, and the distance kernel reads each of them once per pair
+    bins = GRID_SIZE[workload] // 2 + 1
+    assert metrics["spectra.grid_points"] == metrics["spectra.psd_rows"] * bins
+    assert metrics["distances.grid_ops"] == metrics["distances.pairs"] * bins

@@ -2,11 +2,13 @@
 byte-level determinism, and exit codes (0 ok, 2 validation, 1 I/O)."""
 
 import csv
+import gc
 import json
 import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psdcluster
+import psdcluster.cli
 from psdcluster.cli import _read_observation_csv, main
 from psdcluster.generators import benchmark_models, make_benchmark_dataset
 from psdcluster.numerics import RngStream
@@ -120,6 +123,29 @@ class TestCluster:
         report = read_json(report_path)
         assert report["clustering_error"] == 0.0
         assert "neighbors" not in report
+
+    @pytest.mark.parametrize("algorithm, clusterer", [("nnpc", "nnpc_from_distances"), ("km", "km_from_distances")])
+    def test_psd_estimates_are_freed_before_clustering(self, dataset_csv, tmp_path, monkeypatch, algorithm, clusterer):
+        estimate, cluster = psdcluster.cli.estimate_dataset_psds, getattr(psdcluster.cli, clusterer)
+        refs, alive = [], []
+
+        def recording_estimate(*args, **kwargs):
+            psds = estimate(*args, **kwargs)
+            refs.extend([weakref.ref(psds[0].values.base), *map(weakref.ref, psds)])
+            return psds
+
+        def checking_cluster(*args, **kwargs):
+            gc.collect()
+            alive.extend(ref for ref in refs if ref() is not None)
+            return cluster(*args, **kwargs)
+
+        monkeypatch.setattr(psdcluster.cli, "estimate_dataset_psds", recording_estimate)
+        monkeypatch.setattr(psdcluster.cli, clusterer, checking_cluster)
+        code = main(["cluster", str(dataset_csv), "--truth", "--algorithm", algorithm, "--clusters", "2",
+                     "--labels-out", str(tmp_path / "labels.csv"), "--report-out", str(tmp_path / "report.json")])
+        assert code == 0
+        assert len(refs) == 13  # the (12, F/2 + 1) array and its 12 row estimates
+        assert alive == []
 
     def test_km_needs_explicit_count(self, dataset_csv, tmp_path, capsys):
         code = main(

@@ -1,11 +1,12 @@
 """Distance tests: hand values, metric axioms on random spectra, matrix
-consistency with the pairwise scalar routine, the folded kernel for even
-spectra against the full-grid formula, and validator error paths."""
+consistency with the pairwise scalar routine, the one-sided kernel against
+the full-grid formula on the mirrored grid, and validator error paths."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import full_grid
 from scipy.spatial.distance import pdist, squareform
 
 import psdcluster.distances
@@ -21,6 +22,7 @@ def random_psd(gen, grid=64):
 def test_hand_value():
     a = PsdEstimate(values=np.array([1.0, 3.0]), acf_zero=2.0)
     b = PsdEstimate(values=np.array([2.0, 1.0]), acf_zero=1.5)
+    # F = 2, so both bins are endpoints and the full grid is the half:
     # 0.5 * mean(|1-2|, |3-1|) = 0.5 * 1.5
     assert l1_distance(a, b) == 0.75
 
@@ -57,6 +59,15 @@ def test_grid_mismatch_rejected():
         distance_matrix([a, b])
 
 
+@pytest.mark.parametrize("bins", [0, 1])
+def test_fewer_than_two_bins_rejected(bins):
+    a = PsdEstimate(values=np.zeros(bins), acf_zero=0.0)
+    with pytest.raises(ValueError, match="PSD estimates need at least 2 bins"):
+        l1_distance(a, a)
+    with pytest.raises(ValueError, match="PSD estimates need at least 2 bins"):
+        distance_matrix([a, a])
+
+
 def test_matrix_matches_pairwise_distances():
     gen = np.random.default_rng(5)
     psds = [random_psd(gen) for _ in range(6)]
@@ -71,41 +82,40 @@ def test_matrix_matches_pairwise_distances():
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(
     n_psds=st.integers(1, 6),
-    grid=st.integers(1, 80),
+    bins=st.integers(2, 80),
     seed=st.integers(0, 2**32 - 1),
     log_scale=st.floats(-3.0, 3.0),
 )
-def test_matrix_matches_pairwise_distances_property(n_psds, grid, seed, log_scale):
+def test_matrix_matches_pairwise_distances_property(n_psds, bins, seed, log_scale):
     gen = np.random.default_rng(seed)
     psds = [
-        PsdEstimate(values=10.0**log_scale * gen.standard_normal(grid), acf_zero=0.0) for _ in range(n_psds)
+        PsdEstimate(values=10.0**log_scale * gen.standard_normal(bins), acf_zero=0.0) for _ in range(n_psds)
     ]
     d = distance_matrix(psds)
     expected = np.array([[l1_distance(a, b) for b in psds] for a in psds])
     np.testing.assert_allclose(d, expected, rtol=0, atol=1e-15)
     # independent loop reference; summation order differs, so the tolerance
     # is a few hundred float64 ulps of the largest distance
-    loop = np.array([[0.5 * np.mean(np.abs(a.values - b.values)) for b in psds] for a in psds])
+    loop = loop_matrix(psds)
     np.testing.assert_allclose(d, loop, rtol=0, atol=1e-13 * max(loop.max(), 1e-300))
 
 
 def full_grid_matrix(psds):
-    """The full-grid formula: pdist over all F bins, scaled by 1/(2F)."""
-    stacked = np.stack([p.values for p in psds])
+    """The full-grid formula: pdist over all F bins of the mirrored rows, scaled by 1/(2F)."""
+    stacked = full_grid(np.stack([p.values for p in psds]))
     return squareform(pdist(stacked, "cityblock") * (0.5 / stacked.shape[1]))
 
 
 def loop_matrix(psds):
-    return np.array([[0.5 * np.mean(np.abs(a.values - b.values)) for b in psds] for a in psds])
+    return np.array([[0.5 * np.mean(np.abs(full_grid(a.values) - full_grid(b.values))) for b in psds] for a in psds])
 
 
 def mirrored_psds(gen, n_psds, grid, scale=1.0):
-    """Even rows on an even grid: a random half spectrum and its mirror image."""
+    """Random half spectra, bins 0..grid/2 of an even spectrum on an even grid."""
     psds = []
     for _ in range(n_psds):
         half = scale * gen.standard_normal(grid // 2 + 1)
-        values = np.concatenate([half, half[-2:0:-1]])
-        psds.append(PsdEstimate(values=values, acf_zero=float(values.mean())))
+        psds.append(PsdEstimate(values=half, acf_zero=float(full_grid(half).mean())))
     return psds
 
 
@@ -136,6 +146,7 @@ class TestFoldedKernel:
         d = distance_matrix(psds)
         loop = loop_matrix(psds)
         np.testing.assert_allclose(d, loop, rtol=0, atol=1e-13 * max(loop.max(), 1e-300))
+        np.testing.assert_allclose(d, full_grid_matrix(psds), rtol=0, atol=1e-13 * max(loop.max(), 1e-300))
         for i, a in enumerate(psds):
             for j, b in enumerate(psds):
                 assert l1_distance(a, b) == d[i, j]
@@ -146,8 +157,7 @@ class TestFoldedKernel:
         obs = np.random.default_rng(3).standard_normal((7, 40))
         psds = estimate_dataset_psds(obs, window=make_window(kind, 40, std=9.0 if kind == "gaussian" else None),
                                      grid_size=128, unit_power=unit_power)
-        for p in psds:  # the even symmetry the fold relies on holds bit for bit
-            assert np.array_equal(p.values[1:64], p.values[:64:-1])
+        assert all(p.values.shape == (65,) for p in psds)  # bins 0..F/2 of F = 128
         d = distance_matrix(psds)
         assert pdist_widths == [65]
         loop = loop_matrix(psds)
@@ -155,30 +165,6 @@ class TestFoldedKernel:
         np.testing.assert_allclose(d, full_grid_matrix(psds), rtol=0, atol=1e-13 * loop.max())
         for i, j in [(0, 1), (2, 6), (5, 3)]:
             assert l1_distance(psds[i], psds[j]) == d[i, j]
-
-    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
-    @given(
-        n_psds=st.integers(1, 6),
-        grid=st.integers(1, 80),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_other_rows_keep_the_full_grid_formula_bit_for_bit(self, n_psds, grid, seed):
-        gen = np.random.default_rng(seed)
-        psds = [PsdEstimate(values=gen.standard_normal(grid), acf_zero=0.0) for _ in range(n_psds)]
-        # random rows on more than 2 points are not even, so an even row added
-        # among them must not fold the matrix; on 1 or 2 points every row is
-        # even, and the fold only scales by powers of two, which is exact
-        if grid % 2 == 0 and grid > 2:
-            psds.append(mirrored_psds(gen, 1, grid)[0])
-        np.testing.assert_array_equal(distance_matrix(psds), full_grid_matrix(psds))
-
-    def test_one_uneven_row_unfolds_the_whole_matrix(self, pdist_widths):
-        psds = mirrored_psds(np.random.default_rng(8), 4, 32)
-        skewed = psds[2].values.copy()
-        skewed[5] = np.nextafter(skewed[5], np.inf)
-        psds[2] = PsdEstimate(values=skewed, acf_zero=psds[2].acf_zero)
-        np.testing.assert_array_equal(distance_matrix(psds), full_grid_matrix(psds))
-        assert pdist_widths == [32]
 
     @settings(max_examples=60, deadline=None, database=None, derandomize=True)
     @given(half_grid=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))

@@ -2,8 +2,9 @@
 
 Oracles: hand-computed autocorrelations and spectra for 2-sample inputs,
 direct O(M F) trigonometric summation of the windowed-autocorrelation
-transform, and closed forms for the window transforms (gaussian peak
-50*sqrt(2*pi), Bartlett-at-2 peak 2, Dirichlet peak 2M-1).
+transform at bins 0..F/2, the full-grid mean on the mirrored grid, and
+closed forms for the window transforms (gaussian peak 50*sqrt(2*pi),
+Bartlett-at-2 peak 2, Dirichlet peak 2M-1).
 """
 
 import math
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import full_grid
 
 from psdcluster.spectra import (
     DEFAULT_GAUSSIAN_STD,
@@ -32,10 +34,10 @@ def acf_direct(x):
 
 
 def bt_direct(x, window, grid_size):
-    """Direct cosine-sum evaluation of the windowed-autocorrelation transform."""
+    """Direct cosine-sum evaluation of the windowed-autocorrelation transform at bins 0..F/2."""
     acf = acf_direct(x)
     m = len(x)
-    freqs = np.arange(grid_size) / grid_size
+    freqs = np.arange(grid_size // 2 + 1) / grid_size
     lags = np.arange(1, m)
     cos_table = np.cos(2.0 * np.pi * np.outer(freqs, lags))
     return acf[0] * window.values[0] + 2.0 * cos_table @ (window.values[1:] * acf[1:])
@@ -138,7 +140,7 @@ class TestBtPsd:
         # r = [2.5, 1], rectangular window: s(f) = 2.5 + 2 cos(2 pi f)
         w = make_window("rectangular", 2)
         psd = bt_psd([1.0, 2.0], w, 4)
-        np.testing.assert_allclose(psd.values, [4.5, 2.5, 0.5, 2.5], atol=1e-12)
+        np.testing.assert_allclose(psd.values, [4.5, 2.5, 0.5], atol=1e-12)
         assert psd.acf_zero == 2.5
         assert psd.grid_size == 4
 
@@ -159,7 +161,7 @@ class TestBtPsd:
         gen = np.random.default_rng(13)
         x = gen.standard_normal(40)
         psd = bt_psd(x, make_window("gaussian", 40), 128)
-        np.testing.assert_allclose(np.mean(psd.values), psd.acf_zero, rtol=1e-12)
+        np.testing.assert_allclose(np.mean(full_grid(psd.values)), psd.acf_zero, rtol=1e-12)
 
     def test_rejects_bad_grid(self):
         w = make_window("gaussian", 16)
@@ -179,11 +181,16 @@ class TestNormalizeUnitPower:
         gen = np.random.default_rng(2)
         x = 3.0 * gen.standard_normal(32)
         psd = normalize_unit_power(bt_psd(x, make_window("gaussian", 32), 128))
-        np.testing.assert_allclose(np.mean(psd.values), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(np.mean(full_grid(psd.values)), 1.0, rtol=1e-12)
 
     def test_rejects_zero_power(self):
         with pytest.raises(ValueError):
             normalize_unit_power(PsdEstimate(values=np.zeros(8), acf_zero=0.0))
+
+    @pytest.mark.parametrize("bins", [0, 1])
+    def test_rejects_fewer_than_two_bins(self, bins):
+        with pytest.raises(ValueError, match="at least 2 bins"):
+            normalize_unit_power(PsdEstimate(values=np.ones(bins), acf_zero=1.0))
 
     def test_leaves_its_input_alone_and_matches_the_batch(self):
         gen = np.random.default_rng(6)
@@ -206,6 +213,7 @@ class TestEstimateDatasetPsds:
         psds = estimate_dataset_psds(obs)
         assert len(psds) == 3
         assert all(p.grid_size == 512 for p in psds)  # next power of two >= 400
+        assert all(p.values.shape == (257,) for p in psds)  # bins 0..F/2
 
     def test_single_observation_vector(self):
         psds = estimate_dataset_psds(np.ones(64))
@@ -216,7 +224,7 @@ class TestEstimateDatasetPsds:
         obs = gen.standard_normal((2, 64))
         psds = estimate_dataset_psds(obs, unit_power=True)
         for p in psds:
-            np.testing.assert_allclose(np.mean(p.values), 1.0, rtol=1e-12)
+            np.testing.assert_allclose(np.mean(full_grid(p.values)), 1.0, rtol=1e-12)
 
     def test_rejects_higher_rank_input(self):
         with pytest.raises(ValueError):
@@ -226,6 +234,7 @@ class TestEstimateDatasetPsds:
         psds = estimate_dataset_psds(np.random.default_rng(9).standard_normal((3, 16)))
         base = psds[0].values.base
         assert base is not None
+        assert base.shape == (3, 33)  # one (N, F/2 + 1) array, no full grid
         assert all(p.values.base is base for p in psds)
 
     def test_overflow_names_the_psd_stage(self):
@@ -253,7 +262,7 @@ class TestEstimateDatasetPsds:
         for row, psd in zip(obs, psds):
             expected = bt_direct(row, window, grid)
             if unit_power:
-                expected = expected / expected.mean()
+                expected = expected / full_grid(expected).mean()
             scale = np.abs(expected).max()
             np.testing.assert_allclose(psd.values, expected, rtol=0, atol=1e-11 * scale)
 
@@ -269,6 +278,6 @@ class TestWhiteNoiseConsistency:
         for seed in range(10):
             x = np.random.default_rng(seed).standard_normal(m)
             psd = bt_psd(x, window, grid)
-            if 0.5 * np.mean(np.abs(psd.values - 1.0)) <= 0.1:
+            if 0.5 * np.mean(np.abs(full_grid(psd.values) - 1.0)) <= 0.1:
                 hits += 1
         assert hits >= 9

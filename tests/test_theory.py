@@ -209,6 +209,14 @@ class TestCheckCondition:
         with pytest.raises(ValueError):
             check_condition(models, window, 10, -0.5)
 
+    @pytest.mark.parametrize("variance", [-0.5, math.nan, math.inf])
+    def test_rejects_bad_noise_variance_in_both_functions(self, variance):
+        message = "noise variance must be a finite nonnegative number"
+        with pytest.raises(ValueError, match=message):
+            check_condition(benchmark_models(), make_window("gaussian", 256, 50.0), 75, variance)
+        with pytest.raises(ValueError, match=message):
+            noise_term(1.0, 1.0, variance, 256)
+
 
 class TestCheckSeparation:
     def test_separated_blocks(self):
