@@ -21,15 +21,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .distances import distance_matrix
+from .distances import distance_matrix, half_spectrum_rows
 from .generators import benchmark_models, make_benchmark_dataset, make_model, normalize_model
-from .km import km_from_distances
+from .km import km_from_distances, km_from_spectra
 from .metrics import clustering_error, confusion_entropy
 from .nnpc import (
     build_adjacency,
     estimate_cluster_count,
     nearest_neighbor_sets,
     nnpc_from_distances,
+    nnpc_from_spectra,
     normalized_laplacian,
 )
 from .numerics import RngStream, eig_symmetric
@@ -163,18 +164,14 @@ def _window_for(kind: str, length: int, std: float):
     return make_window(kind, length, std=std if kind == "gaussian" else None)
 
 
-def _psd_distances(args, observations) -> np.ndarray:
-    """L1 distance matrix of the observations' PSD estimates under the window and grid options.
-
-    The PSD estimates live only inside this call, so clustering runs without them.
-    """
+def _psd_estimates(args, observations):
+    """PSD estimates of the observations under the window and grid options."""
     obs_len = observations.shape[1]
     window = _window_for(args.window, obs_len, args.std)
     if args.grid_factor < 2:
         raise ValueError("grid factor must be >= 2")
     grid_size = next_pow2(args.grid_factor * obs_len)
-    psds = estimate_dataset_psds(observations, window=window, grid_size=grid_size, unit_power=args.normalize_psd)
-    return distance_matrix(psds)
+    return estimate_dataset_psds(observations, window=window, grid_size=grid_size, unit_power=args.normalize_psd)
 
 
 def _write_labels_csv(path, labels) -> None:
@@ -211,7 +208,8 @@ def cmd_cluster(args) -> int:
         raise ValueError("the km algorithm needs an explicit cluster count")
     if auto and args.max_clusters < 1:
         raise ValueError(f"the cluster-count cap must be positive, got {args.max_clusters}")
-    dist = _psd_distances(args, observations)
+    # the estimates are dropped once stacked, so clustering runs without them
+    rows, grid = half_spectrum_rows(_psd_estimates(args, observations))
 
     report = {
         "input": str(args.input),
@@ -226,8 +224,9 @@ def cmd_cluster(args) -> int:
         "seed": args.seed,
     }
     if args.algorithm == "nnpc":
-        result = nnpc_from_distances(
-            dist,
+        result = nnpc_from_spectra(
+            rows,
+            grid,
             args.neighbors,
             requested,
             rng=RngStream(args.seed),
@@ -239,7 +238,7 @@ def cmd_cluster(args) -> int:
         if auto:
             report["estimated_clusters"] = result.n_clusters
     else:
-        labels = km_from_distances(dist, requested)
+        labels = km_from_spectra(rows, grid, requested)
         report["n_clusters"] = requested
 
     if truth is not None:
@@ -439,7 +438,7 @@ def cmd_estimate_l(args) -> int:
         raise ValueError(f"neighbor count must be in 1..{n_obs - 1}, got {args.neighbors}")
     if args.max_clusters < 1:
         raise ValueError(f"the cluster-count cap must be positive, got {args.max_clusters}")
-    dist = _psd_distances(args, observations)
+    dist = distance_matrix(_psd_estimates(args, observations))
     if n_obs == 1:
         _dump_json({"estimate": 1, "eigenvalues": [0.0]})
         return 0

@@ -1,12 +1,19 @@
-"""L1 distance between PSD estimates and the pairwise distance matrix.
+"""L1 distance between PSD estimates: the pairwise matrix, and the parts of
+it that clustering reads without building it.
 
 The distance is half the grid average of the absolute PSD difference, a
 Riemann sum for (1/2) integral over one period. For unit-power spectra it
 lies in [0, 1], with 1 reached by disjoint supports.
 
 An estimate holds bins 0..F/2 of an even spectrum, so on the F-point grid
-the interior bins count twice and the two endpoints once: the kernel halves
-the endpoint columns and runs one `pdist` pass over the F/2 + 1 bins.
+the interior bins count twice and the two endpoints once: the kernels work
+on the stacked rows with the two endpoint columns halved (the weighted half
+spectra of `half_spectrum_rows`), where the distance is the cityblock
+distance times 1/F. `distance_matrix` takes one `pdist` pass over them.
+`nearest_neighbors` and `distance_columns` read only what nnpc and km need,
+in row blocks or columns, and never hold an N x N array. Every kernel runs
+the same `pdist`/`cdist` cityblock sum, so an entry has the same bits
+whichever of them computed it.
 """
 
 from __future__ import annotations
@@ -14,34 +21,94 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
+from .numerics import smallest_per_row
 from .spectra import PsdEstimate
 
+# Rows per block of the q-NN scan: a block holds NEIGHBOR_BLOCK_ROWS x N distances.
+NEIGHBOR_BLOCK_ROWS = 256
 
-def _pairwise_l1(psds: Sequence[PsdEstimate]) -> np.ndarray:
-    """Condensed distances between PSD estimates that share one grid."""
+
+def half_spectrum_rows(psds: Sequence[PsdEstimate]) -> tuple[np.ndarray, int]:
+    """The estimates as one float (N, F/2 + 1) array with the endpoint columns halved, and F."""
+    if len(psds) == 0:
+        raise ValueError("need at least one PSD estimate")
     grids = {p.grid_size for p in psds}
     if len(grids) != 1:
         raise ValueError("PSD estimates must share one frequency grid")
     (grid,) = grids
     if grid < 2:
         raise ValueError("PSD estimates need at least 2 bins (F >= 2)")
-    half = np.stack([p.values for p in psds])
-    half[:, [0, -1]] *= 0.5
-    return pdist(half, "cityblock") * (1.0 / grid)
+    rows = np.stack([p.values for p in psds], dtype=float)
+    rows[:, [0, -1]] *= 0.5
+    return rows, grid
 
 
 def l1_distance(first: PsdEstimate, second: PsdEstimate) -> float:
     """Half the grid-averaged absolute difference between two PSD estimates."""
-    return float(_pairwise_l1([first, second])[0])
+    rows, grid = half_spectrum_rows([first, second])
+    return float(pdist(rows, "cityblock")[0] * (1.0 / grid))
 
 
 def distance_matrix(psds: Sequence[PsdEstimate]) -> np.ndarray:
     """Symmetric matrix of pairwise L1 PSD distances with a zero diagonal."""
-    if len(psds) == 0:
-        raise ValueError("need at least one PSD estimate")
-    return squareform(_pairwise_l1(psds))
+    rows, grid = half_spectrum_rows(psds)
+    return squareform(pdist(rows, "cityblock") * (1.0 / grid))
+
+
+def distance_columns(rows: np.ndarray, grid_size: int, index) -> np.ndarray:
+    """Checked distances from every row to the rows in `index`, shape (N, len(index)).
+
+    Column j equals column index[j] of the distance matrix of the same rows.
+    """
+    return check_distance_entries(cdist(rows, rows[index], "cityblock") * (1.0 / grid_size))
+
+
+def nearest_neighbors(rows: np.ndarray, grid_size: int, n_neighbors: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and distances of the q nearest other rows of each row, shape (N, q) each.
+
+    Row i is ordered by increasing distance, ties going to the lower index:
+    the sets of nnpc.nearest_neighbor_sets on the distance matrix, with its
+    entries along them. Row blocks I are scanned against the blocks J >= I
+    (the diagonal block by `pdist`, so each pair is computed once), each
+    block is checked, and its entries are merged into a running top q per
+    row: directly for the rows of I, through the transpose for the later
+    rows. A row meets its candidates in increasing index order, which is
+    what lets the merge keep the lower index on a tie.
+    """
+    n = rows.shape[0]
+    q = n_neighbors
+    if not 1 <= q <= n - 1:
+        raise ValueError(f"n_neighbors must be in 1..{n - 1}, got {n_neighbors}")
+    scale = 1.0 / grid_size
+    # inf placeholders: every row sees n - 1 >= q finite candidates before the end
+    best = np.full((n, q), np.inf)
+    index = np.zeros((n, q), dtype=np.intp)
+
+    def merge(targets: slice, first: int, *blocks: np.ndarray) -> None:
+        # the blocks' columns are rows first, first + 1, ...; every index kept so far is below first
+        candidates = np.hstack([best[targets], *blocks])
+        keep = smallest_per_row(candidates, q)
+        kept_index = np.take_along_axis(index[targets], np.minimum(keep, q - 1), axis=1)
+        index[targets] = np.where(keep < q, kept_index, first + keep - q)
+        best[targets] = np.take_along_axis(candidates, keep, axis=1)
+
+    for start in range(0, n, NEIGHBOR_BLOCK_ROWS):
+        stop = min(start + NEIGHBOR_BLOCK_ROWS, n)
+        block = rows[start:stop]
+        diagonal = np.full((stop - start, stop - start), np.inf)  # inf keeps a row out of its own set
+        upper = np.triu_indices(stop - start, 1)
+        diagonal[upper] = diagonal.T[upper] = check_distance_entries(pdist(block, "cityblock") * scale)
+        # one block J at a time, so that it stays in cache while every row of I reads it
+        later = [
+            check_distance_entries(cdist(block, rows[j : j + NEIGHBOR_BLOCK_ROWS], "cityblock") * scale)
+            for j in range(stop, n, NEIGHBOR_BLOCK_ROWS)
+        ]
+        merge(slice(start, stop), start, diagonal, *later)
+        if later:
+            merge(slice(stop, n), start, np.hstack(later).T)
+    return index, best
 
 
 def check_distance_entries(values: np.ndarray) -> np.ndarray:

@@ -3,29 +3,38 @@
 Fully deterministic: the first center is observation 0, each further center
 is the observation farthest from the ones picked so far, and every
 observation then joins its nearest center. There is no iteration.
+
+Seeding and assignment read one distance column per center, N k entries in
+all. They take the columns from a distance matrix, or compute them from the
+weighted half spectra (`km_from_spectra`), which needs no matrix at all.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from .distances import check_distance_entries, distance_matrix, validate_distance_matrix
+from .distances import check_distance_entries, distance_columns, half_spectrum_rows, validate_distance_matrix
 from .spectra import WindowSpec, estimate_dataset_psds
+
+
+def _farthest_points(columns, n: int, n_clusters: int) -> np.ndarray:
+    """Greedy centers from `columns(index)`, the (n, len(index)) distances to those rows."""
+    if not 1 <= n_clusters <= n:
+        raise ValueError(f"n_clusters must be in 1..{n}, got {n_clusters}")
+    centers = np.zeros(n_clusters, dtype=int)
+    nearest = columns(centers[:1])[:, 0]
+    for p in range(1, n_clusters):
+        centers[p] = int(np.argmax(nearest))
+        nearest = np.minimum(nearest, columns(centers[p : p + 1])[:, 0])
+    return centers
 
 
 def farthest_point_centers(dist, n_clusters: int) -> np.ndarray:
     """Greedy center indices; ties go to the lower observation index."""
     d = validate_distance_matrix(dist)
-    n = d.shape[0]
-    if not 1 <= n_clusters <= n:
-        raise ValueError(f"n_clusters must be in 1..{n}, got {n_clusters}")
-    centers = np.empty(n_clusters, dtype=int)
-    centers[0] = 0
-    nearest = d[:, 0].copy()
-    for p in range(1, n_clusters):
-        centers[p] = int(np.argmax(nearest))
-        nearest = np.minimum(nearest, d[:, centers[p]])
-    return centers
+    return _farthest_points(lambda index: d[:, index], d.shape[0], n_clusters)
 
 
 def assign_to_centers(dist, centers) -> np.ndarray:
@@ -47,6 +56,18 @@ def km_from_distances(dist, n_clusters: int) -> np.ndarray:
     return assign_to_centers(dist, farthest_point_centers(dist, n_clusters))
 
 
+def km_from_spectra(rows: np.ndarray, grid_size: int, n_clusters: int) -> np.ndarray:
+    """km_from_distances on the distances of weighted half spectra, read by center column.
+
+    `rows` and `grid_size` come from distances.half_spectrum_rows. Each
+    column is computed and checked when it is read; the labels equal
+    km_from_distances on the distance matrix of the same rows.
+    """
+    columns = partial(distance_columns, rows, grid_size)
+    centers = _farthest_points(columns, rows.shape[0], n_clusters)
+    return np.argmin(columns(centers), axis=1)
+
+
 def km_cluster(
     observations,
     n_clusters: int,
@@ -55,6 +76,8 @@ def km_cluster(
     grid_size: int | None = None,
     unit_power: bool = False,
 ) -> np.ndarray:
-    """End-to-end deterministic clustering: PSDs, distances, one assignment pass."""
-    psds = estimate_dataset_psds(observations, window=window, grid_size=grid_size, unit_power=unit_power)
-    return km_from_distances(distance_matrix(psds), n_clusters)
+    """End-to-end deterministic clustering: PSDs, center distance columns, one assignment pass."""
+    rows, grid = half_spectrum_rows(
+        estimate_dataset_psds(observations, window=window, grid_size=grid_size, unit_power=unit_power)
+    )
+    return km_from_spectra(rows, grid, n_clusters)

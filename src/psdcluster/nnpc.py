@@ -6,6 +6,12 @@ graph is partitioned with normalized spectral clustering. The cluster count
 can be given or estimated from the largest eigengap of the normalized
 Laplacian. One partial eigensolve serves both the estimate and the
 embedding.
+
+The graph needs only the q nearest neighbors of each observation.
+`nnpc_from_spectra` takes them from the blocked scan over the weighted half
+spectra (distances.nearest_neighbors) and never builds the distance
+matrix; `nnpc_from_distances` reads them off a given matrix. From the
+adjacency on, both run the same code.
 """
 
 from __future__ import annotations
@@ -18,8 +24,14 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import LinearOperator
 
-from .distances import check_distance_entries, distance_matrix, validate_distance_matrix
-from .numerics import RngStream, eig_symmetric, kmeans, relabel_first_seen
+from .distances import (
+    check_distance_entries,
+    distance_columns,
+    half_spectrum_rows,
+    nearest_neighbors,
+    validate_distance_matrix,
+)
+from .numerics import RngStream, eig_symmetric, kmeans, relabel_first_seen, smallest_per_row
 from .spectra import WindowSpec, estimate_dataset_psds
 
 KMEANS_RESTARTS = 10
@@ -66,18 +78,9 @@ def nearest_neighbor_sets(dist, n_neighbors: int) -> np.ndarray:
     n = d.shape[0]
     if not 1 <= n_neighbors <= n - 1:
         raise ValueError(f"n_neighbors must be in 1..{n - 1}, got {n_neighbors}")
-    q = n_neighbors
     work = d.copy()
     np.fill_diagonal(work, np.inf)
-    # the q smallest of each row in index order, so a stable sort by distance breaks ties low
-    part = np.sort(np.argpartition(work, q - 1, axis=1)[:, :q], axis=1)
-    by_distance = np.argsort(np.take_along_axis(work, part, axis=1), axis=1, kind="stable")
-    order = np.take_along_axis(part, by_distance, axis=1)
-    # a row whose q-th distance ties with a left-out one takes the full stable sort
-    kth = np.take_along_axis(work, order[:, -1:], axis=1)
-    tied = np.flatnonzero((work <= kth).sum(axis=1) > q)
-    order[tied] = np.argsort(work[tied], axis=1, kind="stable")[:, :q]
-    return order
+    return smallest_per_row(work, n_neighbors)
 
 
 def build_adjacency(dist, neighbor_sets) -> csr_array:
@@ -97,9 +100,15 @@ def build_adjacency(dist, neighbor_sets) -> csr_array:
         raise ValueError("neighbor sets do not match the distance matrix")
     if np.any(np.diff(np.sort(t, axis=1), axis=1) == 0):
         raise ValueError("neighbor sets must not repeat an index")
-    rows = np.repeat(np.arange(n), t.shape[1])
-    cols = t.ravel()
-    weights = np.exp(-2.0 * check_distance_entries(d[rows, cols]))
+    return _neighbor_adjacency(t, check_distance_entries(np.take_along_axis(d, t, axis=1)))
+
+
+def _neighbor_adjacency(neighbor_sets: np.ndarray, neighbor_distances: np.ndarray) -> csr_array:
+    """A = Z + Z^T from checked (N, q) neighbor sets and the distances along them."""
+    n, q = neighbor_sets.shape
+    rows = np.repeat(np.arange(n), q)
+    cols = neighbor_sets.ravel()
+    weights = np.exp(-2.0 * neighbor_distances.ravel())
     # Z and Z^T as one coordinate list; the CSR conversion sums a mutual pair
     a = csr_array((np.concatenate([weights, weights]), (np.concatenate([rows, cols]), np.concatenate([cols, rows]))), shape=(n, n))
     a.eliminate_zeros()  # an underflowed weight is no edge
@@ -218,8 +227,10 @@ def spectral_cluster(spectrum: LaplacianSpectrum, n_clusters: int, rng: RngStrea
     Isolated (zero-degree) nodes cannot be placed by the embedding. Each gets
     a label of its own while the cluster budget allows; any further ones are
     attached to the cluster of their nearest neighbor under `dist`, which is
-    required in that case and read only in their rows. A warning is emitted
-    whenever isolated nodes occur.
+    required in that case and read only in their rows. `dist` is the N x N
+    distance matrix, or a function that returns the distance rows of the
+    observations in an index array, called only in that case. A warning is
+    emitted whenever isolated nodes occur.
 
     Clusters are named 0, 1, ... in order of their lowest observation index,
     so observation 0 is always in cluster 0.
@@ -251,19 +262,23 @@ def spectral_cluster(spectrum: LaplacianSpectrum, n_clusters: int, rng: RngStrea
 
     if dist is None:
         raise ValueError("a distance matrix is needed to place isolated nodes once they exceed the cluster budget")
-    d = np.asarray(dist, dtype=float)
-    if d.shape != (n, n):
-        raise ValueError("distance matrix does not match the spectrum")
-    check_distance_entries(d[isolated])
+    if callable(dist):
+        d = dist(isolated)
+    else:
+        d = np.asarray(dist, dtype=float)
+        if d.shape != (n, n):
+            raise ValueError("distance matrix does not match the spectrum")
+        d = d[isolated]
+    check_distance_entries(d)
     if core.size:
         labels[core] = _embed_and_kmeans(spectrum, n_clusters, rng)
     else:
         labels[isolated[:n_clusters]] = np.arange(n_clusters)
-    for i in isolated:
+    for i, row in zip(isolated, d):
         if labels[i] >= 0:
             continue
         placed = np.flatnonzero(labels >= 0)
-        labels[i] = labels[placed[np.argmin(d[i, placed])]]
+        labels[i] = labels[placed[np.argmin(row[placed])]]
     return relabel_first_seen(labels, n_clusters)
 
 
@@ -283,6 +298,16 @@ def estimate_cluster_count(eigenvalues, max_clusters: int) -> int:
     return int(np.argmax(gaps)) + 1 if gaps.size else 1
 
 
+def _cluster_graph(adjacency, n_clusters: int | None, rng: RngStream | None, max_clusters: int, dist) -> NnpcResult:
+    """Spectral clustering of a q-NN graph: one eigensolve for the count estimate and the embedding."""
+    max_clusters = min(max_clusters, adjacency.shape[0])
+    spectrum = laplacian_spectrum(adjacency, max_clusters + 1 if n_clusters is None else n_clusters)
+    if n_clusters is None:
+        n_clusters = estimate_cluster_count(spectrum.graph_eigenvalues(), max_clusters)
+    labels = spectral_cluster(spectrum, n_clusters, rng=rng, dist=dist)
+    return NnpcResult(labels=labels, n_clusters=int(n_clusters))
+
+
 def nnpc_from_distances(
     dist,
     n_neighbors: int,
@@ -296,13 +321,31 @@ def nnpc_from_distances(
     serves both the count estimate and the embedding.
     """
     neighbor_sets = nearest_neighbor_sets(dist, n_neighbors)
-    adjacency = build_adjacency(dist, neighbor_sets)
-    max_clusters = min(max_clusters, len(neighbor_sets))
-    spectrum = laplacian_spectrum(adjacency, max_clusters + 1 if n_clusters is None else n_clusters)
-    if n_clusters is None:
-        n_clusters = estimate_cluster_count(spectrum.graph_eigenvalues(), max_clusters)
-    labels = spectral_cluster(spectrum, n_clusters, rng=rng, dist=dist)
-    return NnpcResult(labels=labels, n_clusters=int(n_clusters))
+    return _cluster_graph(build_adjacency(dist, neighbor_sets), n_clusters, rng, max_clusters, dist)
+
+
+def nnpc_from_spectra(
+    rows: np.ndarray,
+    grid_size: int,
+    n_neighbors: int,
+    n_clusters: int | None = None,
+    rng: RngStream | None = None,
+    max_clusters: int = 10,
+) -> NnpcResult:
+    """nnpc_from_distances on the distances of weighted half spectra, without the matrix.
+
+    `rows` and `grid_size` come from distances.half_spectrum_rows. The
+    blocked q-NN scan gives the same neighbor sets and distances as the
+    matrix, so the result is the same; the distance rows of isolated nodes
+    are computed only if spectral_cluster has to place them by distance.
+    """
+    neighbor_sets, neighbor_distances = nearest_neighbors(rows, grid_size, n_neighbors)
+    adjacency = _neighbor_adjacency(neighbor_sets, neighbor_distances)
+
+    def isolated_rows(index):
+        return distance_columns(rows, grid_size, index).T
+
+    return _cluster_graph(adjacency, n_clusters, rng, max_clusters, isolated_rows)
 
 
 def nnpc_cluster(
@@ -316,10 +359,12 @@ def nnpc_cluster(
     rng: RngStream | None = None,
     max_clusters: int = 10,
 ) -> NnpcResult:
-    """Full pipeline: PSD estimates, L1 distances, q-NN graph, spectral clustering.
+    """Full pipeline: PSD estimates, blocked q-NN distances, q-NN graph, spectral clustering.
 
     With n_clusters=None the count is estimated by the eigengap heuristic,
-    capped at max_clusters.
+    capped at max_clusters. No N x N distance matrix is built.
     """
-    psds = estimate_dataset_psds(observations, window=window, grid_size=grid_size, unit_power=unit_power)
-    return nnpc_from_distances(distance_matrix(psds), n_neighbors, n_clusters, rng=rng, max_clusters=max_clusters)
+    rows, grid = half_spectrum_rows(
+        estimate_dataset_psds(observations, window=window, grid_size=grid_size, unit_power=unit_power)
+    )
+    return nnpc_from_spectra(rows, grid, n_neighbors, n_clusters, rng=rng, max_clusters=max_clusters)

@@ -1,5 +1,6 @@
 """Low-level numerical kernels: seeded random streams, symmetric
-eigendecomposition, k-means, and minimum-cost assignment.
+eigendecomposition, k-means, row-wise smallest-k selection, and
+minimum-cost assignment.
 
 The eigendecomposition delegates to numpy's LAPACK backend, or to ARPACK when
 only a few eigenpairs of a large matrix are wanted. k-means and the
@@ -179,6 +180,23 @@ def relabel_first_seen(labels: np.ndarray, k: int) -> np.ndarray:
             mapping[lab] = next_id
             next_id += 1
     return mapping[labels]
+
+
+def smallest_per_row(values: np.ndarray, k: int) -> np.ndarray:
+    """Column positions of the k smallest entries of each row, by increasing value.
+
+    Ties go to the lower position, so the output is deterministic. A partial
+    sort picks each row's k smallest; a row whose k-th value ties with a
+    left-out entry takes the full stable sort instead.
+    """
+    # the k smallest of each row in position order, so a stable sort by value breaks ties low
+    part = np.sort(np.argpartition(values, k - 1, axis=1)[:, :k], axis=1)
+    by_value = np.argsort(np.take_along_axis(values, part, axis=1), axis=1, kind="stable")
+    order = np.take_along_axis(part, by_value, axis=1)
+    kth = np.take_along_axis(values, order[:, -1:], axis=1)
+    tied = np.flatnonzero((values <= kth).sum(axis=1) > k)
+    order[tied] = np.argsort(values[tied], axis=1, kind="stable")[:, :k]
+    return order
 
 
 def min_cost_assignment(cost) -> np.ndarray:

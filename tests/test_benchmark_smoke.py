@@ -15,9 +15,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-# one full distance-matrix validation per clustering run: synth-mc runs nnpc
-# and km on each dataset, cluster-wide runs nnpc, cluster-long runs km
-VALIDATE_CALLS = {"synth-mc": 2, "cluster-wide": 1, "cluster-long": 1}
+# one full distance-matrix validation per clustering run on a matrix: synth-mc
+# runs nnpc and km on each dataset's matrix; `cluster` (cluster-wide runs
+# nnpc, cluster-long runs km) builds no matrix, so it validates none
+VALIDATE_CALLS = {"synth-mc": 2, "cluster-wide": 0, "cluster-long": 0}
 # the frequency grid F of each smoke input: M = 256 on synth-mc and
 # cluster-wide, rows padded to 16384 on cluster-long
 GRID_SIZE = {"synth-mc": 1024, "cluster-wide": 1024, "cluster-long": 65536}
@@ -37,6 +38,10 @@ def test_traced_smoke_run_is_correct(workload):
     metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
     assert metrics["trace.absent_targets"] == 0
     assert metrics["distances.validate_calls"] == VALIDATE_CALLS[workload]
+    if workload != "synth-mc":
+        # the blocked q-NN scan and the km distance columns replace the N x N matrix
+        assert metrics["distances.pairs"] == 0
+        assert metrics["distances.matrix_mb"] == 0
     # an estimate holds bins 0..F/2, and the distance kernel reads each of them once per pair
     bins = GRID_SIZE[workload] // 2 + 1
     assert metrics["spectra.grid_points"] == metrics["spectra.psd_rows"] * bins

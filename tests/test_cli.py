@@ -19,7 +19,10 @@ from hypothesis import strategies as st
 import psdcluster
 import psdcluster.cli
 from psdcluster.cli import _read_observation_csv, main
+from psdcluster.distances import distance_matrix
 from psdcluster.generators import benchmark_models, make_benchmark_dataset
+from psdcluster.km import km_from_distances
+from psdcluster.nnpc import nnpc_from_distances
 from psdcluster.numerics import RngStream
 
 
@@ -34,6 +37,16 @@ def dataset_csv(tmp_path):
         writer = csv.writer(handle, lineterminator="\n")
         for row, label in zip(data.observations, data.labels):
             writer.writerow([names[label]] + [repr(float(v)) for v in row])
+    return path
+
+
+def write_dataset_csv(tmp_path, data):
+    """Write a labeled dataset as a cluster input with a truth column; return its path."""
+    path = tmp_path / "obs.csv"
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        for row, label in zip(data.observations, data.labels):
+            writer.writerow([f"m{label}"] + [repr(float(v)) for v in row])
     return path
 
 
@@ -124,9 +137,47 @@ class TestCluster:
         assert report["clustering_error"] == 0.0
         assert "neighbors" not in report
 
-    @pytest.mark.parametrize("algorithm, clusterer", [("nnpc", "nnpc_from_distances"), ("km", "km_from_distances")])
-    def test_psd_estimates_are_freed_before_clustering(self, dataset_csv, tmp_path, monkeypatch, algorithm, clusterer):
-        estimate, cluster = psdcluster.cli.estimate_dataset_psds, getattr(psdcluster.cli, clusterer)
+    @pytest.mark.parametrize("options", [["--clusters", "auto"], ["--algorithm", "km", "--clusters", "3"]],
+                             ids=["nnpc", "km"])
+    def test_clusters_without_a_square_matrix(self, tmp_path, monkeypatch, options):
+        """Labels and report equal the dense path's, with every N x N builder made to raise.
+
+        300 rows fill one q-NN block and part of a second. The PSD estimates
+        are also gone by the time clustering starts.
+        """
+        path = write_dataset_csv(tmp_path, make_benchmark_dataset(benchmark_models(), 100, 128, 0.0, RngStream(9)))
+
+        def run(tag):
+            labels_path, report_path = tmp_path / f"labels-{tag}.csv", tmp_path / f"report-{tag}.json"
+            code = main(["cluster", str(path), "--truth", *options,
+                         "--labels-out", str(labels_path), "--report-out", str(report_path)])
+            assert code == 0
+            return labels_path.read_bytes(), report_path.read_bytes()
+
+        estimate = psdcluster.cli.estimate_dataset_psds
+        with monkeypatch.context() as patch:
+            # the dense oracle: distance_matrix, then nnpc_from_distances or km_from_distances
+            matrices = []
+
+            def dense_estimate(*args, **kwargs):
+                psds = estimate(*args, **kwargs)
+                matrices.append(distance_matrix(psds))
+                return psds
+
+            patch.setattr(psdcluster.cli, "estimate_dataset_psds", dense_estimate)
+            patch.setattr(psdcluster.cli, "nnpc_from_spectra",
+                          lambda rows, grid, *args, **kwargs: nnpc_from_distances(matrices.pop(), *args, **kwargs))
+            patch.setattr(psdcluster.cli, "km_from_spectra",
+                          lambda rows, grid, n_clusters: km_from_distances(matrices.pop(), n_clusters))
+            expected = run("dense")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an N x N distance matrix was built")
+
+        for target in ("psdcluster.cli.distance_matrix", "psdcluster.distances.squareform",
+                       "psdcluster.distances.validate_distance_matrix", "psdcluster.nnpc.validate_distance_matrix",
+                       "psdcluster.km.validate_distance_matrix"):
+            monkeypatch.setattr(target, refuse)
         refs, alive = [], []
 
         def recording_estimate(*args, **kwargs):
@@ -134,17 +185,18 @@ class TestCluster:
             refs.extend([weakref.ref(psds[0].values.base), *map(weakref.ref, psds)])
             return psds
 
-        def checking_cluster(*args, **kwargs):
-            gc.collect()
-            alive.extend(ref for ref in refs if ref() is not None)
-            return cluster(*args, **kwargs)
-
         monkeypatch.setattr(psdcluster.cli, "estimate_dataset_psds", recording_estimate)
-        monkeypatch.setattr(psdcluster.cli, clusterer, checking_cluster)
-        code = main(["cluster", str(dataset_csv), "--truth", "--algorithm", algorithm, "--clusters", "2",
-                     "--labels-out", str(tmp_path / "labels.csv"), "--report-out", str(tmp_path / "report.json")])
-        assert code == 0
-        assert len(refs) == 13  # the (12, F/2 + 1) array and its 12 row estimates
+        for name in ("nnpc_from_spectra", "km_from_spectra"):
+            cluster = getattr(psdcluster.cli, name)
+
+            def checking_cluster(*args, cluster=cluster, **kwargs):
+                gc.collect()
+                alive.extend(ref for ref in refs if ref() is not None)
+                return cluster(*args, **kwargs)
+
+            monkeypatch.setattr(psdcluster.cli, name, checking_cluster)
+        assert run("blocked") == expected
+        assert len(refs) == 301  # the (300, F/2 + 1) array and its 300 row estimates
         assert alive == []
 
     def test_km_needs_explicit_count(self, dataset_csv, tmp_path, capsys):
@@ -187,29 +239,35 @@ class TestCluster:
             outputs.append((report_path.read_bytes(), labels_path.read_bytes()))
         assert outputs[0] == outputs[1]
 
-    def test_outputs_are_identical_across_blas_thread_counts(self, tmp_path):
+    @staticmethod
+    def outputs_under_blas_threads(tmp_path, options):
+        """(labels, report) bytes of `cluster` in fresh interpreters with 1 and 2 BLAS threads."""
         # 210 rows put the graph above the dense-solver cutoff, and it has two
         # connected components, so the zero eigenspace is repeated
-        data = make_benchmark_dataset(benchmark_models(), 70, 256, 0.0, RngStream(5))
-        path = tmp_path / "obs.csv"
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            for row, label in zip(data.observations, data.labels):
-                writer.writerow([f"m{label}"] + [repr(float(v)) for v in row])
+        path = write_dataset_csv(tmp_path, make_benchmark_dataset(benchmark_models(), 70, 256, 0.0, RngStream(5)))
         outputs = []
         for threads in ("1", "2"):
             env = checkout_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
             labels_path, report_path = tmp_path / f"labels-{threads}.csv", tmp_path / f"report-{threads}.json"
             proc = subprocess.run(
                 [sys.executable, "-c", "import sys; from psdcluster.cli import main; sys.exit(main(sys.argv[1:]))",
-                 "cluster", str(path), "--truth", "--clusters", "auto",
+                 "cluster", str(path), "--truth", *options,
                  "--labels-out", str(labels_path), "--report-out", str(report_path)],
                 env=env, capture_output=True, text=True, timeout=300,
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append((labels_path.read_bytes(), report_path.read_bytes()))
+        return outputs
+
+    def test_outputs_are_identical_across_blas_thread_counts(self, tmp_path):
+        outputs = self.outputs_under_blas_threads(tmp_path, ["--clusters", "auto"])
         assert outputs[0] == outputs[1]
         assert read_json(tmp_path / "report-1.json")["estimated_clusters"] == 3
+
+    def test_km_outputs_are_identical_across_blas_thread_counts(self, tmp_path):
+        outputs = self.outputs_under_blas_threads(tmp_path, ["--algorithm", "km", "--clusters", "2"])
+        assert outputs[0] == outputs[1]
+        assert read_json(tmp_path / "report-1.json")["n_clusters"] == 2
 
     def test_report_goes_to_stdout_by_default(self, dataset_csv, tmp_path, capsys):
         code = main(

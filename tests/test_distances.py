@@ -1,6 +1,7 @@
 """Distance tests: hand values, metric axioms on random spectra, matrix
 consistency with the pairwise scalar routine, the one-sided kernel against
-the full-grid formula on the mirrored grid, and validator error paths."""
+the full-grid formula on the mirrored grid, the blocked q-NN scan and the
+distance columns against the matrix, and validator error paths."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,16 @@ from oracles import full_grid
 from scipy.spatial.distance import pdist, squareform
 
 import psdcluster.distances
-from psdcluster.distances import distance_matrix, l1_distance, validate_distance_matrix
+from psdcluster.distances import (
+    NEIGHBOR_BLOCK_ROWS,
+    distance_columns,
+    distance_matrix,
+    half_spectrum_rows,
+    l1_distance,
+    nearest_neighbors,
+    validate_distance_matrix,
+)
+from psdcluster.nnpc import nearest_neighbor_sets
 from psdcluster.spectra import PsdEstimate, estimate_dataset_psds, make_window
 
 
@@ -25,6 +35,8 @@ def test_hand_value():
     # F = 2, so both bins are endpoints and the full grid is the half:
     # 0.5 * mean(|1-2|, |3-1|) = 0.5 * 1.5
     assert l1_distance(a, b) == 0.75
+    # integer values are stacked as float, so halving the endpoints works on them too
+    assert l1_distance(PsdEstimate(np.array([1, 3]), 2.0), PsdEstimate(np.array([2, 1]), 1.5)) == 0.75
 
 
 def test_disjoint_unit_power_spectra_are_at_distance_one():
@@ -186,6 +198,81 @@ def test_single_psd_gives_zero_matrix():
     gen = np.random.default_rng(1)
     d = distance_matrix([random_psd(gen)])
     np.testing.assert_array_equal(d, np.zeros((1, 1)))
+
+
+def integer_psds(seed, n, bins, levels):
+    """Estimates with small integer values: many equal distances, so ties decide the q-NN order."""
+    values = np.random.default_rng(seed).integers(0, levels, (n, bins))
+    return [PsdEstimate(values=row, acf_zero=0.0) for row in values]
+
+
+def dense_neighbors(psds, q):
+    d = distance_matrix(psds)
+    sets = nearest_neighbor_sets(d, q)
+    return sets, np.take_along_axis(d, sets, axis=1)
+
+
+class TestBlockedNeighbors:
+    """The blocked q-NN scan gives the matrix's neighbor sets and distances, bit for bit."""
+
+    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @given(
+        n=st.one_of(
+            st.integers(2, NEIGHBOR_BLOCK_ROWS - 1),  # below one block
+            st.just(NEIGHBOR_BLOCK_ROWS),  # exactly one block
+            st.integers(NEIGHBOR_BLOCK_ROWS + 1, 2 * NEIGHBOR_BLOCK_ROWS + 90).filter(
+                lambda n: n % NEIGHBOR_BLOCK_ROWS != 0
+            ),
+        ),
+        bins=st.integers(2, 4),
+        levels=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_tie_heavy_rows_match_the_matrix(self, n, bins, levels, seed, data):
+        q = data.draw(st.one_of(st.integers(1, min(n - 1, 12)), st.integers(1, n - 1)))
+        psds = integer_psds(seed, n, bins, levels)
+        index, dist = nearest_neighbors(*half_spectrum_rows(psds), q)
+        sets, expected = dense_neighbors(psds, q)
+        np.testing.assert_array_equal(index, sets)
+        np.testing.assert_array_equal(dist, expected)
+
+    @pytest.mark.parametrize("block, n, q", [(1, 9, 3), (3, 20, 19), (4, 23, 6), (7, 50, 10)])
+    def test_small_blocks_match_the_matrix(self, monkeypatch, block, n, q):
+        monkeypatch.setattr(psdcluster.distances, "NEIGHBOR_BLOCK_ROWS", block)
+        psds = integer_psds(n + q, n, 3, 3)
+        index, dist = nearest_neighbors(*half_spectrum_rows(psds), q)
+        sets, expected = dense_neighbors(psds, q)
+        np.testing.assert_array_equal(index, sets)
+        np.testing.assert_array_equal(dist, expected)
+
+    def test_estimated_psds_match_the_matrix(self):
+        obs = np.random.default_rng(8).standard_normal((300, 64))
+        psds = estimate_dataset_psds(obs, window=make_window("bartlett", 64), grid_size=256)
+        index, dist = nearest_neighbors(*half_spectrum_rows(psds), 10)
+        sets, expected = dense_neighbors(psds, 10)
+        np.testing.assert_array_equal(index, sets)
+        np.testing.assert_array_equal(dist, expected)
+
+    def test_rejects_out_of_range_q(self):
+        rows, grid = half_spectrum_rows(integer_psds(1, 5, 3, 3))
+        for q in (0, 5):
+            with pytest.raises(ValueError, match="n_neighbors must be in 1..4"):
+                nearest_neighbors(rows, grid, q)
+
+    def test_rejects_non_finite_distances(self):
+        rows, grid = half_spectrum_rows(integer_psds(1, 5, 3, 3))
+        rows[3, 1] = np.nan
+        with pytest.raises(ValueError, match="distance matrix entries must be finite"):
+            nearest_neighbors(rows, grid, 2)
+
+
+def test_distance_columns_match_the_matrix():
+    psds = integer_psds(4, 40, 5, 4) + [random_psd(np.random.default_rng(4), 5) for _ in range(10)]
+    d = distance_matrix(psds)
+    rows, grid = half_spectrum_rows(psds)
+    index = np.array([0, 17, 49, 3, 17])
+    np.testing.assert_array_equal(distance_columns(rows, grid, index), d[:, index])
 
 
 class TestValidator:

@@ -1,17 +1,21 @@
 """Single-pass k-means (farthest-point seeding) tests.
 
 Oracle: hand evaluation on a 4-node distance matrix, tie-break conventions,
-and exact recovery on separated random block matrices.
+exact recovery on separated random block matrices, and the dense path for
+the column-wise one.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from psdcluster.distances import validate_distance_matrix
-from psdcluster.km import assign_to_centers, farthest_point_centers, km_cluster, km_from_distances
+from psdcluster.distances import distance_matrix, half_spectrum_rows, validate_distance_matrix
+from psdcluster.km import assign_to_centers, farthest_point_centers, km_cluster, km_from_distances, km_from_spectra
 from psdcluster.metrics import clustering_error
 from psdcluster.numerics import RngStream
 from psdcluster.generators import benchmark_models, make_benchmark_dataset
+from psdcluster.spectra import PsdEstimate
 
 
 def four_node_matrix():
@@ -117,3 +121,35 @@ def test_end_to_end_on_synthetic_data():
     labels = km_cluster(data.observations, 2)
     assert labels.shape == (12,)
     assert clustering_error(labels, data.labels) == 0.0
+
+
+class TestFromSpectra:
+    """km by center columns of the weighted half spectra equals km_from_distances on their matrix."""
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(
+        n=st.integers(1, 60),
+        bins=st.integers(2, 6),
+        levels=st.integers(1, 4),
+        noise=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_the_dense_path(self, n, bins, levels, noise, seed, data):
+        n_clusters = data.draw(st.integers(1, n))
+        gen = np.random.default_rng(seed)
+        values = gen.integers(0, levels, (n, bins)) + (gen.random((n, bins)) if noise else 0)
+        psds = [PsdEstimate(values=row, acf_zero=0.0) for row in values]
+        labels = km_from_spectra(*half_spectrum_rows(psds), n_clusters)
+        np.testing.assert_array_equal(labels, km_from_distances(distance_matrix(psds), n_clusters))
+
+    def test_rejects_bad_count(self):
+        rows, grid = half_spectrum_rows([PsdEstimate(values=np.arange(3.0) + i, acf_zero=0.0) for i in range(4)])
+        with pytest.raises(ValueError, match="n_clusters must be in 1..4"):
+            km_from_spectra(rows, grid, 5)
+
+    def test_rejects_a_non_finite_distance(self):
+        rows, grid = half_spectrum_rows([PsdEstimate(values=np.arange(3.0) + i, acf_zero=0.0) for i in range(4)])
+        rows[2, 0] = np.inf
+        with pytest.raises(ValueError, match="distance matrix entries must be finite"):
+            km_from_spectra(rows, grid, 2)

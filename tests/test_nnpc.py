@@ -3,10 +3,12 @@
 Oracles: hand-evaluated 3- and 4-node neighbor graphs, eigenvalue structure
 of disconnected graphs (zero-eigenvalue multiplicity counts components),
 exact recovery on separated block distance matrices, a full stable argsort
-for the neighbor sets, and the dense LAPACK solve for the sparse spectrum.
+for the neighbor sets, the dense LAPACK solve for the sparse spectrum, and
+nnpc_from_distances for the matrix-free nnpc_from_spectra.
 """
 
 import math
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -17,7 +19,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 from psdcluster import numerics
-from psdcluster.distances import validate_distance_matrix
+from psdcluster.distances import distance_matrix, half_spectrum_rows, validate_distance_matrix
 from psdcluster.generators import benchmark_models, make_benchmark_dataset
 from psdcluster.metrics import clustering_error
 from psdcluster.nnpc import (
@@ -28,10 +30,12 @@ from psdcluster.nnpc import (
     nearest_neighbor_sets,
     nnpc_cluster,
     nnpc_from_distances,
+    nnpc_from_spectra,
     normalized_laplacian,
     spectral_cluster,
 )
 from psdcluster.numerics import RngStream, eig_symmetric, relabel_first_seen
+from psdcluster.spectra import PsdEstimate
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None, derandomize=True)
 
@@ -521,6 +525,65 @@ class TestClusterFromDistances:
         d[0, 5] += 0.1
         with pytest.raises(ValueError, match="symmetric"):
             nnpc_from_distances(d, 3, 2)
+
+
+def both_paths(values, q, n_clusters, seed):
+    """(labels, count, warnings) of nnpc_from_spectra and of nnpc_from_distances on the same rows."""
+    psds = [PsdEstimate(values=row, acf_zero=0.0) for row in values]
+    outcomes = []
+    for run in (
+        lambda: nnpc_from_spectra(*half_spectrum_rows(psds), q, n_clusters, rng=RngStream(seed)),
+        lambda: nnpc_from_distances(distance_matrix(psds), q, n_clusters, rng=RngStream(seed)),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run()
+        outcomes.append((result.labels, result.n_clusters, [str(w.message) for w in caught]))
+    return outcomes
+
+
+class TestFromSpectra:
+    """Matrix-free nnpc equals nnpc_from_distances on the matrix of the same rows."""
+
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @given(
+        n_groups=st.integers(1, 4),
+        size=st.one_of(st.integers(1, 30), st.integers(60, 100)),
+        bins=st.integers(2, 6),
+        spread=st.sampled_from([0.0, 0.3, 3.0]),
+        estimate=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_the_dense_path(self, n_groups, size, bins, spread, estimate, seed, data):
+        gen = np.random.default_rng(seed)
+        n = n_groups * size
+        assume(n >= 2)
+        q = data.draw(st.integers(1, min(n - 1, 12)))
+        n_clusters = None if estimate else data.draw(st.integers(1, min(n, 5)))
+        centers = gen.integers(0, 4, (n_groups, bins)).astype(float)
+        values = np.repeat(centers, size, axis=0) + spread * gen.random((n, bins)).round(1)
+        blocked, dense = both_paths(values, q, n_clusters, seed)
+        np.testing.assert_array_equal(blocked[0], dense[0])
+        assert blocked[1:] == dense[1:]
+
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @given(
+        core=st.one_of(st.just(0), st.integers(6, 40)),
+        outliers=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_isolated_nodes_beyond_the_budget(self, core, outliers, seed, data):
+        """Outliers 1e6 apart have underflowed edge weights, so they are isolated nodes
+        that outnumber the clusters and are placed by their distance rows."""
+        gen = np.random.default_rng(seed)
+        q = data.draw(st.integers(1, max(1, min(core - 2, 5))))
+        n_clusters = data.draw(st.integers(1, outliers))
+        far = 1e6 * (1.0 + gen.permutation(outliers))[:, None] * gen.random((outliers, 4))
+        blocked, dense = both_paths(np.vstack([gen.random((core, 4)), far]), q, n_clusters, seed)
+        np.testing.assert_array_equal(blocked[0], dense[0])
+        assert blocked[1:] == dense[1:] == (n_clusters, [f"{outliers} isolated node(s) in the neighborhood graph"])
 
 
 def test_end_to_end_on_synthetic_data():
