@@ -208,8 +208,12 @@ def cmd_cluster(args) -> int:
         raise ValueError("the km algorithm needs an explicit cluster count")
     if auto and args.max_clusters < 1:
         raise ValueError(f"the cluster-count cap must be positive, got {args.max_clusters}")
-    # the estimates are dropped once stacked, so clustering runs without them
-    rows, grid = half_spectrum_rows(_psd_estimates(args, observations))
+    # the samples are dropped once estimated and the estimates once stacked,
+    # so neither stacking nor clustering runs beside them
+    psds = _psd_estimates(args, observations)
+    del observations
+    rows, grid = half_spectrum_rows(psds)
+    del psds
 
     report = {
         "input": str(args.input),

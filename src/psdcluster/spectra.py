@@ -7,10 +7,14 @@ autocorrelation tapered by an even lag window,
 
 evaluated on a uniform grid f = j/F with F a power of two and F >= 2M.
 r_hat divides by M (not M - |m|), which keeps the implied autocorrelation
-sequence positive semidefinite. A whole stack of observations goes through
-one zero-padded real FFT pair for the autocorrelations and one DCT-I for the
-spectra. The sum is even in f, so an estimate keeps only bins j = 0..F/2,
-the DCT-I output; bins F/2+1..F-1 would repeat bins F/2-1..1.
+sequence positive semidefinite. A stack of observations goes through a
+zero-padded real FFT pair for the autocorrelations and a DCT-I for the
+spectra, in chunks of rows written into one preallocated output, so the
+stage holds the output plus one chunk of temporaries. Every step works row
+by row on real arrays, so a row's estimate has the same bits whichever rows
+share its chunk or its call. The sum is even in f, so an estimate keeps only
+bins j = 0..F/2, the DCT-I output; bins F/2+1..F-1 would repeat bins
+F/2-1..1.
 """
 
 from __future__ import annotations
@@ -27,6 +31,9 @@ WINDOW_SCAN_POINTS = 4096
 WINDOW_SIGN_RTOL = 1e-6
 DEFAULT_GAUSSIAN_STD = 50.0
 WINDOW_KINDS = ("gaussian", "bartlett", "rectangular")
+# Bytes of next_pow2(2M)-point FFT rows per chunk of the PSD stage; a chunk
+# holds max(1, PSD_CHUNK_BYTES // (8 next_pow2(2M))) observations.
+PSD_CHUNK_BYTES = 1 << 20
 
 
 def next_pow2(n: int) -> int:
@@ -73,17 +80,21 @@ class PsdEstimate:
         return 2 * (int(self.values.shape[0]) - 1)
 
 
-def _even_half_spectrum(lags: np.ndarray, grid: int) -> np.ndarray:
-    """Transform of each row's even lag sequence at f = j/grid, j = 0..grid/2.
+def _even_half_spectrum(lags: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into out the transform of each row's even lag sequence at f = j/grid, j = 0..grid/2.
 
-    Row r holds c[0..L-1] with L <= grid/2; the result is
-    c[0] + 2 sum_{m=1}^{L-1} c[m] cos(2 pi j m / grid), one DCT-I of the
-    lags zero-padded to grid/2 + 1 points. The transform is even, so these
-    bins determine the whole grid.
+    out has grid/2 + 1 columns, and row r of lags holds c[0..L-1] with
+    L <= grid/2; row r of out becomes
+    c[0] + 2 sum_{m=1}^{L-1} c[m] cos(2 pi j m / grid), one in-place DCT-I
+    of the lags zero-padded to grid/2 + 1 points. The transform is even, so
+    these bins determine the whole grid. Returns out.
     """
-    half = np.zeros((lags.shape[0], grid // 2 + 1))
-    half[:, : lags.shape[1]] = lags
-    return dct(half, type=1, axis=1, overwrite_x=True)
+    out[:, : lags.shape[1]] = lags
+    out[:, lags.shape[1] :] = 0.0
+    # overwrite_x lets scipy transform in place, which it does for float64;
+    # assigning the result keeps out right if it ever returns a new array
+    out[...] = dct(out, type=1, axis=1, overwrite_x=True)
+    return out
 
 
 def _window_transform_scan(values: np.ndarray) -> np.ndarray:
@@ -92,7 +103,7 @@ def _window_transform_scan(values: np.ndarray) -> np.ndarray:
     The transform is even, so its extremes over [0, 1) are attained there.
     """
     grid = max(WINDOW_SCAN_POINTS, next_pow2(2 * values.shape[0]))
-    return _even_half_spectrum(values[None, :], grid)[0, :: grid // WINDOW_SCAN_POINTS]
+    return _even_half_spectrum(values[None, :], np.empty((1, grid // 2 + 1)))[0, :: grid // WINDOW_SCAN_POINTS]
 
 
 def make_window(kind: str, length: int, std: float | None = None) -> WindowSpec:
@@ -131,19 +142,29 @@ def make_window(kind: str, length: int, std: float | None = None) -> WindowSpec:
 
 
 def _acf_rows(obs: np.ndarray) -> np.ndarray:
-    """Biased autocorrelations of each row, lags 0..M-1, from one zero-padded FFT pair."""
+    """Biased autocorrelations of each row, lags 0..M-1, from one zero-padded FFT pair.
+
+    The periodogram |X|^2 is formed as the real array Re^2 + Im^2, not as the
+    complex product X conj(X), whose bits depend on how many rows it spans.
+    """
     m = obs.shape[1]
     grid = next_pow2(2 * m)  # enough zero padding to keep lags non-circular
     spectrum = np.fft.rfft(obs, grid, axis=1)
-    return np.fft.irfft(spectrum * spectrum.conj(), grid, axis=1)[:, :m] / m
+    power = np.square(spectrum.real)
+    power += np.square(spectrum.imag)
+    del spectrum
+    acf = np.fft.irfft(power, grid, axis=1)[:, :m]
+    acf /= m
+    return acf
 
 
 def _psd_rows(obs: np.ndarray, window: WindowSpec, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     """PSD estimates of every row of obs at bins 0..F/2, and each row's lag-zero ACF.
 
-    Checks the window, the grid and finiteness once for the whole stack.
+    Checks the window, the grid and finiteness for the whole stack, then
+    estimates it in chunks of rows (PSD_CHUNK_BYTES) straight into the output.
     """
-    m = obs.shape[1]
+    n, m = obs.shape
     if m < 2:
         raise ValueError("observations need at least 2 samples")
     if window.length != m:
@@ -151,14 +172,22 @@ def _psd_rows(obs: np.ndarray, window: WindowSpec, grid_size: int) -> tuple[np.n
     f = int(grid_size)
     if f < 2 * m or f & (f - 1):
         raise ValueError(f"grid size must be a power of two >= {2 * m}, got {grid_size}")
-    if not np.all(np.isfinite(obs)):
+    step = max(1, PSD_CHUNK_BYTES // (8 * next_pow2(2 * m)))
+    chunks = [slice(start, start + step) for start in range(0, n, step)]
+    if not all(np.isfinite(obs[rows]).all() for rows in chunks):
         raise ValueError("observation samples must be finite")
+    values = np.empty((n, f // 2 + 1))
+    acf_zero = np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        acf = _acf_rows(obs)
-        values = _even_half_spectrum(acf * window.values, f)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("PSD estimation overflowed: sample magnitudes are too large for the autocorrelation FFT")
-    return values, acf[:, 0]
+        for rows in chunks:
+            acf = _acf_rows(obs[rows])
+            acf_zero[rows] = acf[:, 0]
+            acf *= window.values
+            if not np.isfinite(_even_half_spectrum(acf, values[rows])).all():
+                raise ValueError(
+                    "PSD estimation overflowed: sample magnitudes are too large for the autocorrelation FFT"
+                )
+    return values, acf_zero
 
 
 def estimate_acf(samples) -> np.ndarray:

@@ -199,6 +199,30 @@ class TestCluster:
         assert len(refs) == 301  # the (300, F/2 + 1) array and its 300 row estimates
         assert alive == []
 
+    def test_observations_are_freed_before_stacking(self, dataset_csv, tmp_path, monkeypatch):
+        refs, alive = [], []
+        read = psdcluster.cli._read_observation_csv
+
+        def recording_read(*args, **kwargs):
+            observations, truth = read(*args, **kwargs)
+            refs.append(weakref.ref(observations))
+            return observations, truth
+
+        stack = psdcluster.cli.half_spectrum_rows
+
+        def checking_stack(psds):
+            gc.collect()
+            alive.extend(ref for ref in refs if ref() is not None)
+            return stack(psds)
+
+        monkeypatch.setattr(psdcluster.cli, "_read_observation_csv", recording_read)
+        monkeypatch.setattr(psdcluster.cli, "half_spectrum_rows", checking_stack)
+        code = main(["cluster", str(dataset_csv), "--truth", "--clusters", "2",
+                     "--labels-out", str(tmp_path / "labels.csv"), "--report-out", str(tmp_path / "report.json")])
+        assert code == 0
+        assert len(refs) == 1
+        assert alive == []
+
     def test_km_needs_explicit_count(self, dataset_csv, tmp_path, capsys):
         code = main(
             [

@@ -8,15 +8,18 @@ Bartlett-at-2 peak 2, Dirichlet peak 2M-1).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import full_grid
 
+import psdcluster.spectra
 from psdcluster.spectra import (
     DEFAULT_GAUSSIAN_STD,
+    PSD_CHUNK_BYTES,
     PsdEstimate,
     bt_psd,
     estimate_acf,
@@ -265,6 +268,92 @@ class TestEstimateDatasetPsds:
                 expected = expected / full_grid(expected).mean()
             scale = np.abs(expected).max()
             np.testing.assert_allclose(psd.values, expected, rtol=0, atol=1e-11 * scale)
+
+
+def stacked(psds):
+    """(values, acf_zero) of a list of estimates as two arrays."""
+    return np.stack([p.values for p in psds]), np.array([p.acf_zero for p in psds])
+
+
+class TestBatchInvariance:
+    """A row's estimate has the same bits whichever rows share its call or its chunk."""
+
+    @settings(max_examples=80, deadline=None, database=None, derandomize=True)
+    @given(
+        n_obs=st.integers(1, 40),
+        obs_len=st.one_of(st.just(256), st.integers(2, 300)),
+        kind=st.sampled_from(["gaussian", "bartlett", "rectangular"]),
+        unit_power=st.booleans(),
+        chunk=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # a stack of 40 rows at M = 300 is where the complex product X conj(X) gave
+    # different bits than the same rows alone or 8 at a time
+    @example(n_obs=40, obs_len=300, kind="gaussian", unit_power=False, chunk=8, seed=0)
+    def test_rows_are_bit_identical_alone_in_chunks_and_in_the_stack(
+        self, n_obs, obs_len, kind, unit_power, chunk, seed
+    ):
+        obs = np.random.default_rng(seed).standard_normal((n_obs, obs_len))
+        window = make_window(kind, obs_len, std=7.0 if kind == "gaussian" else None)
+
+        def estimate(rows):
+            return stacked(estimate_dataset_psds(rows, window=window, unit_power=unit_power))
+
+        values, acf_zero = estimate(obs)
+        for start in range(0, n_obs, chunk):
+            chunk_values, chunk_acf_zero = estimate(obs[start : start + chunk])
+            np.testing.assert_array_equal(chunk_values, values[start : start + chunk])
+            np.testing.assert_array_equal(chunk_acf_zero, acf_zero[start : start + chunk])
+        for index, row in enumerate(obs):
+            row_values, row_acf_zero = estimate(row)
+            np.testing.assert_array_equal(row_values[0], values[index])
+            assert row_acf_zero[0] == acf_zero[index]
+
+
+class TestChunkedEstimation:
+    OBS_LEN = 64  # next_pow2(2 M) = 128 points: 1024 bytes of FFT row per observation
+
+    @pytest.mark.parametrize("n_obs", [1, 10])
+    # one row's bytes, three rows' (which does not divide 10), and less than one row, which still takes one
+    @pytest.mark.parametrize("budget", [1024, 3 * 1024, 1], ids=["1-row", "3-rows", "under-1-row"])
+    @pytest.mark.parametrize("unit_power", [False, True])
+    def test_small_chunks_match_one_chunk(self, monkeypatch, n_obs, budget, unit_power):
+        obs = np.random.default_rng(3).standard_normal((n_obs, self.OBS_LEN))
+        expected = stacked(estimate_dataset_psds(obs, unit_power=unit_power))  # one chunk
+        monkeypatch.setattr(psdcluster.spectra, "PSD_CHUNK_BYTES", budget)
+        values, acf_zero = stacked(estimate_dataset_psds(obs, unit_power=unit_power))
+        np.testing.assert_array_equal(values, expected[0])
+        np.testing.assert_array_equal(acf_zero, expected[1])
+
+    def test_overflow_in_a_later_chunk_names_the_psd_stage(self, monkeypatch):
+        obs = np.random.default_rng(5).standard_normal((10, self.OBS_LEN))
+        obs[8] *= 1e307  # finite samples, in the third chunk of 3 rows
+        monkeypatch.setattr(psdcluster.spectra, "PSD_CHUNK_BYTES", 3 * 1024)
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="PSD estimation overflowed"):
+            estimate_dataset_psds(obs)
+
+    def test_non_finite_sample_in_a_later_chunk_is_reported_first(self, monkeypatch):
+        obs = np.random.default_rng(6).standard_normal((10, self.OBS_LEN))
+        obs[0] *= 1e307  # would overflow in the first chunk
+        obs[9, 5] = np.nan
+        monkeypatch.setattr(psdcluster.spectra, "PSD_CHUNK_BYTES", 3 * 1024)
+        with pytest.raises(ValueError, match="observation samples must be finite"):
+            estimate_dataset_psds(obs)
+
+    def test_allocates_the_output_plus_a_few_chunks(self):
+        # 48 x 16384 samples, F = 65536: a 12.6 MB output, and 4 rows per chunk
+        obs = np.random.default_rng(7).standard_normal((48, 16384))
+        estimate_dataset_psds(obs[:1])  # warm the FFT plan caches outside the trace
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            psds = estimate_dataset_psds(obs, unit_power=True)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        output = psds[0].values.base.nbytes
+        assert output == 48 * 32769 * 8
+        assert peak <= output + 6 * PSD_CHUNK_BYTES
 
 
 class TestWhiteNoiseConsistency:
