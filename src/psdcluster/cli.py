@@ -25,15 +25,8 @@ from .distances import distance_matrix, half_spectrum_rows
 from .generators import benchmark_models, make_benchmark_dataset, make_model, normalize_model
 from .km import km_from_distances, km_from_spectra
 from .metrics import clustering_error, confusion_entropy
-from .nnpc import (
-    build_adjacency,
-    estimate_cluster_count,
-    nearest_neighbor_sets,
-    nnpc_from_distances,
-    nnpc_from_spectra,
-    normalized_laplacian,
-)
-from .numerics import RngStream, eig_symmetric
+from .nnpc import estimate_count_from_spectra, nnpc_from_distances, nnpc_from_spectra
+from .numerics import RngStream
 from .spectra import WINDOW_KINDS, estimate_dataset_psds, make_window, next_pow2
 from .theory import check_condition
 
@@ -228,14 +221,7 @@ def cmd_cluster(args) -> int:
         "seed": args.seed,
     }
     if args.algorithm == "nnpc":
-        result = nnpc_from_spectra(
-            rows,
-            grid,
-            args.neighbors,
-            requested,
-            rng=RngStream(args.seed),
-            max_clusters=min(args.max_clusters, n_obs),
-        )
+        result = nnpc_from_spectra(rows, grid, args.neighbors, requested, RngStream(args.seed), args.max_clusters)
         labels = result.labels
         report["neighbors"] = args.neighbors
         report["n_clusters"] = result.n_clusters
@@ -442,13 +428,14 @@ def cmd_estimate_l(args) -> int:
         raise ValueError(f"neighbor count must be in 1..{n_obs - 1}, got {args.neighbors}")
     if args.max_clusters < 1:
         raise ValueError(f"the cluster-count cap must be positive, got {args.max_clusters}")
-    dist = distance_matrix(_psd_estimates(args, observations))
+    psds = _psd_estimates(args, observations)
+    del observations  # as in cmd_cluster, the samples and then the estimates go once used
     if n_obs == 1:
         _dump_json({"estimate": 1, "eigenvalues": [0.0]})
         return 0
-    adjacency = build_adjacency(dist, nearest_neighbor_sets(dist, args.neighbors))
-    eigenvalues = eig_symmetric(normalized_laplacian(adjacency)).eigenvalues
-    estimate = estimate_cluster_count(eigenvalues, min(args.max_clusters, n_obs))
+    rows, grid = half_spectrum_rows(psds)
+    del psds
+    estimate, eigenvalues = estimate_count_from_spectra(rows, grid, args.neighbors, args.max_clusters)
     _dump_json({"estimate": estimate, "eigenvalues": [float(v) for v in eigenvalues]})
     return 0
 
@@ -544,6 +531,16 @@ def _clusters_arg(text: str):
     return value
 
 
+def _seed_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected a nonnegative integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {value}")
+    return value
+
+
 def _add_observation_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("input", help="CSV file, one observation per row")
     parser.add_argument("--truth", action="store_true", help="first CSV column holds the true labels")
@@ -573,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--algorithm", choices=("nnpc", "km"), default="nnpc")
     cluster.add_argument("--clusters", type=_clusters_arg, default="auto",
                          help="cluster count, or 'auto' for the eigengap estimate (nnpc only)")
-    cluster.add_argument("--seed", type=int, default=0)
+    cluster.add_argument("--seed", type=_seed_arg, default=0)
     cluster.add_argument("--labels-out", default="labels.csv", help="output CSV of (id, label)")
     cluster.add_argument("--report-out", default=None, help="JSON report path (default: stdout)")
     cluster.set_defaults(func=cmd_cluster)

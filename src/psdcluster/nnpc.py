@@ -4,8 +4,8 @@ Each observation keeps its q nearest neighbors under the L1 PSD distance;
 edges are weighted by exp(-2 d) and symmetrized, and the resulting sparse
 graph is partitioned with normalized spectral clustering. The cluster count
 can be given or estimated from the largest eigengap of the normalized
-Laplacian. One partial eigensolve serves both the estimate and the
-embedding.
+Laplacian (estimate_graph_count, also behind estimate_count_from_spectra). One
+partial eigensolve serves both the estimate and the embedding.
 
 The graph needs only the q nearest neighbors of each observation.
 `nnpc_from_spectra` takes them from the blocked scan over the weighted half
@@ -145,7 +145,11 @@ def normalized_laplacian(adjacency) -> csr_array:
     a connected component of its own, so the multiplicity of the eigenvalue 0
     still counts components.
     """
-    a = _as_adjacency(adjacency)
+    return _laplacian(_as_adjacency(adjacency))
+
+
+def _laplacian(a: csr_array) -> csr_array:
+    """normalized_laplacian of an adjacency already checked by _as_adjacency."""
     deg = a.sum(axis=1)
     pos = deg > 0
     inv_sqrt = np.zeros_like(deg)
@@ -183,7 +187,7 @@ def laplacian_spectrum(adjacency, count: int) -> LaplacianSpectrum:
     values = np.zeros(n_zero)
     vectors = zero_space[:, :n_zero].toarray()
     if count > n_components:
-        lap = normalized_laplacian(a)
+        lap = _laplacian(a)
 
         def shifted(x):
             return lap @ x + ZERO_SPACE_SHIFT * (zero_space @ (zero_space.T @ x))
@@ -298,12 +302,19 @@ def estimate_cluster_count(eigenvalues, max_clusters: int) -> int:
     return int(np.argmax(gaps)) + 1 if gaps.size else 1
 
 
+def estimate_graph_count(adjacency, max_clusters: int) -> tuple[int, LaplacianSpectrum]:
+    """Eigengap estimate of a graph's cluster count, capped at N, and the min(max_clusters, N) + 1 pairs it read."""
+    max_clusters = min(max_clusters, adjacency.shape[0])
+    spectrum = laplacian_spectrum(adjacency, max_clusters + 1)
+    return estimate_cluster_count(spectrum.graph_eigenvalues(), max_clusters), spectrum
+
+
 def _cluster_graph(adjacency, n_clusters: int | None, rng: RngStream | None, max_clusters: int, dist) -> NnpcResult:
     """Spectral clustering of a q-NN graph: one eigensolve for the count estimate and the embedding."""
-    max_clusters = min(max_clusters, adjacency.shape[0])
-    spectrum = laplacian_spectrum(adjacency, max_clusters + 1 if n_clusters is None else n_clusters)
     if n_clusters is None:
-        n_clusters = estimate_cluster_count(spectrum.graph_eigenvalues(), max_clusters)
+        n_clusters, spectrum = estimate_graph_count(adjacency, max_clusters)
+    else:
+        spectrum = laplacian_spectrum(adjacency, n_clusters)
     labels = spectral_cluster(spectrum, n_clusters, rng=rng, dist=dist)
     return NnpcResult(labels=labels, n_clusters=int(n_clusters))
 
@@ -339,13 +350,22 @@ def nnpc_from_spectra(
     matrix, so the result is the same; the distance rows of isolated nodes
     are computed only if spectral_cluster has to place them by distance.
     """
-    neighbor_sets, neighbor_distances = nearest_neighbors(rows, grid_size, n_neighbors)
-    adjacency = _neighbor_adjacency(neighbor_sets, neighbor_distances)
+    adjacency = _neighbor_adjacency(*nearest_neighbors(rows, grid_size, n_neighbors))
 
     def isolated_rows(index):
         return distance_columns(rows, grid_size, index).T
 
     return _cluster_graph(adjacency, n_clusters, rng, max_clusters, isolated_rows)
+
+
+def estimate_count_from_spectra(rows: np.ndarray, grid_size: int, n_neighbors: int, max_clusters: int) -> tuple[int, np.ndarray]:
+    """estimate_graph_count of nnpc_from_spectra's graph, without the matrix.
+
+    Returns the estimate and the max_clusters + 1 smallest graph eigenvalues (all N if fewer), ascending.
+    """
+    adjacency = _neighbor_adjacency(*nearest_neighbors(rows, grid_size, n_neighbors))
+    count, spectrum = estimate_graph_count(adjacency, max_clusters)
+    return count, spectrum.graph_eigenvalues()[: max_clusters + 1]
 
 
 def nnpc_cluster(

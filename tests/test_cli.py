@@ -3,27 +3,36 @@ byte-level determinism, and exit codes (0 ok, 2 validation, 1 I/O)."""
 
 import csv
 import gc
+import io
 import json
 import os
 import subprocess
 import sys
 import warnings
 import weakref
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import psdcluster
 import psdcluster.cli
+import psdcluster.nnpc
 from psdcluster.cli import _read_observation_csv, main
 from psdcluster.distances import distance_matrix
 from psdcluster.generators import benchmark_models, make_benchmark_dataset
 from psdcluster.km import km_from_distances
-from psdcluster.nnpc import nnpc_from_distances
-from psdcluster.numerics import RngStream
+from psdcluster.nnpc import (
+    build_adjacency,
+    estimate_cluster_count,
+    nearest_neighbor_sets,
+    nnpc_from_distances,
+    normalized_laplacian,
+)
+from psdcluster.numerics import RngStream, eig_symmetric
 
 
 @pytest.fixture()
@@ -558,14 +567,138 @@ class TestBoundaryValidation:
         assert "error: out of memory" in capsys.readouterr().err
 
 
+def dense_estimate_l(psds, n_neighbors, max_clusters):
+    """The matrix reference for estimate-l: the estimate from the full dense spectrum, and the head it prints."""
+    dist = distance_matrix(psds)
+    adjacency = build_adjacency(dist, nearest_neighbor_sets(dist, n_neighbors))
+    values = eig_symmetric(normalized_laplacian(adjacency)).eigenvalues
+    return estimate_cluster_count(values, min(max_clusters, len(psds))), values[: max_clusters + 1]
+
+
+def recorded_psds(monkeypatch):
+    """Patch cli.estimate_dataset_psds to record each list of estimates it returns."""
+    recorded = []
+    estimate = psdcluster.cli.estimate_dataset_psds
+
+    def recording(*args, **kwargs):
+        recorded.append(estimate(*args, **kwargs))
+        return recorded[-1]
+
+    monkeypatch.setattr(psdcluster.cli, "estimate_dataset_psds", recording)
+    return recorded
+
+
 class TestEstimateL:
-    def test_estimates_two_groups(self, dataset_csv, capsys):
+    def test_estimates_two_groups(self, dataset_csv, capsys, monkeypatch):
+        psds = recorded_psds(monkeypatch)
         code = main(["estimate-l", str(dataset_csv), "--truth", "--neighbors", "3"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["estimate"] == 2
-        assert len(payload["eigenvalues"]) == 12
-        assert payload["eigenvalues"][0] == pytest.approx(0.0, abs=1e-9)
+        # min(max_clusters, N) + 1 = 11 of the 12 eigenvalues, the leading zeros exact
+        estimate, head = dense_estimate_l(psds[0], 3, 10)
+        assert payload["estimate"] == estimate
+        assert len(payload["eigenvalues"]) == 11
+        assert payload["eigenvalues"][:2] == [0.0, 0.0]
+        np.testing.assert_allclose(payload["eigenvalues"], head, rtol=0, atol=1e-12)
+
+    def test_estimates_without_a_square_matrix(self, tmp_path, monkeypatch, capsys):
+        """The dense estimate and spectrum head, with every N x N builder and full eigensolve made to raise.
+
+        300 rows fill one q-NN block and part of a second. The samples and
+        the PSD estimates are gone by the time the graph is built.
+        """
+        path = write_dataset_csv(tmp_path, make_benchmark_dataset(benchmark_models(), 100, 128, 0.0, RngStream(9)))
+        with monkeypatch.context() as patch:
+            psds = recorded_psds(patch)
+            assert main(["estimate-l", str(path), "--truth"]) == 0
+        capsys.readouterr()
+        estimate, head = dense_estimate_l(psds.pop(), 10, 10)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an N x N distance matrix was built")
+
+        for target in ("psdcluster.cli.distance_matrix", "psdcluster.distances.squareform",
+                       "psdcluster.distances.validate_distance_matrix", "psdcluster.nnpc.validate_distance_matrix",
+                       "psdcluster.km.validate_distance_matrix"):
+            monkeypatch.setattr(target, refuse)
+
+        def partial_eigensolve(matrix, count=None):
+            if count is None:
+                raise AssertionError("a full eigensolve ran")
+            return eig_symmetric(matrix, count)
+
+        monkeypatch.setattr("psdcluster.nnpc.eig_symmetric", partial_eigensolve)
+        refs, alive = [], []
+        read, estimate_psds = psdcluster.cli._read_observation_csv, psdcluster.cli.estimate_dataset_psds
+
+        def recording_read(*args, **kwargs):
+            observations, truth = read(*args, **kwargs)
+            refs.append(weakref.ref(observations))
+            return observations, truth
+
+        def recording_estimate(*args, **kwargs):
+            estimates = estimate_psds(*args, **kwargs)
+            refs.extend([weakref.ref(estimates[0].values.base), *map(weakref.ref, estimates)])
+            return estimates
+
+        scan = psdcluster.nnpc.nearest_neighbors
+
+        def checking_scan(*args, **kwargs):
+            gc.collect()
+            alive.extend(ref for ref in refs if ref() is not None)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(psdcluster.cli, "_read_observation_csv", recording_read)
+        monkeypatch.setattr(psdcluster.cli, "estimate_dataset_psds", recording_estimate)
+        monkeypatch.setattr(psdcluster.nnpc, "nearest_neighbors", checking_scan)
+        assert main(["estimate-l", str(path), "--truth"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["estimate"] == estimate
+        assert len(payload["eigenvalues"]) == 11
+        np.testing.assert_allclose(payload["eigenvalues"], head, rtol=0, atol=1e-12)
+        assert len(refs) == 302  # the samples, the (300, F/2 + 1) array and its 300 row estimates
+        assert alive == []
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(sizes=st.lists(st.integers(1, 6), min_size=2, max_size=4), amplitude=st.sampled_from([1.0, 40.0]),
+           seed=st.integers(0, 2**16), neighbors=st.integers(1, 23), max_clusters=st.integers(1, 26))
+    @example(sizes=[5, 4, 1, 3], amplitude=40.0, seed=0, neighbors=3, max_clusters=10)  # isolated node
+    @example(sizes=[4, 4, 4], amplitude=40.0, seed=1, neighbors=2, max_clusters=5)  # three components
+    def test_estimate_equals_cluster_auto(self, tmp_path_factory, sizes, amplitude, seed, neighbors, max_clusters):
+        """estimate-l's estimate is cluster --clusters auto's, and its eigenvalues head the dense spectrum.
+
+        Each group is a sinusoid of its own frequency with random phase and a
+        little noise. At amplitude 40 groups lie too far apart to share an
+        edge, so the graph has several components, and a group of one is an
+        isolated node.
+        """
+        n_obs, length = sum(sizes), 64
+        n_neighbors, max_clusters = min(neighbors, n_obs - 1), min(max_clusters, n_obs + 2)
+        gen = np.random.default_rng(seed)
+        t = np.arange(length)
+        observations = [
+            amplitude * np.sin(2 * np.pi * frequency * t + gen.uniform(0, 2 * np.pi)) + 0.1 * gen.standard_normal(length)
+            for frequency, size in zip([0.05, 0.15, 0.3, 0.42], sizes)
+            for _ in range(size)
+        ]
+        base = tmp_path_factory.getbasetemp()
+        path = base / "estimate-property.csv"
+        path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in observations))
+        options = ["--neighbors", str(n_neighbors), "--max-clusters", str(max_clusters)]
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch, redirect_stdout(out):
+            psds = recorded_psds(patch)
+            assert main(["estimate-l", str(path), *options]) == 0
+        payload = json.loads(out.getvalue())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # isolated nodes
+            assert main(["cluster", str(path), *options, "--labels-out", str(base / "estimate-property-labels.csv"),
+                         "--report-out", str(base / "estimate-property-report.json")]) == 0
+        assert payload["estimate"] == read_json(base / "estimate-property-report.json")["estimated_clusters"]
+        _, head = dense_estimate_l(psds[0], n_neighbors, max_clusters)
+        assert len(payload["eigenvalues"]) == min(max_clusters + 1, n_obs)
+        np.testing.assert_allclose(payload["eigenvalues"], head, rtol=0, atol=1e-12)
 
     def test_single_observation_short_circuits(self, tmp_path, capsys):
         path = tmp_path / "one.csv"
@@ -846,6 +979,23 @@ class TestParser:
             main(["frobnicate"])
         assert info.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("algorithm", ["nnpc", "km"])
+    def test_negative_seed_is_rejected_before_the_input_is_read(self, dataset_csv, tmp_path, capsys, monkeypatch,
+                                                                algorithm):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the input was read before --seed was checked")
+
+        monkeypatch.setattr(psdcluster.cli, "_read_observation_csv", unreachable)
+        with pytest.raises(SystemExit) as info:
+            main(["cluster", str(dataset_csv), "--truth", "--algorithm", algorithm, "--clusters", "2", "--seed", "-1",
+                  "--labels-out", str(tmp_path / "labels.csv"), "--report-out", str(tmp_path / "report.json")])
+        assert info.value.code == 2
+        assert "argument --seed: seed must be nonnegative, got -1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            main(["cluster", str(dataset_csv), "--seed", "1.5"])
+        assert info.value.code == 2
+        assert "argument --seed: expected a nonnegative integer" in capsys.readouterr().err
 
     def test_clusters_argument_validation(self, dataset_csv, capsys):
         with pytest.raises(SystemExit):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
-from psdcluster import numerics
+from psdcluster import nnpc, numerics
 from psdcluster.distances import distance_matrix, half_spectrum_rows, validate_distance_matrix
 from psdcluster.generators import benchmark_models, make_benchmark_dataset
 from psdcluster.metrics import clustering_error
@@ -287,6 +287,24 @@ class TestLaplacianSpectrum:
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             laplacian_spectrum(np.ones((3, 3)) - np.eye(3), 0)
+
+    def test_checks_the_adjacency_once(self, monkeypatch):
+        calls = []
+        check = nnpc._as_adjacency
+
+        def counted(adjacency):
+            calls.append(adjacency.shape)
+            return check(adjacency)
+
+        monkeypatch.setattr(nnpc, "_as_adjacency", counted)
+        # two 4-node components and an isolated node: the Laplacian of the other 8 nodes is built
+        a = np.zeros((9, 9))
+        a[:4, :4] = a[4:8, 4:8] = 1.0 - np.eye(4)
+        spectrum = laplacian_spectrum(a, 4)
+        np.testing.assert_allclose(spectrum.graph_eigenvalues(), [0.0, 0.0, 0.0, 4.0 / 3.0, 4.0 / 3.0], rtol=0.0, atol=1e-12)
+        assert calls == [(9, 9)]
+        normalized_laplacian(a)
+        assert calls == [(9, 9)] * 2  # the public function keeps its own check
 
     def test_callers_reject_a_short_spectrum(self):
         spectrum = laplacian_spectrum(np.ones((4, 4)) - np.eye(4), 2)
