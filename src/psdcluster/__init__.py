@@ -9,7 +9,7 @@ performance guarantees, and label-permutation-invariant quality metrics round
 out the toolkit.
 """
 
-from .distances import distance_matrix, l1_distance
+from .distances import distance_matrix, l1_distance, weighted_spectra
 from .generators import (
     FINE_GRID,
     GenerativeModel,
@@ -43,7 +43,6 @@ from .numerics import (
     min_cost_assignment,
 )
 from .spectra import (
-    PsdEstimate,
     WindowSpec,
     bt_psd,
     estimate_acf,

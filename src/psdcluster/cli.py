@@ -21,14 +21,20 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .distances import distance_matrix, half_spectrum_rows
+from .distances import weighted_spectra
 from .generators import benchmark_models, make_benchmark_dataset, make_model, normalize_model
-from .km import km_from_distances, km_from_spectra
+from .km import km_from_spectra
 from .metrics import clustering_error, confusion_entropy
-from .nnpc import estimate_count_from_spectra, nnpc_from_distances, nnpc_from_spectra
+from .nnpc import estimate_count_from_spectra, nnpc_from_spectra
 from .numerics import RngStream
-from .spectra import WINDOW_KINDS, estimate_dataset_psds, make_window, next_pow2
+from .spectra import WINDOW_KINDS, make_window, next_pow2
 from .theory import check_condition
+
+# benchmarks/tracer.py wraps these names on this module, though no command calls them
+from .distances import distance_matrix  # noqa: F401
+from .km import km_from_distances  # noqa: F401
+from .nnpc import nnpc_from_distances  # noqa: F401
+from .spectra import estimate_dataset_psds  # noqa: F401
 
 PRESETS = {"arma3": benchmark_models}
 
@@ -96,7 +102,7 @@ def _record_samples(path, line_no: int, cells: list[str], with_truth: bool):
     """
     if cells and (not with_truth or cells[0].strip()):
         try:
-            values = np.array(list(map(float, cells[1:] if with_truth else cells)))
+            values = np.array(cells[1:] if with_truth else cells, dtype=float)
         except ValueError:
             pass
         else:
@@ -108,7 +114,7 @@ def _record_samples(path, line_no: int, cells: list[str], with_truth: bool):
     if with_truth:
         label, cells = cells[0], cells[1:]
     try:
-        values = np.array([float(cell) for cell in cells])
+        values = np.array(cells, dtype=float)
     except ValueError as exc:
         raise ValueError(f"{path}: line {line_no}: non-numeric sample value") from exc
     return label, values
@@ -120,9 +126,11 @@ def _read_observation_csv(path, with_truth: bool, pad_zeros: bool, subtract_mean
     Returns (observations, truth) with truth None unless requested. Ragged
     rows are zero-padded to the longest row when pad_zeros is set and are an
     error otherwise. Mean subtraction happens before padding. The file is
-    read one line at a time.
+    read one line at a time, and each row goes straight into one
+    (rows, longest row) buffer that grows in place.
     """
-    rows: list[np.ndarray | None] = []
+    observations = np.zeros((0, 0))
+    count, ragged = 0, False
     truth_cells: list[str] = []
     with open(path, newline="", encoding="utf-8") as handle:
         for line_no, cells in enumerate(_observation_records(path, handle), start=1):
@@ -136,16 +144,23 @@ def _read_observation_csv(path, with_truth: bool, pad_zeros: bool, subtract_mean
                 raise ValueError(f"{path}: line {line_no}: samples must be finite")
             if with_truth:
                 truth_cells.append(label)
-            rows.append(values)
-    if not rows:
+            ragged = ragged or (count > 0 and values.size != observations.shape[1])
+            if ragged and not pad_zeros:
+                continue  # an error, once every line has had its own checks
+            if values.size > observations.shape[1]:  # the first row, or a longer one to pad the rest to
+                observations = np.pad(observations, ((0, 0), (0, values.size - observations.shape[1])))
+            if count == len(observations):
+                # no view of the buffer is alive, so it can grow in place; new rows are zero
+                observations.resize((count + count // 4 + 16, observations.shape[1]), refcheck=False)
+            observations[count, : values.size] = values
+            if subtract_mean:
+                observations[count, : values.size] -= values.mean()
+            count += 1
+    if not count:
         raise ValueError(f"{path}: no observations found")
-    lengths = {row.size for row in rows}
-    if len(lengths) > 1 and not pad_zeros:
+    if ragged and not pad_zeros:
         raise ValueError(f"{path}: rows have different lengths; pass --pad-zeros to zero-pad them")
-    observations = np.zeros((len(rows), max(lengths)))
-    for index, row in enumerate(rows):
-        rows[index] = None  # free each parsed row once it is copied
-        observations[index, : row.size] = row - row.mean() if subtract_mean else row
+    observations.resize((count, observations.shape[1]), refcheck=False)
     truth = None
     if with_truth:
         seen: dict[str, int] = {}
@@ -153,18 +168,28 @@ def _read_observation_csv(path, with_truth: bool, pad_zeros: bool, subtract_mean
     return observations, truth
 
 
+def _check_options(args, uses_neighbors: bool, uses_max_clusters: bool) -> None:
+    """Reject option values that are bad for any input before the input is parsed, with the usual messages."""
+    if uses_neighbors and args.neighbors < 1:
+        with open(args.input, newline="", encoding="utf-8") as handle:  # the reader's row count, no sample parsed
+            n_obs = sum(any(cell.strip() for cell in cells) for cells in _observation_records(args.input, handle))
+        raise ValueError(f"neighbor count must be in 1..{n_obs - 1}, got {args.neighbors}")
+    if uses_max_clusters and args.max_clusters < 1:
+        raise ValueError(f"the cluster-count cap must be positive, got {args.max_clusters}")
+    _window_for(args.window, 2, args.std)  # the window options, checked on the shortest observation's window
+    if args.grid_factor < 2:
+        raise ValueError("grid factor must be >= 2")
+
+
 def _window_for(kind: str, length: int, std: float):
     return make_window(kind, length, std=std if kind == "gaussian" else None)
 
 
-def _psd_estimates(args, observations):
-    """PSD estimates of the observations under the window and grid options."""
+def _weighted_spectra(args, observations):
+    """distances.weighted_spectra of the observations under the window, grid and power options."""
     obs_len = observations.shape[1]
     window = _window_for(args.window, obs_len, args.std)
-    if args.grid_factor < 2:
-        raise ValueError("grid factor must be >= 2")
-    grid_size = next_pow2(args.grid_factor * obs_len)
-    return estimate_dataset_psds(observations, window=window, grid_size=grid_size, unit_power=args.normalize_psd)
+    return weighted_spectra(observations, window, next_pow2(args.grid_factor * obs_len), args.normalize_psd)
 
 
 def _write_labels_csv(path, labels) -> None:
@@ -189,24 +214,20 @@ def _dump_json(payload, path=None) -> None:
 
 
 def cmd_cluster(args) -> int:
+    auto = args.clusters == "auto"
+    if args.algorithm == "km" and auto:
+        raise ValueError("the km algorithm needs an explicit cluster count")
+    _check_options(args, uses_neighbors=args.algorithm == "nnpc", uses_max_clusters=auto)
     observations, truth = _read_observation_csv(args.input, args.truth, args.pad_zeros, args.subtract_mean)
     n_obs, obs_len = observations.shape
-    auto = args.clusters == "auto"
     requested = None if auto else int(args.clusters)
     if requested is not None and requested > n_obs:
         raise ValueError(f"cluster count {requested} exceeds the {n_obs} observations")
-    if args.algorithm == "nnpc" and not 1 <= args.neighbors <= n_obs - 1:
+    if args.algorithm == "nnpc" and args.neighbors > n_obs - 1:
         raise ValueError(f"neighbor count must be in 1..{n_obs - 1}, got {args.neighbors}")
-    if args.algorithm == "km" and auto:
-        raise ValueError("the km algorithm needs an explicit cluster count")
-    if auto and args.max_clusters < 1:
-        raise ValueError(f"the cluster-count cap must be positive, got {args.max_clusters}")
-    # the samples are dropped once estimated and the estimates once stacked,
-    # so neither stacking nor clustering runs beside them
-    psds = _psd_estimates(args, observations)
+    # the samples are dropped once estimated, so clustering runs beside the spectra alone
+    rows, grid = _weighted_spectra(args, observations)
     del observations
-    rows, grid = half_spectrum_rows(psds)
-    del psds
 
     report = {
         "input": str(args.input),
@@ -214,7 +235,7 @@ def cmd_cluster(args) -> int:
         "n_obs": n_obs,
         "obs_len": obs_len,
         "window": {"kind": args.window, "std": args.std if args.window == "gaussian" else None},
-        "grid_size": next_pow2(args.grid_factor * obs_len),
+        "grid_size": grid,
         "normalize_psd": bool(args.normalize_psd),
         "pad_zeros": bool(args.pad_zeros),
         "subtract_mean": bool(args.subtract_mean),
@@ -336,8 +357,8 @@ def _parse_config(config) -> dict:
 def run_synth_bench(config: dict) -> list[dict]:
     """Monte Carlo benchmark over all (M, sigma2) combinations in the config.
 
-    Both algorithms see the same datasets and distance matrices trial by
-    trial. Returns one row per (M, sigma2, algorithm) with the mean and
+    Both algorithms see the same datasets and spectra trial by trial.
+    Returns one row per (M, sigma2, algorithm) with the mean and
     population std of the clustering error, sorted for stable output.
     """
     cfg = _parse_config(config)
@@ -359,10 +380,11 @@ def run_synth_bench(config: dict) -> list[dict]:
             dataset = make_benchmark_dataset(
                 models, cfg["n_per_model"], obs_len, sigma2, RngStream(cfg["seed"], base)
             )
-            dist = distance_matrix(estimate_dataset_psds(dataset.observations, window=window, grid_size=grid_size))
-            nnpc_result = nnpc_from_distances(dist, cfg["q"], n_clusters, rng=RngStream(cfg["seed"], base + 1))
+            spectra, grid = weighted_spectra(dataset.observations, window, grid_size)
+            nnpc_result = nnpc_from_spectra(spectra, grid, cfg["q"], n_clusters, rng=RngStream(cfg["seed"], base + 1))
             errors["nnpc"].append(clustering_error(nnpc_result.labels, dataset.labels))
-            errors["km"].append(clustering_error(km_from_distances(dist, n_clusters), dataset.labels))
+            errors["km"].append(clustering_error(km_from_spectra(spectra, grid, n_clusters), dataset.labels))
+            del dataset, spectra  # so the next trial makes its data and spectra without them
         for algorithm in ("km", "nnpc"):
             ce = np.asarray(errors[algorithm])
             rows.append(
@@ -422,19 +444,16 @@ def cmd_check_condition(args) -> int:
 
 
 def cmd_estimate_l(args) -> int:
+    _check_options(args, uses_neighbors=True, uses_max_clusters=True)
     observations, _ = _read_observation_csv(args.input, args.truth, args.pad_zeros, args.subtract_mean)
     n_obs = len(observations)
-    if args.neighbors < 1 or (n_obs > 1 and args.neighbors > n_obs - 1):
+    if n_obs > 1 and args.neighbors > n_obs - 1:
         raise ValueError(f"neighbor count must be in 1..{n_obs - 1}, got {args.neighbors}")
-    if args.max_clusters < 1:
-        raise ValueError(f"the cluster-count cap must be positive, got {args.max_clusters}")
-    psds = _psd_estimates(args, observations)
-    del observations  # as in cmd_cluster, the samples and then the estimates go once used
+    rows, grid = _weighted_spectra(args, observations)
+    del observations  # as in cmd_cluster, the samples go once estimated
     if n_obs == 1:
         _dump_json({"estimate": 1, "eigenvalues": [0.0]})
         return 0
-    rows, grid = half_spectrum_rows(psds)
-    del psds
     estimate, eigenvalues = estimate_count_from_spectra(rows, grid, args.neighbors, args.max_clusters)
     _dump_json({"estimate": estimate, "eigenvalues": [float(v) for v in eigenvalues]})
     return 0

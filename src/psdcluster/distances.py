@@ -7,9 +7,11 @@ lies in [0, 1], with 1 reached by disjoint supports.
 
 An estimate holds bins 0..F/2 of an even spectrum, so on the F-point grid
 the interior bins count twice and the two endpoints once: the kernels work
-on the stacked rows with the two endpoint columns halved (the weighted half
-spectra of `half_spectrum_rows`), where the distance is the cityblock
-distance times 1/F. `distance_matrix` takes one `pdist` pass over them.
+on rows of estimates with the two endpoint columns halved, where the
+distance is the cityblock distance times 1/F. `weighted_spectra` estimates
+them from observations and halves those columns in place, the one array
+that clustering reads; `half_spectrum_rows` weights a copy of given
+estimates. `distance_matrix` takes one `pdist` pass over the rows.
 `nearest_neighbors` and `distance_columns` read only what nnpc and km need,
 in row blocks or columns, and never hold an N x N array. Every kernel runs
 the same `pdist`/`cdist` cityblock sum, so an entry has the same bits
@@ -18,41 +20,49 @@ whichever of them computed it.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .numerics import smallest_per_row
-from .spectra import PsdEstimate
+from .spectra import WindowSpec, estimate_dataset_psds
 
 # Rows per block of the q-NN scan: a block holds NEIGHBOR_BLOCK_ROWS x N distances.
 NEIGHBOR_BLOCK_ROWS = 256
 
 
-def half_spectrum_rows(psds: Sequence[PsdEstimate]) -> tuple[np.ndarray, int]:
-    """The estimates as one float (N, F/2 + 1) array with the endpoint columns halved, and F."""
-    if len(psds) == 0:
-        raise ValueError("need at least one PSD estimate")
-    grids = {p.grid_size for p in psds}
-    if len(grids) != 1:
-        raise ValueError("PSD estimates must share one frequency grid")
-    (grid,) = grids
-    if grid < 2:
+def _halve_endpoints(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Halve the two endpoint columns of a float (N, F/2 + 1) stack of estimates in place; return it and F."""
+    values[:, [0, -1]] *= 0.5
+    return values, 2 * (values.shape[1] - 1)
+
+
+def weighted_spectra(observations, window: WindowSpec | None = None, grid_size: int | None = None,
+                     unit_power: bool = False) -> tuple[np.ndarray, int]:
+    """spectra.estimate_dataset_psds (same arguments) with the endpoint columns halved in place, and F.
+
+    These are the rows every distance kernel reads; the estimates are never copied.
+    """
+    return _halve_endpoints(estimate_dataset_psds(observations, window, grid_size, unit_power))
+
+
+def half_spectrum_rows(psds) -> tuple[np.ndarray, int]:
+    """Estimates (bins 0..F/2, one per row) as a float copy with the endpoint columns halved, and F."""
+    rows = np.array(psds, dtype=float)
+    if rows.ndim != 2 or rows.shape[0] == 0:
+        raise ValueError("need a non-empty stack of PSD estimates, one per row")
+    if rows.shape[1] < 2:
         raise ValueError("PSD estimates need at least 2 bins (F >= 2)")
-    rows = np.stack([p.values for p in psds], dtype=float)
-    rows[:, [0, -1]] *= 0.5
-    return rows, grid
+    return _halve_endpoints(rows)
 
 
-def l1_distance(first: PsdEstimate, second: PsdEstimate) -> float:
-    """Half the grid-averaged absolute difference between two PSD estimates."""
+def l1_distance(first, second) -> float:
+    """Half the grid-averaged absolute difference between two PSD estimates (bins 0..F/2 each)."""
     rows, grid = half_spectrum_rows([first, second])
     return float(pdist(rows, "cityblock")[0] * (1.0 / grid))
 
 
-def distance_matrix(psds: Sequence[PsdEstimate]) -> np.ndarray:
-    """Symmetric matrix of pairwise L1 PSD distances with a zero diagonal."""
+def distance_matrix(psds) -> np.ndarray:
+    """Symmetric matrix of pairwise L1 distances between estimates (one per row), with a zero diagonal."""
     rows, grid = half_spectrum_rows(psds)
     return squareform(pdist(rows, "cityblock") * (1.0 / grid))
 

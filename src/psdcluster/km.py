@@ -4,9 +4,10 @@ Fully deterministic: the first center is observation 0, each further center
 is the observation farthest from the ones picked so far, and every
 observation then joins its nearest center. There is no iteration.
 
-Seeding and assignment read one distance column per center, N k entries in
-all. They take the columns from a distance matrix, or compute them from the
-weighted half spectra (`km_from_spectra`), which needs no matrix at all.
+Seeding reads one distance column per center, N k entries in all, and the
+assignment reuses them. The columns come from a distance matrix, or are
+computed from the weighted spectra (`km_from_spectra`), which needs no matrix
+at all.
 """
 
 from __future__ import annotations
@@ -15,26 +16,28 @@ from functools import partial
 
 import numpy as np
 
-from .distances import check_distance_entries, distance_columns, half_spectrum_rows, validate_distance_matrix
-from .spectra import WindowSpec, estimate_dataset_psds
+from .distances import check_distance_entries, distance_columns, validate_distance_matrix, weighted_spectra
+from .spectra import WindowSpec
 
 
-def _farthest_points(columns, n: int, n_clusters: int) -> np.ndarray:
-    """Greedy centers from `columns(index)`, the (n, len(index)) distances to those rows."""
+def _farthest_points(columns, n: int, n_clusters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy centers and the (n, n_clusters) distances to them, from one `columns(index)` call per center."""
     if not 1 <= n_clusters <= n:
         raise ValueError(f"n_clusters must be in 1..{n}, got {n_clusters}")
     centers = np.zeros(n_clusters, dtype=int)
-    nearest = columns(centers[:1])[:, 0]
+    to_centers = np.empty((n, n_clusters))
+    to_centers[:, 0] = nearest = columns(centers[:1])[:, 0]
     for p in range(1, n_clusters):
         centers[p] = int(np.argmax(nearest))
-        nearest = np.minimum(nearest, columns(centers[p : p + 1])[:, 0])
-    return centers
+        to_centers[:, p] = columns(centers[p : p + 1])[:, 0]
+        nearest = np.minimum(nearest, to_centers[:, p])
+    return centers, to_centers
 
 
 def farthest_point_centers(dist, n_clusters: int) -> np.ndarray:
     """Greedy center indices; ties go to the lower observation index."""
     d = validate_distance_matrix(dist)
-    return _farthest_points(lambda index: d[:, index], d.shape[0], n_clusters)
+    return _farthest_points(lambda index: d[:, index], d.shape[0], n_clusters)[0]
 
 
 def assign_to_centers(dist, centers) -> np.ndarray:
@@ -57,15 +60,15 @@ def km_from_distances(dist, n_clusters: int) -> np.ndarray:
 
 
 def km_from_spectra(rows: np.ndarray, grid_size: int, n_clusters: int) -> np.ndarray:
-    """km_from_distances on the distances of weighted half spectra, read by center column.
+    """km_from_distances on the distances of weighted spectra, read by center column.
 
-    `rows` and `grid_size` come from distances.half_spectrum_rows. Each
-    column is computed and checked when it is read; the labels equal
+    `rows` and `grid_size` come from distances.weighted_spectra (or
+    half_spectrum_rows). Each center's column is computed and checked once,
+    while seeding, and the assignment reuses it; the labels equal
     km_from_distances on the distance matrix of the same rows.
     """
-    columns = partial(distance_columns, rows, grid_size)
-    centers = _farthest_points(columns, rows.shape[0], n_clusters)
-    return np.argmin(columns(centers), axis=1)
+    _, to_centers = _farthest_points(partial(distance_columns, rows, grid_size), rows.shape[0], n_clusters)
+    return np.argmin(to_centers, axis=1)
 
 
 def km_cluster(
@@ -77,7 +80,5 @@ def km_cluster(
     unit_power: bool = False,
 ) -> np.ndarray:
     """End-to-end deterministic clustering: PSDs, center distance columns, one assignment pass."""
-    rows, grid = half_spectrum_rows(
-        estimate_dataset_psds(observations, window=window, grid_size=grid_size, unit_power=unit_power)
-    )
+    rows, grid = weighted_spectra(observations, window, grid_size, unit_power)
     return km_from_spectra(rows, grid, n_clusters)

@@ -27,12 +27,12 @@ from scipy.sparse.linalg import LinearOperator
 from .distances import (
     check_distance_entries,
     distance_columns,
-    half_spectrum_rows,
     nearest_neighbors,
     validate_distance_matrix,
+    weighted_spectra,
 )
 from .numerics import RngStream, eig_symmetric, kmeans, relabel_first_seen, smallest_per_row
-from .spectra import WindowSpec, estimate_dataset_psds
+from .spectra import WindowSpec
 
 KMEANS_RESTARTS = 10
 # Moves the known zero eigenspace above the rest of the spectrum, which a
@@ -230,11 +230,10 @@ def spectral_cluster(spectrum: LaplacianSpectrum, n_clusters: int, rng: RngStrea
 
     Isolated (zero-degree) nodes cannot be placed by the embedding. Each gets
     a label of its own while the cluster budget allows; any further ones are
-    attached to the cluster of their nearest neighbor under `dist`, which is
-    required in that case and read only in their rows. `dist` is the N x N
-    distance matrix, or a function that returns the distance rows of the
-    observations in an index array, called only in that case. A warning is
-    emitted whenever isolated nodes occur.
+    attached to the cluster of their nearest neighbor under `dist`, a
+    function that returns the distance rows of the observations in an index
+    array. It is required and called only in that case. A warning is emitted
+    whenever isolated nodes occur.
 
     Clusters are named 0, 1, ... in order of their lowest observation index,
     so observation 0 is always in cluster 0.
@@ -265,15 +264,8 @@ def spectral_cluster(spectrum: LaplacianSpectrum, n_clusters: int, rng: RngStrea
         return relabel_first_seen(labels, n_clusters)
 
     if dist is None:
-        raise ValueError("a distance matrix is needed to place isolated nodes once they exceed the cluster budget")
-    if callable(dist):
-        d = dist(isolated)
-    else:
-        d = np.asarray(dist, dtype=float)
-        if d.shape != (n, n):
-            raise ValueError("distance matrix does not match the spectrum")
-        d = d[isolated]
-    check_distance_entries(d)
+        raise ValueError("distance rows are needed to place isolated nodes once they exceed the cluster budget")
+    d = check_distance_entries(dist(isolated))
     if core.size:
         labels[core] = _embed_and_kmeans(spectrum, n_clusters, rng)
     else:
@@ -332,7 +324,8 @@ def nnpc_from_distances(
     serves both the count estimate and the embedding.
     """
     neighbor_sets = nearest_neighbor_sets(dist, n_neighbors)
-    return _cluster_graph(build_adjacency(dist, neighbor_sets), n_clusters, rng, max_clusters, dist)
+    d = np.asarray(dist, dtype=float)
+    return _cluster_graph(build_adjacency(d, neighbor_sets), n_clusters, rng, max_clusters, lambda index: d[index])
 
 
 def nnpc_from_spectra(
@@ -343,12 +336,13 @@ def nnpc_from_spectra(
     rng: RngStream | None = None,
     max_clusters: int = 10,
 ) -> NnpcResult:
-    """nnpc_from_distances on the distances of weighted half spectra, without the matrix.
+    """nnpc_from_distances on the distances of weighted spectra, without the matrix.
 
-    `rows` and `grid_size` come from distances.half_spectrum_rows. The
-    blocked q-NN scan gives the same neighbor sets and distances as the
-    matrix, so the result is the same; the distance rows of isolated nodes
-    are computed only if spectral_cluster has to place them by distance.
+    `rows` and `grid_size` come from distances.weighted_spectra (or
+    half_spectrum_rows). The blocked q-NN scan gives the same neighbor sets
+    and distances as the matrix, so the result is the same; the distance
+    rows of isolated nodes are computed only if spectral_cluster has to
+    place them by distance.
     """
     adjacency = _neighbor_adjacency(*nearest_neighbors(rows, grid_size, n_neighbors))
 
@@ -384,7 +378,5 @@ def nnpc_cluster(
     With n_clusters=None the count is estimated by the eigengap heuristic,
     capped at max_clusters. No N x N distance matrix is built.
     """
-    rows, grid = half_spectrum_rows(
-        estimate_dataset_psds(observations, window=window, grid_size=grid_size, unit_power=unit_power)
-    )
+    rows, grid = weighted_spectra(observations, window, grid_size, unit_power)
     return nnpc_from_spectra(rows, grid, n_neighbors, n_clusters, rng=rng, max_clusters=max_clusters)

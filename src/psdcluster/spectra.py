@@ -62,24 +62,6 @@ class WindowSpec:
     std: float | None = None
 
 
-@dataclass(frozen=True)
-class PsdEstimate:
-    """One-sided PSD samples: bins f = j/F, j = 0..F/2, of an even spectrum.
-
-    The F-point grid holds bins 1..F/2-1 twice (at j and F - j) and the two
-    endpoints once. acf_zero keeps the lag-zero autocorrelation of the source
-    observation (its empirical power); the full-grid mean
-    (2 sum(values) - values[0] - values[F/2]) / F equals it.
-    """
-
-    values: np.ndarray
-    acf_zero: float
-
-    @property
-    def grid_size(self) -> int:
-        return 2 * (int(self.values.shape[0]) - 1)
-
-
 def _even_half_spectrum(lags: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write into out the transform of each row's even lag sequence at f = j/grid, j = 0..grid/2.
 
@@ -158,8 +140,8 @@ def _acf_rows(obs: np.ndarray) -> np.ndarray:
     return acf
 
 
-def _psd_rows(obs: np.ndarray, window: WindowSpec, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """PSD estimates of every row of obs at bins 0..F/2, and each row's lag-zero ACF.
+def _psd_rows(obs: np.ndarray, window: WindowSpec, grid_size: int) -> np.ndarray:
+    """PSD estimates of every row of obs at bins 0..F/2, as one (N, F/2 + 1) array.
 
     Checks the window, the grid and finiteness for the whole stack, then
     estimates it in chunks of rows (PSD_CHUNK_BYTES) straight into the output.
@@ -177,17 +159,15 @@ def _psd_rows(obs: np.ndarray, window: WindowSpec, grid_size: int) -> tuple[np.n
     if not all(np.isfinite(obs[rows]).all() for rows in chunks):
         raise ValueError("observation samples must be finite")
     values = np.empty((n, f // 2 + 1))
-    acf_zero = np.empty(n)
     with np.errstate(over="ignore", invalid="ignore"):
         for rows in chunks:
             acf = _acf_rows(obs[rows])
-            acf_zero[rows] = acf[:, 0]
             acf *= window.values
             if not np.isfinite(_even_half_spectrum(acf, values[rows])).all():
                 raise ValueError(
                     "PSD estimation overflowed: sample magnitudes are too large for the autocorrelation FFT"
                 )
-    return values, acf_zero
+    return values
 
 
 def estimate_acf(samples) -> np.ndarray:
@@ -200,38 +180,34 @@ def estimate_acf(samples) -> np.ndarray:
     return _acf_rows(x[None, :])[0]
 
 
-def bt_psd(samples, window: WindowSpec, grid_size: int) -> PsdEstimate:
+def bt_psd(samples, window: WindowSpec, grid_size: int) -> np.ndarray:
     """Windowed-autocorrelation PSD estimate at f = j/grid_size, j = 0..grid_size/2.
 
     grid_size must be a power of two and at least twice the observation
-    length so the symmetric lag sequence embeds without aliasing.
+    length so the symmetric lag sequence embeds without aliasing. The
+    estimate is the observation's row of estimate_dataset_psds.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
         raise ValueError("observation must be a 1-D vector")
-    values, acf_zero = _psd_rows(x[None, :], window, grid_size)
-    return PsdEstimate(values=values[0], acf_zero=float(acf_zero[0]))
+    return _psd_rows(x[None, :], window, grid_size)[0]
 
 
-def _unit_power_rows(values: np.ndarray, acf_zero: np.ndarray) -> np.ndarray:
-    """Divide each PSD row by its full-grid mean in place; return acf_zero divided likewise.
-
-    In place, so that normalizing a large stack needs no second copy of it.
-    """
+def _unit_power_rows(values: np.ndarray) -> None:
+    """Divide each PSD row by its full-grid mean in place, so a large stack needs no second copy."""
     power = (2.0 * values.sum(axis=1) - values[:, 0] - values[:, -1]) / (2 * (values.shape[1] - 1))
     if not np.all(power > 0.0):
         raise ValueError("cannot normalize a PSD with nonpositive power")
     values /= power[:, None]
-    return acf_zero / power
 
 
-def normalize_unit_power(psd: PsdEstimate) -> PsdEstimate:
-    """Rescale so the PSD averages to one over the full grid (unit power)."""
-    values = np.array(psd.values, dtype=float)[None, :]
+def normalize_unit_power(psd) -> np.ndarray:
+    """A copy of one estimate (bins 0..F/2) rescaled to average one over the full grid (unit power)."""
+    values = np.array(psd, dtype=float)[None, :]
     if values.shape[1] < 2:
         raise ValueError("a PSD estimate needs at least 2 bins (F >= 2)")
-    acf_zero = _unit_power_rows(values, np.array([psd.acf_zero]))
-    return PsdEstimate(values=values[0], acf_zero=float(acf_zero[0]))
+    _unit_power_rows(values)
+    return values[0]
 
 
 def estimate_dataset_psds(
@@ -239,11 +215,12 @@ def estimate_dataset_psds(
     window: WindowSpec | None = None,
     grid_size: int | None = None,
     unit_power: bool = False,
-) -> list[PsdEstimate]:
-    """PSD estimates for a stack of equal-length observations (one per row).
+) -> np.ndarray:
+    """PSD estimates for a stack of equal-length observations, as one (N, grid_size/2 + 1) array.
 
-    Defaults: gaussian window with std 50 and a grid of next_pow2(4 M) points.
-    The estimates are row views into one (N, grid_size/2 + 1) array.
+    Row i holds bins 0..F/2 of observation i's estimate. Defaults: gaussian
+    window with std 50 and a grid of next_pow2(4 M) points. unit_power
+    rescales the rows in place.
     """
     obs = np.asarray(observations, dtype=float)
     if obs.ndim == 1:
@@ -255,7 +232,7 @@ def estimate_dataset_psds(
         window = make_window("gaussian", m, std=DEFAULT_GAUSSIAN_STD)
     if grid_size is None:
         grid_size = next_pow2(4 * m)
-    values, acf_zero = _psd_rows(obs, window, grid_size)
+    values = _psd_rows(obs, window, grid_size)
     if unit_power:
-        acf_zero = _unit_power_rows(values, acf_zero)
-    return [PsdEstimate(values=row, acf_zero=float(a)) for row, a in zip(values, acf_zero)]
+        _unit_power_rows(values)
+    return values

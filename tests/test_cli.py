@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from contextlib import redirect_stdout
@@ -20,8 +21,9 @@ from hypothesis import strategies as st
 
 import psdcluster
 import psdcluster.cli
+import psdcluster.distances
 import psdcluster.nnpc
-from psdcluster.cli import _read_observation_csv, main
+from psdcluster.cli import _read_observation_csv, main, run_synth_bench
 from psdcluster.distances import distance_matrix
 from psdcluster.generators import benchmark_models, make_benchmark_dataset
 from psdcluster.km import km_from_distances
@@ -33,6 +35,7 @@ from psdcluster.nnpc import (
     normalized_laplacian,
 )
 from psdcluster.numerics import RngStream, eig_symmetric
+from psdcluster.spectra import PSD_CHUNK_BYTES
 
 
 @pytest.fixture()
@@ -68,6 +71,14 @@ def checkout_env(**extra):
     """Environment for a fresh interpreter that imports this psdcluster."""
     src = str(Path(psdcluster.__file__).resolve().parent.parent)
     return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def run_under_blas_threads(threads, *argv):
+    """Run the command line in a fresh interpreter with the BLAS thread count pinned."""
+    env = checkout_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+    proc = subprocess.run([sys.executable, "-m", "psdcluster", *argv], env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestCluster:
@@ -151,8 +162,8 @@ class TestCluster:
     def test_clusters_without_a_square_matrix(self, tmp_path, monkeypatch, options):
         """Labels and report equal the dense path's, with every N x N builder made to raise.
 
-        300 rows fill one q-NN block and part of a second. The PSD estimates
-        are also gone by the time clustering starts.
+        300 rows fill one q-NN block and part of a second. Clustering reads
+        the array of PSD estimates itself, weighted in place, not a copy.
         """
         path = write_dataset_csv(tmp_path, make_benchmark_dataset(benchmark_models(), 100, 128, 0.0, RngStream(9)))
 
@@ -163,7 +174,7 @@ class TestCluster:
             assert code == 0
             return labels_path.read_bytes(), report_path.read_bytes()
 
-        estimate = psdcluster.cli.estimate_dataset_psds
+        estimate = psdcluster.distances.estimate_dataset_psds
         with monkeypatch.context() as patch:
             # the dense oracle: distance_matrix, then nnpc_from_distances or km_from_distances
             matrices = []
@@ -173,7 +184,7 @@ class TestCluster:
                 matrices.append(distance_matrix(psds))
                 return psds
 
-            patch.setattr(psdcluster.cli, "estimate_dataset_psds", dense_estimate)
+            patch.setattr(psdcluster.distances, "estimate_dataset_psds", dense_estimate)
             patch.setattr(psdcluster.cli, "nnpc_from_spectra",
                           lambda rows, grid, *args, **kwargs: nnpc_from_distances(matrices.pop(), *args, **kwargs))
             patch.setattr(psdcluster.cli, "km_from_spectra",
@@ -187,28 +198,26 @@ class TestCluster:
                        "psdcluster.distances.validate_distance_matrix", "psdcluster.nnpc.validate_distance_matrix",
                        "psdcluster.km.validate_distance_matrix"):
             monkeypatch.setattr(target, refuse)
-        refs, alive = [], []
+        estimates, clustered = [], []
 
         def recording_estimate(*args, **kwargs):
-            psds = estimate(*args, **kwargs)
-            refs.extend([weakref.ref(psds[0].values.base), *map(weakref.ref, psds)])
-            return psds
+            estimates.append(estimate(*args, **kwargs))
+            return estimates[-1]
 
-        monkeypatch.setattr(psdcluster.cli, "estimate_dataset_psds", recording_estimate)
+        monkeypatch.setattr(psdcluster.distances, "estimate_dataset_psds", recording_estimate)
         for name in ("nnpc_from_spectra", "km_from_spectra"):
             cluster = getattr(psdcluster.cli, name)
 
-            def checking_cluster(*args, cluster=cluster, **kwargs):
-                gc.collect()
-                alive.extend(ref for ref in refs if ref() is not None)
-                return cluster(*args, **kwargs)
+            def recording_cluster(rows, *args, cluster=cluster, **kwargs):
+                clustered.append(rows)
+                return cluster(rows, *args, **kwargs)
 
-            monkeypatch.setattr(psdcluster.cli, name, checking_cluster)
+            monkeypatch.setattr(psdcluster.cli, name, recording_cluster)
         assert run("blocked") == expected
-        assert len(refs) == 301  # the (300, F/2 + 1) array and its 300 row estimates
-        assert alive == []
+        assert len(estimates) == len(clustered) == 1
+        assert clustered[0] is estimates[0]
 
-    def test_observations_are_freed_before_stacking(self, dataset_csv, tmp_path, monkeypatch):
+    def test_observations_are_freed_before_clustering(self, dataset_csv, tmp_path, monkeypatch):
         refs, alive = [], []
         read = psdcluster.cli._read_observation_csv
 
@@ -217,15 +226,15 @@ class TestCluster:
             refs.append(weakref.ref(observations))
             return observations, truth
 
-        stack = psdcluster.cli.half_spectrum_rows
+        cluster = psdcluster.cli.nnpc_from_spectra
 
-        def checking_stack(psds):
+        def checking_cluster(*args, **kwargs):
             gc.collect()
             alive.extend(ref for ref in refs if ref() is not None)
-            return stack(psds)
+            return cluster(*args, **kwargs)
 
         monkeypatch.setattr(psdcluster.cli, "_read_observation_csv", recording_read)
-        monkeypatch.setattr(psdcluster.cli, "half_spectrum_rows", checking_stack)
+        monkeypatch.setattr(psdcluster.cli, "nnpc_from_spectra", checking_cluster)
         code = main(["cluster", str(dataset_csv), "--truth", "--clusters", "2",
                      "--labels-out", str(tmp_path / "labels.csv"), "--report-out", str(tmp_path / "report.json")])
         assert code == 0
@@ -280,15 +289,9 @@ class TestCluster:
         path = write_dataset_csv(tmp_path, make_benchmark_dataset(benchmark_models(), 70, 256, 0.0, RngStream(5)))
         outputs = []
         for threads in ("1", "2"):
-            env = checkout_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
             labels_path, report_path = tmp_path / f"labels-{threads}.csv", tmp_path / f"report-{threads}.json"
-            proc = subprocess.run(
-                [sys.executable, "-c", "import sys; from psdcluster.cli import main; sys.exit(main(sys.argv[1:]))",
-                 "cluster", str(path), "--truth", *options,
-                 "--labels-out", str(labels_path), "--report-out", str(report_path)],
-                env=env, capture_output=True, text=True, timeout=300,
-            )
-            assert proc.returncode == 0, proc.stderr
+            run_under_blas_threads(threads, "cluster", str(path), "--truth", *options,
+                                   "--labels-out", str(labels_path), "--report-out", str(report_path))
             outputs.append((labels_path.read_bytes(), report_path.read_bytes()))
         return outputs
 
@@ -378,7 +381,7 @@ class TestCluster:
         def unreachable(*args, **kwargs):
             raise AssertionError("PSDs estimated before the options were checked")
 
-        monkeypatch.setattr("psdcluster.cli.estimate_dataset_psds", unreachable)
+        monkeypatch.setattr("psdcluster.cli.weighted_spectra", unreachable)
         code = main(["cluster", str(dataset_csv), "--truth", *options, "--labels-out", str(tmp_path / "labels.csv")])
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
@@ -481,6 +484,33 @@ class TestObservationReader:
             reference_read_observation_csv, path, flags
         )
 
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(data=st.data(), n_rows=st.integers(1, 45), ragged=st.booleans(), with_truth=st.booleans(),
+           pad_zeros=st.booleans(), subtract_mean=st.booleans())
+    def test_rows_go_into_one_growing_buffer(self, tmp_path_factory, data, n_rows, ragged, with_truth, pad_zeros,
+                                              subtract_mean):
+        """Enough rows to grow the buffer twice, ragged rows that widen it, and
+        spellings that float() takes beyond plain numbers: the reference's
+        arrays and errors."""
+        cells = st.one_of(
+            st.floats(-1e300, 1e300).map(repr),  # a mean of larger samples can overflow
+            st.sampled_from(["1_0", " 2.5 ", "\t-3\t", "\u0661\u0662", "+.5", "-0.0", "5e-324"]),
+        )
+        width = data.draw(st.integers(2, 9))
+        lengths = data.draw(st.lists(st.integers(2, 9) if ragged else st.just(width), min_size=n_rows,
+                                     max_size=n_rows))
+        lines = [[f"m{index % 3}"] * with_truth + data.draw(st.lists(cells, min_size=n, max_size=n))
+                 for index, n in enumerate(lengths)]
+        if data.draw(st.booleans()):  # a spelling of infinity, which the reader refuses
+            line = lines[data.draw(st.integers(0, n_rows - 1))]
+            line[data.draw(st.integers(with_truth, len(line) - 1))] = data.draw(st.sampled_from(["inf", "1e400"]))
+        path = tmp_path_factory.getbasetemp() / "reader-buffer-property.csv"
+        path.write_text("".join(",".join(line) + "\n" for line in lines), encoding="utf-8")
+        flags = (with_truth, pad_zeros, subtract_mean)
+        assert read_outcome(_read_observation_csv, path, flags) == read_outcome(
+            reference_read_observation_csv, path, flags
+        )
+
     @pytest.mark.parametrize("flags", [(True, False, False), (True, True, True), (False, True, False)])
     def test_matches_the_reference_on_generated_data(self, dataset_csv, tmp_path, flags):
         ragged = tmp_path / "ragged.csv"
@@ -576,15 +606,16 @@ def dense_estimate_l(psds, n_neighbors, max_clusters):
 
 
 def recorded_psds(monkeypatch):
-    """Patch cli.estimate_dataset_psds to record each list of estimates it returns."""
+    """Patch the PSD stage to record a copy of each array of estimates it returns, before the weighting."""
     recorded = []
-    estimate = psdcluster.cli.estimate_dataset_psds
+    estimate = psdcluster.distances.estimate_dataset_psds
 
     def recording(*args, **kwargs):
-        recorded.append(estimate(*args, **kwargs))
-        return recorded[-1]
+        psds = estimate(*args, **kwargs)
+        recorded.append(psds.copy())
+        return psds
 
-    monkeypatch.setattr(psdcluster.cli, "estimate_dataset_psds", recording)
+    monkeypatch.setattr(psdcluster.distances, "estimate_dataset_psds", recording)
     return recorded
 
 
@@ -605,8 +636,9 @@ class TestEstimateL:
     def test_estimates_without_a_square_matrix(self, tmp_path, monkeypatch, capsys):
         """The dense estimate and spectrum head, with every N x N builder and full eigensolve made to raise.
 
-        300 rows fill one q-NN block and part of a second. The samples and
-        the PSD estimates are gone by the time the graph is built.
+        300 rows fill one q-NN block and part of a second. The samples are
+        gone by the time the graph is built, and the scan reads the array of
+        PSD estimates itself, weighted in place.
         """
         path = write_dataset_csv(tmp_path, make_benchmark_dataset(benchmark_models(), 100, 128, 0.0, RngStream(9)))
         with monkeypatch.context() as patch:
@@ -629,8 +661,8 @@ class TestEstimateL:
             return eig_symmetric(matrix, count)
 
         monkeypatch.setattr("psdcluster.nnpc.eig_symmetric", partial_eigensolve)
-        refs, alive = [], []
-        read, estimate_psds = psdcluster.cli._read_observation_csv, psdcluster.cli.estimate_dataset_psds
+        refs, alive, estimates, scanned = [], [], [], []
+        read, estimate_psds = psdcluster.cli._read_observation_csv, psdcluster.distances.estimate_dataset_psds
 
         def recording_read(*args, **kwargs):
             observations, truth = read(*args, **kwargs)
@@ -638,27 +670,29 @@ class TestEstimateL:
             return observations, truth
 
         def recording_estimate(*args, **kwargs):
-            estimates = estimate_psds(*args, **kwargs)
-            refs.extend([weakref.ref(estimates[0].values.base), *map(weakref.ref, estimates)])
-            return estimates
+            estimates.append(estimate_psds(*args, **kwargs))
+            return estimates[-1]
 
         scan = psdcluster.nnpc.nearest_neighbors
 
-        def checking_scan(*args, **kwargs):
+        def checking_scan(rows, *args, **kwargs):
             gc.collect()
             alive.extend(ref for ref in refs if ref() is not None)
-            return scan(*args, **kwargs)
+            scanned.append(rows)
+            return scan(rows, *args, **kwargs)
 
         monkeypatch.setattr(psdcluster.cli, "_read_observation_csv", recording_read)
-        monkeypatch.setattr(psdcluster.cli, "estimate_dataset_psds", recording_estimate)
+        monkeypatch.setattr(psdcluster.distances, "estimate_dataset_psds", recording_estimate)
         monkeypatch.setattr(psdcluster.nnpc, "nearest_neighbors", checking_scan)
         assert main(["estimate-l", str(path), "--truth"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["estimate"] == estimate
         assert len(payload["eigenvalues"]) == 11
         np.testing.assert_allclose(payload["eigenvalues"], head, rtol=0, atol=1e-12)
-        assert len(refs) == 302  # the samples, the (300, F/2 + 1) array and its 300 row estimates
+        # the samples are gone, and the scan reads the (300, F/2 + 1) estimates themselves
+        assert len(refs) == len(estimates) == len(scanned) == 1
         assert alive == []
+        assert scanned[0] is estimates[0]
 
     @settings(max_examples=40, deadline=None, database=None, derandomize=True)
     @given(sizes=st.lists(st.integers(1, 6), min_size=2, max_size=4), amplitude=st.sampled_from([1.0, 40.0]),
@@ -736,7 +770,7 @@ class TestEstimateL:
         def unreachable(*args, **kwargs):
             raise AssertionError("PSDs estimated before the options were checked")
 
-        monkeypatch.setattr("psdcluster.cli.estimate_dataset_psds", unreachable)
+        monkeypatch.setattr("psdcluster.cli.weighted_spectra", unreachable)
         code = main(["estimate-l", str(dataset_csv), "--truth", *options])
         assert code == 2
         assert f"error: {message}" in capsys.readouterr().err
@@ -784,6 +818,41 @@ class TestSynthBench:
         main(["synth-bench", "--config", str(config), "--out", str(second)])
         capsys.readouterr()
         assert first.read_bytes() == second.read_bytes()
+
+    def test_outputs_are_identical_across_blas_thread_counts(self, tmp_path):
+        # 210 rows per trial put each graph above the dense-solver cutoff
+        config = self.write_config(tmp_path, {"preset": "arma3", "M_list": [256], "sigma2_list": [0.0, 1.0],
+                                              "trials": 2, "n_per_model": 70, "q": 10, "seed": 3})
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"bench-{threads}.csv"
+            run_under_blas_threads(threads, "synth-bench", "--config", str(config), "--out", str(out))
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_trials_free_their_spectra(self):
+        """Two trials at each of M = 1024 and 4096 peak within 64 KiB of one M = 4096 trial alone.
+
+        That trial holds its samples, its one spectra array and a few PSD
+        chunks; each trial's array is freed before the next trial estimates
+        its own.
+        """
+        config = {"preset": "arma3", "sigma2_list": [0.0], "n_per_model": 25, "q": 10, "seed": 0}
+
+        def traced_peak(m_list, trials):
+            run = {**config, "M_list": m_list, "trials": trials}
+            run_synth_bench(run)  # warm the FFT plan caches outside the trace
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                run_synth_bench(run)
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        alone = traced_peak([4096], 1)
+        assert alone <= 75 * (4096 + 8193) * 8 + 6 * PSD_CHUNK_BYTES
+        assert traced_peak([1024, 4096], 2) <= alone + 64 * 1024
 
     def test_explicit_models(self, tmp_path, capsys):
         config = self.write_config(
@@ -979,6 +1048,26 @@ class TestParser:
             main(["frobnicate"])
         assert info.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["cluster", "estimate-l"])
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--grid-factor", "1"], "grid factor must be >= 2"),
+            (["--std", "nan"], "gaussian window std must be a positive finite number, got nan"),
+            (["--max-clusters", "0"], "the cluster-count cap must be positive, got 0"),
+            (["--neighbors", "0"], "neighbor count must be in 1..11, got 0"),
+        ],
+    )
+    def test_input_independent_options_fail_before_the_input_is_parsed(self, dataset_csv, capsys, monkeypatch,
+                                                                       command, options, message):
+        """The usual message and exit 2; the range of neighbor counts comes from counting the 12 rows."""
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the input was parsed before the options were checked")
+
+        monkeypatch.setattr(psdcluster.cli, "_read_observation_csv", unreachable)
+        assert main([command, str(dataset_csv), "--truth", *options]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("algorithm", ["nnpc", "km"])
     def test_negative_seed_is_rejected_before_the_input_is_read(self, dataset_csv, tmp_path, capsys, monkeypatch,

@@ -19,30 +19,26 @@ from psdcluster.distances import (
     l1_distance,
     nearest_neighbors,
     validate_distance_matrix,
+    weighted_spectra,
 )
 from psdcluster.nnpc import nearest_neighbor_sets
-from psdcluster.spectra import PsdEstimate, estimate_dataset_psds, make_window
+from psdcluster.spectra import estimate_dataset_psds, make_window
 
 
 def random_psd(gen, grid=64):
-    values = gen.random(grid) + 0.01
-    return PsdEstimate(values=values, acf_zero=float(values.mean()))
+    return gen.random(grid) + 0.01
 
 
 def test_hand_value():
-    a = PsdEstimate(values=np.array([1.0, 3.0]), acf_zero=2.0)
-    b = PsdEstimate(values=np.array([2.0, 1.0]), acf_zero=1.5)
     # F = 2, so both bins are endpoints and the full grid is the half:
     # 0.5 * mean(|1-2|, |3-1|) = 0.5 * 1.5
-    assert l1_distance(a, b) == 0.75
+    assert l1_distance(np.array([1.0, 3.0]), np.array([2.0, 1.0])) == 0.75
     # integer values are stacked as float, so halving the endpoints works on them too
-    assert l1_distance(PsdEstimate(np.array([1, 3]), 2.0), PsdEstimate(np.array([2, 1]), 1.5)) == 0.75
+    assert l1_distance(np.array([1, 3]), np.array([2, 1])) == 0.75
 
 
 def test_disjoint_unit_power_spectra_are_at_distance_one():
-    a = PsdEstimate(values=np.array([2.0, 0.0]), acf_zero=1.0)
-    b = PsdEstimate(values=np.array([0.0, 2.0]), acf_zero=1.0)
-    assert l1_distance(a, b) == 1.0
+    assert l1_distance(np.array([2.0, 0.0]), np.array([0.0, 2.0])) == 1.0
 
 
 def test_metric_axioms():
@@ -58,13 +54,12 @@ def test_unit_power_distance_bounded_by_one():
     gen = np.random.default_rng(12)
     for _ in range(20):
         raw = [random_psd(gen) for _ in range(2)]
-        unit = [PsdEstimate(values=p.values / p.values.mean(), acf_zero=1.0) for p in raw]
+        unit = [p / p.mean() for p in raw]
         assert l1_distance(*unit) <= 1.0
 
 
 def test_grid_mismatch_rejected():
-    a = PsdEstimate(values=np.ones(4), acf_zero=1.0)
-    b = PsdEstimate(values=np.ones(8), acf_zero=1.0)
+    a, b = np.ones(4), np.ones(8)
     with pytest.raises(ValueError):
         l1_distance(a, b)
     with pytest.raises(ValueError):
@@ -73,7 +68,7 @@ def test_grid_mismatch_rejected():
 
 @pytest.mark.parametrize("bins", [0, 1])
 def test_fewer_than_two_bins_rejected(bins):
-    a = PsdEstimate(values=np.zeros(bins), acf_zero=0.0)
+    a = np.zeros(bins)
     with pytest.raises(ValueError, match="PSD estimates need at least 2 bins"):
         l1_distance(a, a)
     with pytest.raises(ValueError, match="PSD estimates need at least 2 bins"):
@@ -100,9 +95,7 @@ def test_matrix_matches_pairwise_distances():
 )
 def test_matrix_matches_pairwise_distances_property(n_psds, bins, seed, log_scale):
     gen = np.random.default_rng(seed)
-    psds = [
-        PsdEstimate(values=10.0**log_scale * gen.standard_normal(bins), acf_zero=0.0) for _ in range(n_psds)
-    ]
+    psds = [10.0**log_scale * gen.standard_normal(bins) for _ in range(n_psds)]
     d = distance_matrix(psds)
     expected = np.array([[l1_distance(a, b) for b in psds] for a in psds])
     np.testing.assert_allclose(d, expected, rtol=0, atol=1e-15)
@@ -114,21 +107,17 @@ def test_matrix_matches_pairwise_distances_property(n_psds, bins, seed, log_scal
 
 def full_grid_matrix(psds):
     """The full-grid formula: pdist over all F bins of the mirrored rows, scaled by 1/(2F)."""
-    stacked = full_grid(np.stack([p.values for p in psds]))
+    stacked = full_grid(np.stack(psds))
     return squareform(pdist(stacked, "cityblock") * (0.5 / stacked.shape[1]))
 
 
 def loop_matrix(psds):
-    return np.array([[0.5 * np.mean(np.abs(full_grid(a.values) - full_grid(b.values))) for b in psds] for a in psds])
+    return np.array([[0.5 * np.mean(np.abs(full_grid(a) - full_grid(b))) for b in psds] for a in psds])
 
 
 def mirrored_psds(gen, n_psds, grid, scale=1.0):
     """Random half spectra, bins 0..grid/2 of an even spectrum on an even grid."""
-    psds = []
-    for _ in range(n_psds):
-        half = scale * gen.standard_normal(grid // 2 + 1)
-        psds.append(PsdEstimate(values=half, acf_zero=float(full_grid(half).mean())))
-    return psds
+    return [scale * gen.standard_normal(grid // 2 + 1) for _ in range(n_psds)]
 
 
 @pytest.fixture()
@@ -169,7 +158,7 @@ class TestFoldedKernel:
         obs = np.random.default_rng(3).standard_normal((7, 40))
         psds = estimate_dataset_psds(obs, window=make_window(kind, 40, std=9.0 if kind == "gaussian" else None),
                                      grid_size=128, unit_power=unit_power)
-        assert all(p.values.shape == (65,) for p in psds)  # bins 0..F/2 of F = 128
+        assert psds.shape == (7, 65)  # bins 0..F/2 of F = 128
         d = distance_matrix(psds)
         assert pdist_widths == [65]
         loop = loop_matrix(psds)
@@ -189,6 +178,24 @@ class TestFoldedKernel:
         assert d_ab <= d_ac + d_cb + 1e-13 * max(d_ab, d_ac, d_cb)
 
 
+@pytest.mark.parametrize("unit_power", [False, True])
+def test_weighted_spectra_are_the_estimates_weighted_in_place(monkeypatch, unit_power):
+    obs = np.random.default_rng(2).standard_normal((5, 40))
+    window = make_window("bartlett", 40)
+    estimates = []
+
+    def recording_estimate(*args, **kwargs):
+        estimates.append(estimate_dataset_psds(*args, **kwargs))
+        return estimates[-1]
+
+    expected = half_spectrum_rows(estimate_dataset_psds(obs, window, 128, unit_power))
+    monkeypatch.setattr(psdcluster.distances, "estimate_dataset_psds", recording_estimate)
+    rows, grid = weighted_spectra(obs, window, 128, unit_power)
+    assert rows is estimates[0]  # halved in place, never copied
+    assert grid == expected[1] == 128
+    np.testing.assert_array_equal(rows, expected[0])
+
+
 def test_matrix_needs_input():
     with pytest.raises(ValueError):
         distance_matrix([])
@@ -202,8 +209,7 @@ def test_single_psd_gives_zero_matrix():
 
 def integer_psds(seed, n, bins, levels):
     """Estimates with small integer values: many equal distances, so ties decide the q-NN order."""
-    values = np.random.default_rng(seed).integers(0, levels, (n, bins))
-    return [PsdEstimate(values=row, acf_zero=0.0) for row in values]
+    return np.random.default_rng(seed).integers(0, levels, (n, bins))
 
 
 def dense_neighbors(psds, q):
@@ -268,7 +274,7 @@ class TestBlockedNeighbors:
 
 
 def test_distance_columns_match_the_matrix():
-    psds = integer_psds(4, 40, 5, 4) + [random_psd(np.random.default_rng(4), 5) for _ in range(10)]
+    psds = np.vstack([integer_psds(4, 40, 5, 4), [random_psd(np.random.default_rng(4), 5) for _ in range(10)]])
     d = distance_matrix(psds)
     rows, grid = half_spectrum_rows(psds)
     index = np.array([0, 17, 49, 3, 17])

@@ -199,7 +199,7 @@ class TestEstimatedPsdConvergence:
         for index, model in enumerate(benchmark_models()):
             x = simulate(model, sigma2, m, 1, RngStream(0, index))[0]
             psd = bt_psd(x, window, FINE_GRID)
-            err = 0.5 * np.mean(np.abs(full_grid(psd.values) - (model.fine_grid_psd + sigma2)))
+            err = 0.5 * np.mean(np.abs(full_grid(psd) - (model.fine_grid_psd + sigma2)))
             assert err <= 0.15, f"model {index}: error {err:.3f}"
 
 

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psdcluster.distances import distance_matrix, half_spectrum_rows, validate_distance_matrix
+import psdcluster.km
+from psdcluster.distances import distance_columns, distance_matrix, half_spectrum_rows, validate_distance_matrix
 from psdcluster.km import assign_to_centers, farthest_point_centers, km_cluster, km_from_distances, km_from_spectra
 from psdcluster.metrics import clustering_error
 from psdcluster.numerics import RngStream
 from psdcluster.generators import benchmark_models, make_benchmark_dataset
-from psdcluster.spectra import PsdEstimate
 
 
 def four_node_matrix():
@@ -139,17 +139,32 @@ class TestFromSpectra:
         n_clusters = data.draw(st.integers(1, n))
         gen = np.random.default_rng(seed)
         values = gen.integers(0, levels, (n, bins)) + (gen.random((n, bins)) if noise else 0)
-        psds = [PsdEstimate(values=row, acf_zero=0.0) for row in values]
-        labels = km_from_spectra(*half_spectrum_rows(psds), n_clusters)
-        np.testing.assert_array_equal(labels, km_from_distances(distance_matrix(psds), n_clusters))
+        labels = km_from_spectra(*half_spectrum_rows(values), n_clusters)
+        np.testing.assert_array_equal(labels, km_from_distances(distance_matrix(values), n_clusters))
+
+    @pytest.mark.parametrize("n_clusters", [1, 3, 7])
+    def test_reads_each_center_column_once(self, monkeypatch, n_clusters):
+        # seeding computes the column of every center, and the assignment reuses them
+        entries = []
+
+        def counted(rows, grid_size, index):
+            columns = distance_columns(rows, grid_size, index)
+            entries.append(columns.size)
+            return columns
+
+        monkeypatch.setattr(psdcluster.km, "distance_columns", counted)
+        values = np.random.default_rng(n_clusters).random((30, 9))
+        labels = km_from_spectra(*half_spectrum_rows(values), n_clusters)
+        assert sum(entries) == 30 * n_clusters
+        np.testing.assert_array_equal(labels, km_from_distances(distance_matrix(values), n_clusters))
 
     def test_rejects_bad_count(self):
-        rows, grid = half_spectrum_rows([PsdEstimate(values=np.arange(3.0) + i, acf_zero=0.0) for i in range(4)])
+        rows, grid = half_spectrum_rows([np.arange(3.0) + i for i in range(4)])
         with pytest.raises(ValueError, match="n_clusters must be in 1..4"):
             km_from_spectra(rows, grid, 5)
 
     def test_rejects_a_non_finite_distance(self):
-        rows, grid = half_spectrum_rows([PsdEstimate(values=np.arange(3.0) + i, acf_zero=0.0) for i in range(4)])
+        rows, grid = half_spectrum_rows([np.arange(3.0) + i for i in range(4)])
         rows[2, 0] = np.inf
         with pytest.raises(ValueError, match="distance matrix entries must be finite"):
             km_from_spectra(rows, grid, 2)

@@ -35,7 +35,6 @@ from psdcluster.nnpc import (
     spectral_cluster,
 )
 from psdcluster.numerics import RngStream, eig_symmetric, relabel_first_seen
-from psdcluster.spectra import PsdEstimate
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None, derandomize=True)
 
@@ -410,13 +409,13 @@ class TestSpectralCluster:
         d[1, 3] = d[3, 1] = 0.1
         d[2, 3] = d[3, 2] = 0.9
         with pytest.warns(RuntimeWarning):
-            labels = spectral_cluster(laplacian_spectrum(a, 2), 2, dist=d)
+            labels = spectral_cluster(laplacian_spectrum(a, 2), 2, dist=lambda index: d[index])
         np.testing.assert_array_equal(labels, [0, 1, 0, 1])
 
     def test_fully_isolated_graph(self):
         d = four_node_matrix()
         with pytest.warns(RuntimeWarning):
-            labels = spectral_cluster(laplacian_spectrum(np.zeros((4, 4)), 2), 2, dist=d)
+            labels = spectral_cluster(laplacian_spectrum(np.zeros((4, 4)), 2), 2, dist=lambda index: d[index])
         assert set(labels) == {0, 1}
         assert labels[0] == 0
 
@@ -547,11 +546,10 @@ class TestClusterFromDistances:
 
 def both_paths(values, q, n_clusters, seed):
     """(labels, count, warnings) of nnpc_from_spectra and of nnpc_from_distances on the same rows."""
-    psds = [PsdEstimate(values=row, acf_zero=0.0) for row in values]
     outcomes = []
     for run in (
-        lambda: nnpc_from_spectra(*half_spectrum_rows(psds), q, n_clusters, rng=RngStream(seed)),
-        lambda: nnpc_from_distances(distance_matrix(psds), q, n_clusters, rng=RngStream(seed)),
+        lambda: nnpc_from_spectra(*half_spectrum_rows(values), q, n_clusters, rng=RngStream(seed)),
+        lambda: nnpc_from_distances(distance_matrix(values), q, n_clusters, rng=RngStream(seed)),
     ):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 from oracles import full_grid
 
 import psdcluster.spectra
+from psdcluster.km import km_cluster
+from psdcluster.nnpc import nnpc_cluster
 from psdcluster.spectra import (
     DEFAULT_GAUSSIAN_STD,
     PSD_CHUNK_BYTES,
-    PsdEstimate,
     bt_psd,
     estimate_acf,
     estimate_dataset_psds,
@@ -143,9 +144,7 @@ class TestBtPsd:
         # r = [2.5, 1], rectangular window: s(f) = 2.5 + 2 cos(2 pi f)
         w = make_window("rectangular", 2)
         psd = bt_psd([1.0, 2.0], w, 4)
-        np.testing.assert_allclose(psd.values, [4.5, 2.5, 0.5], atol=1e-12)
-        assert psd.acf_zero == 2.5
-        assert psd.grid_size == 4
+        np.testing.assert_allclose(psd, [4.5, 2.5, 0.5], atol=1e-12)  # bins 0..F/2 of F = 4
 
     @pytest.mark.parametrize("kind", ["gaussian", "bartlett", "rectangular"])
     def test_matches_direct_summation(self, kind):
@@ -157,14 +156,14 @@ class TestBtPsd:
             psd = bt_psd(x, w, grid)
             expected = bt_direct(x, w, grid)
             scale = np.abs(expected).max()
-            np.testing.assert_allclose(psd.values, expected, atol=1e-11 * scale)
+            np.testing.assert_allclose(psd, expected, atol=1e-11 * scale)
 
     def test_grid_mean_equals_power(self):
         # the grid average of the estimate recovers the lag-zero autocorrelation
         gen = np.random.default_rng(13)
         x = gen.standard_normal(40)
         psd = bt_psd(x, make_window("gaussian", 40), 128)
-        np.testing.assert_allclose(np.mean(full_grid(psd.values)), psd.acf_zero, rtol=1e-12)
+        np.testing.assert_allclose(np.mean(full_grid(psd)), estimate_acf(x)[0], rtol=1e-12)
 
     def test_rejects_bad_grid(self):
         w = make_window("gaussian", 16)
@@ -184,29 +183,28 @@ class TestNormalizeUnitPower:
         gen = np.random.default_rng(2)
         x = 3.0 * gen.standard_normal(32)
         psd = normalize_unit_power(bt_psd(x, make_window("gaussian", 32), 128))
-        np.testing.assert_allclose(np.mean(full_grid(psd.values)), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(np.mean(full_grid(psd)), 1.0, rtol=1e-12)
 
     def test_rejects_zero_power(self):
         with pytest.raises(ValueError):
-            normalize_unit_power(PsdEstimate(values=np.zeros(8), acf_zero=0.0))
+            normalize_unit_power(np.zeros(8))
 
     @pytest.mark.parametrize("bins", [0, 1])
     def test_rejects_fewer_than_two_bins(self, bins):
         with pytest.raises(ValueError, match="at least 2 bins"):
-            normalize_unit_power(PsdEstimate(values=np.ones(bins), acf_zero=1.0))
+            normalize_unit_power(np.ones(bins))
 
     def test_leaves_its_input_alone_and_matches_the_batch(self):
         gen = np.random.default_rng(6)
         obs = 2.0 * gen.standard_normal((3, 32))
         window = make_window("gaussian", 32)
         raw = estimate_dataset_psds(obs, window=window, grid_size=128)
-        before = [p.values.copy() for p in raw]
+        before = raw.copy()
         unit = estimate_dataset_psds(obs, window=window, grid_size=128, unit_power=True)
         for psd, values, batch in zip(raw, before, unit):
             single = normalize_unit_power(psd)
-            np.testing.assert_array_equal(psd.values, values)
-            np.testing.assert_array_equal(single.values, batch.values)
-            assert single.acf_zero == batch.acf_zero
+            np.testing.assert_array_equal(psd, values)
+            np.testing.assert_array_equal(single, batch)
 
 
 class TestEstimateDatasetPsds:
@@ -214,20 +212,18 @@ class TestEstimateDatasetPsds:
         gen = np.random.default_rng(4)
         obs = gen.standard_normal((3, 100))
         psds = estimate_dataset_psds(obs)
-        assert len(psds) == 3
-        assert all(p.grid_size == 512 for p in psds)  # next power of two >= 400
-        assert all(p.values.shape == (257,) for p in psds)  # bins 0..F/2
+        # bins 0..F/2 of F = 512, the next power of two >= 400
+        assert psds.shape == (3, 257)
 
     def test_single_observation_vector(self):
         psds = estimate_dataset_psds(np.ones(64))
-        assert len(psds) == 1
+        assert psds.shape == (1, 129)
 
     def test_unit_power_flag(self):
         gen = np.random.default_rng(6)
         obs = gen.standard_normal((2, 64))
         psds = estimate_dataset_psds(obs, unit_power=True)
-        for p in psds:
-            np.testing.assert_allclose(np.mean(full_grid(p.values)), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(np.mean(full_grid(psds), axis=1), 1.0, rtol=1e-12)
 
     def test_rejects_higher_rank_input(self):
         with pytest.raises(ValueError):
@@ -235,10 +231,9 @@ class TestEstimateDatasetPsds:
 
     def test_rows_are_views_of_one_array(self):
         psds = estimate_dataset_psds(np.random.default_rng(9).standard_normal((3, 16)))
-        base = psds[0].values.base
-        assert base is not None
-        assert base.shape == (3, 33)  # one (N, F/2 + 1) array, no full grid
-        assert all(p.values.base is base for p in psds)
+        # one float (N, F/2 + 1) array that owns its data, no full grid
+        assert psds.dtype == np.float64 and psds.shape == (3, 33)
+        assert psds.base is None and psds.flags.c_contiguous
 
     def test_overflow_names_the_psd_stage(self):
         huge = 1e307 * np.random.default_rng(1).standard_normal((2, 32))
@@ -267,12 +262,7 @@ class TestEstimateDatasetPsds:
             if unit_power:
                 expected = expected / full_grid(expected).mean()
             scale = np.abs(expected).max()
-            np.testing.assert_allclose(psd.values, expected, rtol=0, atol=1e-11 * scale)
-
-
-def stacked(psds):
-    """(values, acf_zero) of a list of estimates as two arrays."""
-    return np.stack([p.values for p in psds]), np.array([p.acf_zero for p in psds])
+            np.testing.assert_allclose(psd, expected, rtol=0, atol=1e-11 * scale)
 
 
 class TestBatchInvariance:
@@ -297,17 +287,13 @@ class TestBatchInvariance:
         window = make_window(kind, obs_len, std=7.0 if kind == "gaussian" else None)
 
         def estimate(rows):
-            return stacked(estimate_dataset_psds(rows, window=window, unit_power=unit_power))
+            return estimate_dataset_psds(rows, window=window, unit_power=unit_power)
 
-        values, acf_zero = estimate(obs)
+        values = estimate(obs)
         for start in range(0, n_obs, chunk):
-            chunk_values, chunk_acf_zero = estimate(obs[start : start + chunk])
-            np.testing.assert_array_equal(chunk_values, values[start : start + chunk])
-            np.testing.assert_array_equal(chunk_acf_zero, acf_zero[start : start + chunk])
+            np.testing.assert_array_equal(estimate(obs[start : start + chunk]), values[start : start + chunk])
         for index, row in enumerate(obs):
-            row_values, row_acf_zero = estimate(row)
-            np.testing.assert_array_equal(row_values[0], values[index])
-            assert row_acf_zero[0] == acf_zero[index]
+            np.testing.assert_array_equal(estimate(row)[0], values[index])
 
 
 class TestChunkedEstimation:
@@ -319,11 +305,9 @@ class TestChunkedEstimation:
     @pytest.mark.parametrize("unit_power", [False, True])
     def test_small_chunks_match_one_chunk(self, monkeypatch, n_obs, budget, unit_power):
         obs = np.random.default_rng(3).standard_normal((n_obs, self.OBS_LEN))
-        expected = stacked(estimate_dataset_psds(obs, unit_power=unit_power))  # one chunk
+        expected = estimate_dataset_psds(obs, unit_power=unit_power)  # one chunk
         monkeypatch.setattr(psdcluster.spectra, "PSD_CHUNK_BYTES", budget)
-        values, acf_zero = stacked(estimate_dataset_psds(obs, unit_power=unit_power))
-        np.testing.assert_array_equal(values, expected[0])
-        np.testing.assert_array_equal(acf_zero, expected[1])
+        np.testing.assert_array_equal(estimate_dataset_psds(obs, unit_power=unit_power), expected)
 
     def test_overflow_in_a_later_chunk_names_the_psd_stage(self, monkeypatch):
         obs = np.random.default_rng(5).standard_normal((10, self.OBS_LEN))
@@ -351,9 +335,25 @@ class TestChunkedEstimation:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        output = psds[0].values.base.nbytes
+        output = psds.nbytes
         assert output == 48 * 32769 * 8
         assert peak <= output + 6 * PSD_CHUNK_BYTES
+
+    @pytest.mark.parametrize("cluster", [lambda obs: km_cluster(obs, 3, unit_power=True),
+                                         lambda obs: nnpc_cluster(obs, 5, 3, unit_power=True)], ids=["km", "nnpc"])
+    def test_clustering_reads_the_estimates_without_a_copy(self, cluster):
+        # the same stack: clustering reads the weighted estimates in place, so
+        # the peak is the one estimate array plus a few chunks, not two arrays
+        obs = np.random.default_rng(7).standard_normal((48, 16384))
+        cluster(obs[:6])  # warm the FFT plan caches outside the trace
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cluster(obs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 32769 * 8 + 6 * PSD_CHUNK_BYTES
 
 
 class TestWhiteNoiseConsistency:
@@ -367,6 +367,6 @@ class TestWhiteNoiseConsistency:
         for seed in range(10):
             x = np.random.default_rng(seed).standard_normal(m)
             psd = bt_psd(x, window, grid)
-            if 0.5 * np.mean(np.abs(full_grid(psd.values) - 1.0)) <= 0.1:
+            if 0.5 * np.mean(np.abs(full_grid(psd) - 1.0)) <= 0.1:
                 hits += 1
         assert hits >= 9
