@@ -142,6 +142,12 @@ def _read_observation_csv(path, with_truth: bool, pad_zeros: bool, subtract_mean
                 raise ValueError(f"{path}: line {line_no}: observations need at least 2 samples")
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{path}: line {line_no}: samples must be finite")
+            if subtract_mean:
+                with np.errstate(over="ignore"):
+                    mean = values.mean()
+                    values -= mean if np.isfinite(mean) else np.sum(values / values.size)  # a sum that cannot overflow
+                if not np.all(np.isfinite(values)):
+                    raise ValueError(f"{path}: line {line_no}: samples overflow when the mean is subtracted")
             if with_truth:
                 truth_cells.append(label)
             ragged = ragged or (count > 0 and values.size != observations.shape[1])
@@ -153,8 +159,6 @@ def _read_observation_csv(path, with_truth: bool, pad_zeros: bool, subtract_mean
                 # no view of the buffer is alive, so it can grow in place; new rows are zero
                 observations.resize((count + count // 4 + 16, observations.shape[1]), refcheck=False)
             observations[count, : values.size] = values
-            if subtract_mean:
-                observations[count, : values.size] -= values.mean()
             count += 1
     if not count:
         raise ValueError(f"{path}: no observations found")
@@ -168,8 +172,19 @@ def _read_observation_csv(path, with_truth: bool, pad_zeros: bool, subtract_mean
     return observations, truth
 
 
-def _check_options(args, uses_neighbors: bool, uses_max_clusters: bool) -> None:
-    """Reject option values that are bad for any input before the input is parsed, with the usual messages."""
+def _window_for(kind: str, length: int, std: float):
+    return make_window(kind, length, std=std if kind == "gaussian" else None)
+
+
+def _input_spectra(args, uses_neighbors: bool, uses_max_clusters: bool, n_clusters: int | None = None,
+                   single_needs_no_neighbors: bool = False):
+    """The front end of cluster and estimate-l: the weighted spectra of the input, (rows, truth, M, F).
+
+    Option values that are bad for any input are rejected before the input
+    is parsed, and the counts before the PSD stage, with the usual messages.
+    The samples are dropped once estimated, so clustering runs beside the
+    spectra alone.
+    """
     if uses_neighbors and args.neighbors < 1:
         with open(args.input, newline="", encoding="utf-8") as handle:  # the reader's row count, no sample parsed
             n_obs = sum(any(cell.strip() for cell in cells) for cells in _observation_records(args.input, handle))
@@ -179,17 +194,15 @@ def _check_options(args, uses_neighbors: bool, uses_max_clusters: bool) -> None:
     _window_for(args.window, 2, args.std)  # the window options, checked on the shortest observation's window
     if args.grid_factor < 2:
         raise ValueError("grid factor must be >= 2")
-
-
-def _window_for(kind: str, length: int, std: float):
-    return make_window(kind, length, std=std if kind == "gaussian" else None)
-
-
-def _weighted_spectra(args, observations):
-    """distances.weighted_spectra of the observations under the window, grid and power options."""
-    obs_len = observations.shape[1]
+    observations, truth = _read_observation_csv(args.input, args.truth, args.pad_zeros, args.subtract_mean)
+    n_obs, obs_len = observations.shape
+    if n_clusters is not None and n_clusters > n_obs:
+        raise ValueError(f"cluster count {n_clusters} exceeds the {n_obs} observations")
+    if uses_neighbors and args.neighbors > n_obs - 1 and not (single_needs_no_neighbors and n_obs == 1):
+        raise ValueError(f"neighbor count must be in 1..{n_obs - 1}, got {args.neighbors}")
+    grid = next_pow2(args.grid_factor * obs_len)
     window = _window_for(args.window, obs_len, args.std)
-    return weighted_spectra(observations, window, next_pow2(args.grid_factor * obs_len), args.normalize_psd)
+    return weighted_spectra(observations, window, grid, args.normalize_psd), truth, obs_len, grid
 
 
 def _write_labels_csv(path, labels) -> None:
@@ -217,22 +230,14 @@ def cmd_cluster(args) -> int:
     auto = args.clusters == "auto"
     if args.algorithm == "km" and auto:
         raise ValueError("the km algorithm needs an explicit cluster count")
-    _check_options(args, uses_neighbors=args.algorithm == "nnpc", uses_max_clusters=auto)
-    observations, truth = _read_observation_csv(args.input, args.truth, args.pad_zeros, args.subtract_mean)
-    n_obs, obs_len = observations.shape
     requested = None if auto else int(args.clusters)
-    if requested is not None and requested > n_obs:
-        raise ValueError(f"cluster count {requested} exceeds the {n_obs} observations")
-    if args.algorithm == "nnpc" and args.neighbors > n_obs - 1:
-        raise ValueError(f"neighbor count must be in 1..{n_obs - 1}, got {args.neighbors}")
-    # the samples are dropped once estimated, so clustering runs beside the spectra alone
-    rows, grid = _weighted_spectra(args, observations)
-    del observations
+    rows, truth, obs_len, grid = _input_spectra(args, uses_neighbors=args.algorithm == "nnpc", uses_max_clusters=auto,
+                                                n_clusters=requested)
 
     report = {
         "input": str(args.input),
         "algorithm": args.algorithm,
-        "n_obs": n_obs,
+        "n_obs": len(rows),
         "obs_len": obs_len,
         "window": {"kind": args.window, "std": args.std if args.window == "gaussian" else None},
         "grid_size": grid,
@@ -242,14 +247,14 @@ def cmd_cluster(args) -> int:
         "seed": args.seed,
     }
     if args.algorithm == "nnpc":
-        result = nnpc_from_spectra(rows, grid, args.neighbors, requested, RngStream(args.seed), args.max_clusters)
+        result = nnpc_from_spectra(rows, args.neighbors, requested, RngStream(args.seed), args.max_clusters)
         labels = result.labels
         report["neighbors"] = args.neighbors
         report["n_clusters"] = result.n_clusters
         if auto:
             report["estimated_clusters"] = result.n_clusters
     else:
-        labels = km_from_spectra(rows, grid, requested)
+        labels = km_from_spectra(rows, requested)
         report["n_clusters"] = requested
 
     if truth is not None:
@@ -380,10 +385,10 @@ def run_synth_bench(config: dict) -> list[dict]:
             dataset = make_benchmark_dataset(
                 models, cfg["n_per_model"], obs_len, sigma2, RngStream(cfg["seed"], base)
             )
-            spectra, grid = weighted_spectra(dataset.observations, window, grid_size)
-            nnpc_result = nnpc_from_spectra(spectra, grid, cfg["q"], n_clusters, rng=RngStream(cfg["seed"], base + 1))
+            spectra = weighted_spectra(dataset.observations, window, grid_size)
+            nnpc_result = nnpc_from_spectra(spectra, cfg["q"], n_clusters, rng=RngStream(cfg["seed"], base + 1))
             errors["nnpc"].append(clustering_error(nnpc_result.labels, dataset.labels))
-            errors["km"].append(clustering_error(km_from_spectra(spectra, grid, n_clusters), dataset.labels))
+            errors["km"].append(clustering_error(km_from_spectra(spectra, n_clusters), dataset.labels))
             del dataset, spectra  # so the next trial makes its data and spectra without them
         for algorithm in ("km", "nnpc"):
             ce = np.asarray(errors[algorithm])
@@ -444,17 +449,11 @@ def cmd_check_condition(args) -> int:
 
 
 def cmd_estimate_l(args) -> int:
-    _check_options(args, uses_neighbors=True, uses_max_clusters=True)
-    observations, _ = _read_observation_csv(args.input, args.truth, args.pad_zeros, args.subtract_mean)
-    n_obs = len(observations)
-    if n_obs > 1 and args.neighbors > n_obs - 1:
-        raise ValueError(f"neighbor count must be in 1..{n_obs - 1}, got {args.neighbors}")
-    rows, grid = _weighted_spectra(args, observations)
-    del observations  # as in cmd_cluster, the samples go once estimated
-    if n_obs == 1:
+    rows = _input_spectra(args, uses_neighbors=True, uses_max_clusters=True, single_needs_no_neighbors=True)[0]
+    if len(rows) == 1:
         _dump_json({"estimate": 1, "eigenvalues": [0.0]})
         return 0
-    estimate, eigenvalues = estimate_count_from_spectra(rows, grid, args.neighbors, args.max_clusters)
+    estimate, eigenvalues = estimate_count_from_spectra(rows, args.neighbors, args.max_clusters)
     _dump_json({"estimate": estimate, "eigenvalues": [float(v) for v in eigenvalues]})
     return 0
 

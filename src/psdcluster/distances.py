@@ -6,15 +6,15 @@ Riemann sum for (1/2) integral over one period. For unit-power spectra it
 lies in [0, 1], with 1 reached by disjoint supports.
 
 An estimate holds bins 0..F/2 of an even spectrum, so on the F-point grid
-the interior bins count twice and the two endpoints once: the kernels work
-on rows of estimates with the two endpoint columns halved, where the
-distance is the cityblock distance times 1/F. `weighted_spectra` estimates
-them from observations and halves those columns in place, the one array
-that clustering reads; `half_spectrum_rows` weights a copy of given
-estimates. `distance_matrix` takes one `pdist` pass over the rows.
-`nearest_neighbors` and `distance_columns` read only what nnpc and km need,
-in row blocks or columns, and never hold an N x N array. Every kernel runs
-the same `pdist`/`cdist` cityblock sum, so an entry has the same bits
+the interior bins count twice and the two endpoints once. The kernels read
+weighted rows: estimates scaled by 1/F with the two endpoint columns halved,
+whose cityblock distance is the L1 distance itself, so no kernel needs F.
+`weighted_spectra` estimates them from observations and weights them in
+place, the one array that clustering reads; `half_spectrum_rows` weights a
+copy of given estimates. `distance_matrix` takes one `pdist` pass over the
+rows. `nearest_neighbors` and `distance_columns` read only what nnpc and km
+need, in row blocks or columns, and never hold an N x N array. Every kernel
+runs the same `pdist`/`cdist` cityblock sum, so an entry has the same bits
 whichever of them computed it.
 """
 
@@ -30,52 +30,54 @@ from .spectra import WindowSpec, estimate_dataset_psds
 NEIGHBOR_BLOCK_ROWS = 256
 
 
-def _halve_endpoints(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Halve the two endpoint columns of a float (N, F/2 + 1) stack of estimates in place; return it and F."""
+def _weight_rows(values: np.ndarray) -> np.ndarray:
+    """Scale a float (N, F/2 + 1) stack of estimates by 1/F in place and halve its two endpoint columns; return it."""
+    values *= 1.0 / (2 * (values.shape[1] - 1))
     values[:, [0, -1]] *= 0.5
-    return values, 2 * (values.shape[1] - 1)
+    return values
 
 
 def weighted_spectra(observations, window: WindowSpec | None = None, grid_size: int | None = None,
-                     unit_power: bool = False) -> tuple[np.ndarray, int]:
-    """spectra.estimate_dataset_psds (same arguments) with the endpoint columns halved in place, and F.
+                     unit_power: bool = False) -> np.ndarray:
+    """spectra.estimate_dataset_psds (same arguments), weighted in place: the rows every distance kernel reads.
 
-    These are the rows every distance kernel reads; the estimates are never copied.
+    The estimates are never copied. F is a power of two, so the scaling is
+    exact and a distance has the bits of the unscaled sum times 1/F, except
+    where a bin lies below about F * 2**-1022 (1e-303 at F = 65536), which
+    only samples under about 1e-150 produce.
     """
-    return _halve_endpoints(estimate_dataset_psds(observations, window, grid_size, unit_power))
+    return _weight_rows(estimate_dataset_psds(observations, window, grid_size, unit_power))
 
 
-def half_spectrum_rows(psds) -> tuple[np.ndarray, int]:
-    """Estimates (bins 0..F/2, one per row) as a float copy with the endpoint columns halved, and F."""
+def half_spectrum_rows(psds) -> np.ndarray:
+    """Estimates (bins 0..F/2, one per row) as a weighted float copy."""
     rows = np.array(psds, dtype=float)
     if rows.ndim != 2 or rows.shape[0] == 0:
         raise ValueError("need a non-empty stack of PSD estimates, one per row")
     if rows.shape[1] < 2:
         raise ValueError("PSD estimates need at least 2 bins (F >= 2)")
-    return _halve_endpoints(rows)
+    return _weight_rows(rows)
 
 
 def l1_distance(first, second) -> float:
     """Half the grid-averaged absolute difference between two PSD estimates (bins 0..F/2 each)."""
-    rows, grid = half_spectrum_rows([first, second])
-    return float(pdist(rows, "cityblock")[0] * (1.0 / grid))
+    return float(pdist(half_spectrum_rows([first, second]), "cityblock")[0])
 
 
 def distance_matrix(psds) -> np.ndarray:
     """Symmetric matrix of pairwise L1 distances between estimates (one per row), with a zero diagonal."""
-    rows, grid = half_spectrum_rows(psds)
-    return squareform(pdist(rows, "cityblock") * (1.0 / grid))
+    return squareform(pdist(half_spectrum_rows(psds), "cityblock"))
 
 
-def distance_columns(rows: np.ndarray, grid_size: int, index) -> np.ndarray:
+def distance_columns(rows: np.ndarray, index) -> np.ndarray:
     """Checked distances from every row to the rows in `index`, shape (N, len(index)).
 
     Column j equals column index[j] of the distance matrix of the same rows.
     """
-    return check_distance_entries(cdist(rows, rows[index], "cityblock") * (1.0 / grid_size))
+    return check_distance_entries(cdist(rows, rows[index], "cityblock"))
 
 
-def nearest_neighbors(rows: np.ndarray, grid_size: int, n_neighbors: int) -> tuple[np.ndarray, np.ndarray]:
+def nearest_neighbors(rows: np.ndarray, n_neighbors: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices and distances of the q nearest other rows of each row, shape (N, q) each.
 
     Row i is ordered by increasing distance, ties going to the lower index:
@@ -91,7 +93,6 @@ def nearest_neighbors(rows: np.ndarray, grid_size: int, n_neighbors: int) -> tup
     q = n_neighbors
     if not 1 <= q <= n - 1:
         raise ValueError(f"n_neighbors must be in 1..{n - 1}, got {n_neighbors}")
-    scale = 1.0 / grid_size
     # inf placeholders: every row sees n - 1 >= q finite candidates before the end
     best = np.full((n, q), np.inf)
     index = np.zeros((n, q), dtype=np.intp)
@@ -109,10 +110,10 @@ def nearest_neighbors(rows: np.ndarray, grid_size: int, n_neighbors: int) -> tup
         block = rows[start:stop]
         diagonal = np.full((stop - start, stop - start), np.inf)  # inf keeps a row out of its own set
         upper = np.triu_indices(stop - start, 1)
-        diagonal[upper] = diagonal.T[upper] = check_distance_entries(pdist(block, "cityblock") * scale)
+        diagonal[upper] = diagonal.T[upper] = check_distance_entries(pdist(block, "cityblock"))
         # one block J at a time, so that it stays in cache while every row of I reads it
         later = [
-            check_distance_entries(cdist(block, rows[j : j + NEIGHBOR_BLOCK_ROWS], "cityblock") * scale)
+            check_distance_entries(cdist(block, rows[j : j + NEIGHBOR_BLOCK_ROWS], "cityblock"))
             for j in range(stop, n, NEIGHBOR_BLOCK_ROWS)
         ]
         merge(slice(start, stop), start, diagonal, *later)

@@ -59,15 +59,15 @@ def km_from_distances(dist, n_clusters: int) -> np.ndarray:
     return assign_to_centers(dist, farthest_point_centers(dist, n_clusters))
 
 
-def km_from_spectra(rows: np.ndarray, grid_size: int, n_clusters: int) -> np.ndarray:
+def km_from_spectra(rows: np.ndarray, n_clusters: int) -> np.ndarray:
     """km_from_distances on the distances of weighted spectra, read by center column.
 
-    `rows` and `grid_size` come from distances.weighted_spectra (or
-    half_spectrum_rows). Each center's column is computed and checked once,
-    while seeding, and the assignment reuses it; the labels equal
-    km_from_distances on the distance matrix of the same rows.
+    `rows` come from distances.weighted_spectra (or half_spectrum_rows).
+    Each center's column is computed and checked once, while seeding, and
+    the assignment reuses it; the labels equal km_from_distances on the
+    distance matrix of the same rows.
     """
-    _, to_centers = _farthest_points(partial(distance_columns, rows, grid_size), rows.shape[0], n_clusters)
+    _, to_centers = _farthest_points(partial(distance_columns, rows), rows.shape[0], n_clusters)
     return np.argmin(to_centers, axis=1)
 
 
@@ -80,5 +80,4 @@ def km_cluster(
     unit_power: bool = False,
 ) -> np.ndarray:
     """End-to-end deterministic clustering: PSDs, center distance columns, one assignment pass."""
-    rows, grid = weighted_spectra(observations, window, grid_size, unit_power)
-    return km_from_spectra(rows, grid, n_clusters)
+    return km_from_spectra(weighted_spectra(observations, window, grid_size, unit_power), n_clusters)

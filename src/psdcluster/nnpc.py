@@ -330,7 +330,6 @@ def nnpc_from_distances(
 
 def nnpc_from_spectra(
     rows: np.ndarray,
-    grid_size: int,
     n_neighbors: int,
     n_clusters: int | None = None,
     rng: RngStream | None = None,
@@ -338,26 +337,21 @@ def nnpc_from_spectra(
 ) -> NnpcResult:
     """nnpc_from_distances on the distances of weighted spectra, without the matrix.
 
-    `rows` and `grid_size` come from distances.weighted_spectra (or
-    half_spectrum_rows). The blocked q-NN scan gives the same neighbor sets
-    and distances as the matrix, so the result is the same; the distance
-    rows of isolated nodes are computed only if spectral_cluster has to
-    place them by distance.
+    `rows` come from distances.weighted_spectra (or half_spectrum_rows).
+    The blocked q-NN scan gives the same neighbor sets and distances as the
+    matrix, so the result is the same; the distance rows of isolated nodes
+    are computed only if spectral_cluster has to place them by distance.
     """
-    adjacency = _neighbor_adjacency(*nearest_neighbors(rows, grid_size, n_neighbors))
-
-    def isolated_rows(index):
-        return distance_columns(rows, grid_size, index).T
-
-    return _cluster_graph(adjacency, n_clusters, rng, max_clusters, isolated_rows)
+    adjacency = _neighbor_adjacency(*nearest_neighbors(rows, n_neighbors))
+    return _cluster_graph(adjacency, n_clusters, rng, max_clusters, lambda index: distance_columns(rows, index).T)
 
 
-def estimate_count_from_spectra(rows: np.ndarray, grid_size: int, n_neighbors: int, max_clusters: int) -> tuple[int, np.ndarray]:
+def estimate_count_from_spectra(rows: np.ndarray, n_neighbors: int, max_clusters: int) -> tuple[int, np.ndarray]:
     """estimate_graph_count of nnpc_from_spectra's graph, without the matrix.
 
     Returns the estimate and the max_clusters + 1 smallest graph eigenvalues (all N if fewer), ascending.
     """
-    adjacency = _neighbor_adjacency(*nearest_neighbors(rows, grid_size, n_neighbors))
+    adjacency = _neighbor_adjacency(*nearest_neighbors(rows, n_neighbors))
     count, spectrum = estimate_graph_count(adjacency, max_clusters)
     return count, spectrum.graph_eigenvalues()[: max_clusters + 1]
 
@@ -378,5 +372,5 @@ def nnpc_cluster(
     With n_clusters=None the count is estimated by the eigengap heuristic,
     capped at max_clusters. No N x N distance matrix is built.
     """
-    rows, grid = weighted_spectra(observations, window, grid_size, unit_power)
-    return nnpc_from_spectra(rows, grid, n_neighbors, n_clusters, rng=rng, max_clusters=max_clusters)
+    rows = weighted_spectra(observations, window, grid_size, unit_power)
+    return nnpc_from_spectra(rows, n_neighbors, n_clusters, rng=rng, max_clusters=max_clusters)

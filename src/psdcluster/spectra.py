@@ -103,7 +103,10 @@ def make_window(kind: str, length: int, std: float | None = None) -> WindowSpec:
             std = DEFAULT_GAUSSIAN_STD
         if not (math.isfinite(std) and std > 0):
             raise ValueError(f"gaussian window std must be a positive finite number, got {std!r}")
-        values = np.exp(-(lags**2) / (2.0 * std * std))
+        with np.errstate(all="ignore"):  # a tiny std sends lags >= 1 to -inf, which exp takes to 0
+            values = np.exp(-(lags**2) / (2.0 * std * std))
+        if not np.all(np.isfinite(values)):  # 2 std^2 underflowed to 0, and the lag-0 weight is 0/0
+            raise ValueError(f"gaussian window std {std!r} is too small: its window is not finite")
     elif kind == "bartlett":
         values = 1.0 - lags / length
     elif kind == "rectangular":

@@ -186,9 +186,9 @@ class TestCluster:
 
             patch.setattr(psdcluster.distances, "estimate_dataset_psds", dense_estimate)
             patch.setattr(psdcluster.cli, "nnpc_from_spectra",
-                          lambda rows, grid, *args, **kwargs: nnpc_from_distances(matrices.pop(), *args, **kwargs))
+                          lambda rows, *args, **kwargs: nnpc_from_distances(matrices.pop(), *args, **kwargs))
             patch.setattr(psdcluster.cli, "km_from_spectra",
-                          lambda rows, grid, n_clusters: km_from_distances(matrices.pop(), n_clusters))
+                          lambda rows, n_clusters: km_from_distances(matrices.pop(), n_clusters))
             expected = run("dense")
 
         def refuse(*args, **kwargs):
@@ -587,6 +587,23 @@ class TestBoundaryValidation:
                          "--labels-out", str(tmp_path / "labels.csv")])
         assert code == 2
         assert "PSD estimation overflowed" in capsys.readouterr().err
+
+    def test_mean_subtraction_of_samples_near_the_float_maximum(self, tmp_path, capsys):
+        path = tmp_path / "near-max.csv"
+        path.write_text("1.7e308,1.7e308,1.7e308,1.6e308\n1.0,2.0,3.0,5.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            observations, _ = _read_observation_csv(path, False, False, True)
+        # the plain mean overflows; the mean of the samples over their count does not
+        np.testing.assert_allclose(observations[0], [2.5e306, 2.5e306, 2.5e306, -7.5e306], rtol=1e-12)
+        np.testing.assert_array_equal(observations[1], [-1.75, -0.75, 0.25, 2.25])
+        # the samples are finite after the subtraction, so the PSD stage names its own overflow
+        assert main(["cluster", str(path), "--subtract-mean", "--clusters", "1", "--neighbors", "1",
+                     "--labels-out", str(tmp_path / "labels.csv")]) == 2
+        assert "PSD estimation overflowed" in capsys.readouterr().err
+        path.write_text("1.0,2.0\n-1.7e308,1.7e308,1.7e308\n")  # a finite mean, a difference that overflows
+        with pytest.raises(ValueError, match=r"line 2: samples overflow when the mean is subtracted"):
+            _read_observation_csv(path, False, True, True)
 
     def test_oversized_grid_is_an_out_of_memory_error(self, dataset_csv, tmp_path, capsys):
         # 12 rows x 2^50 grid bins is about 1e17 bytes, beyond any address
@@ -1057,6 +1074,7 @@ class TestParser:
             (["--std", "nan"], "gaussian window std must be a positive finite number, got nan"),
             (["--max-clusters", "0"], "the cluster-count cap must be positive, got 0"),
             (["--neighbors", "0"], "neighbor count must be in 1..11, got 0"),
+            (["--std", "1e-200"], "gaussian window std 1e-200 is too small: its window is not finite"),
         ],
     )
     def test_input_independent_options_fail_before_the_input_is_parsed(self, dataset_csv, capsys, monkeypatch,

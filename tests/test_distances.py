@@ -5,7 +5,7 @@ distance columns against the matrix, and validator error paths."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import full_grid
 from scipy.spatial.distance import pdist, squareform
@@ -22,7 +22,7 @@ from psdcluster.distances import (
     weighted_spectra,
 )
 from psdcluster.nnpc import nearest_neighbor_sets
-from psdcluster.spectra import estimate_dataset_psds, make_window
+from psdcluster.spectra import WINDOW_KINDS, estimate_dataset_psds, make_window, next_pow2
 
 
 def random_psd(gen, grid=64):
@@ -190,10 +190,36 @@ def test_weighted_spectra_are_the_estimates_weighted_in_place(monkeypatch, unit_
 
     expected = half_spectrum_rows(estimate_dataset_psds(obs, window, 128, unit_power))
     monkeypatch.setattr(psdcluster.distances, "estimate_dataset_psds", recording_estimate)
-    rows, grid = weighted_spectra(obs, window, 128, unit_power)
-    assert rows is estimates[0]  # halved in place, never copied
-    assert grid == expected[1] == 128
-    np.testing.assert_array_equal(rows, expected[0])
+    rows = weighted_spectra(obs, window, 128, unit_power)
+    assert rows is estimates[0]  # weighted in place, never copied
+    np.testing.assert_array_equal(rows, expected)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    m=st.integers(2, 300),
+    n=st.integers(2, 5),
+    kind=st.sampled_from(WINDOW_KINDS),
+    std=st.floats(0.5, 400.0),
+    unit_power=st.booleans(),
+    grid_factor=st.integers(2, 16),
+    log_scale=st.integers(-100, 100),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=4096, n=3, kind="gaussian", std=50.0, unit_power=False, grid_factor=16, log_scale=0, seed=0)  # F = 65536
+def test_weighted_rows_give_the_unscaled_distances_times_one_over_f(m, n, kind, std, unit_power, grid_factor,
+                                                                    log_scale, seed):
+    """The 1/F in the rows is exact: pdist of the weighted spectra equals pdist
+    of the estimates with the endpoints halved, times 1/F, bit for bit, for
+    sample magnitudes of at least 1e-100."""
+    gen = np.random.default_rng(seed)
+    obs = gen.choice([-1.0, 1.0], (n, m)) * gen.uniform(1.0, 10.0, (n, m)) * 10.0**log_scale
+    window = make_window(kind, m, std=std if kind == "gaussian" else None)
+    grid = next_pow2(grid_factor * m)
+    halved = estimate_dataset_psds(obs, window, grid, unit_power)
+    halved[:, [0, -1]] *= 0.5
+    expected = pdist(halved, "cityblock") * (1.0 / grid)
+    np.testing.assert_array_equal(pdist(weighted_spectra(obs, window, grid, unit_power), "cityblock"), expected)
 
 
 def test_matrix_needs_input():
@@ -238,7 +264,7 @@ class TestBlockedNeighbors:
     def test_tie_heavy_rows_match_the_matrix(self, n, bins, levels, seed, data):
         q = data.draw(st.one_of(st.integers(1, min(n - 1, 12)), st.integers(1, n - 1)))
         psds = integer_psds(seed, n, bins, levels)
-        index, dist = nearest_neighbors(*half_spectrum_rows(psds), q)
+        index, dist = nearest_neighbors(half_spectrum_rows(psds), q)
         sets, expected = dense_neighbors(psds, q)
         np.testing.assert_array_equal(index, sets)
         np.testing.assert_array_equal(dist, expected)
@@ -247,7 +273,7 @@ class TestBlockedNeighbors:
     def test_small_blocks_match_the_matrix(self, monkeypatch, block, n, q):
         monkeypatch.setattr(psdcluster.distances, "NEIGHBOR_BLOCK_ROWS", block)
         psds = integer_psds(n + q, n, 3, 3)
-        index, dist = nearest_neighbors(*half_spectrum_rows(psds), q)
+        index, dist = nearest_neighbors(half_spectrum_rows(psds), q)
         sets, expected = dense_neighbors(psds, q)
         np.testing.assert_array_equal(index, sets)
         np.testing.assert_array_equal(dist, expected)
@@ -255,30 +281,30 @@ class TestBlockedNeighbors:
     def test_estimated_psds_match_the_matrix(self):
         obs = np.random.default_rng(8).standard_normal((300, 64))
         psds = estimate_dataset_psds(obs, window=make_window("bartlett", 64), grid_size=256)
-        index, dist = nearest_neighbors(*half_spectrum_rows(psds), 10)
+        index, dist = nearest_neighbors(half_spectrum_rows(psds), 10)
         sets, expected = dense_neighbors(psds, 10)
         np.testing.assert_array_equal(index, sets)
         np.testing.assert_array_equal(dist, expected)
 
     def test_rejects_out_of_range_q(self):
-        rows, grid = half_spectrum_rows(integer_psds(1, 5, 3, 3))
+        rows = half_spectrum_rows(integer_psds(1, 5, 3, 3))
         for q in (0, 5):
             with pytest.raises(ValueError, match="n_neighbors must be in 1..4"):
-                nearest_neighbors(rows, grid, q)
+                nearest_neighbors(rows, q)
 
     def test_rejects_non_finite_distances(self):
-        rows, grid = half_spectrum_rows(integer_psds(1, 5, 3, 3))
+        rows = half_spectrum_rows(integer_psds(1, 5, 3, 3))
         rows[3, 1] = np.nan
         with pytest.raises(ValueError, match="distance matrix entries must be finite"):
-            nearest_neighbors(rows, grid, 2)
+            nearest_neighbors(rows, 2)
 
 
 def test_distance_columns_match_the_matrix():
     psds = np.vstack([integer_psds(4, 40, 5, 4), [random_psd(np.random.default_rng(4), 5) for _ in range(10)]])
     d = distance_matrix(psds)
-    rows, grid = half_spectrum_rows(psds)
+    rows = half_spectrum_rows(psds)
     index = np.array([0, 17, 49, 3, 17])
-    np.testing.assert_array_equal(distance_columns(rows, grid, index), d[:, index])
+    np.testing.assert_array_equal(distance_columns(rows, index), d[:, index])
 
 
 class TestValidator:

@@ -139,7 +139,7 @@ class TestFromSpectra:
         n_clusters = data.draw(st.integers(1, n))
         gen = np.random.default_rng(seed)
         values = gen.integers(0, levels, (n, bins)) + (gen.random((n, bins)) if noise else 0)
-        labels = km_from_spectra(*half_spectrum_rows(values), n_clusters)
+        labels = km_from_spectra(half_spectrum_rows(values), n_clusters)
         np.testing.assert_array_equal(labels, km_from_distances(distance_matrix(values), n_clusters))
 
     @pytest.mark.parametrize("n_clusters", [1, 3, 7])
@@ -147,24 +147,24 @@ class TestFromSpectra:
         # seeding computes the column of every center, and the assignment reuses them
         entries = []
 
-        def counted(rows, grid_size, index):
-            columns = distance_columns(rows, grid_size, index)
+        def counted(rows, index):
+            columns = distance_columns(rows, index)
             entries.append(columns.size)
             return columns
 
         monkeypatch.setattr(psdcluster.km, "distance_columns", counted)
         values = np.random.default_rng(n_clusters).random((30, 9))
-        labels = km_from_spectra(*half_spectrum_rows(values), n_clusters)
+        labels = km_from_spectra(half_spectrum_rows(values), n_clusters)
         assert sum(entries) == 30 * n_clusters
         np.testing.assert_array_equal(labels, km_from_distances(distance_matrix(values), n_clusters))
 
     def test_rejects_bad_count(self):
-        rows, grid = half_spectrum_rows([np.arange(3.0) + i for i in range(4)])
+        rows = half_spectrum_rows([np.arange(3.0) + i for i in range(4)])
         with pytest.raises(ValueError, match="n_clusters must be in 1..4"):
-            km_from_spectra(rows, grid, 5)
+            km_from_spectra(rows, 5)
 
     def test_rejects_a_non_finite_distance(self):
-        rows, grid = half_spectrum_rows([np.arange(3.0) + i for i in range(4)])
+        rows = half_spectrum_rows([np.arange(3.0) + i for i in range(4)])
         rows[2, 0] = np.inf
         with pytest.raises(ValueError, match="distance matrix entries must be finite"):
-            km_from_spectra(rows, grid, 2)
+            km_from_spectra(rows, 2)

@@ -548,7 +548,7 @@ def both_paths(values, q, n_clusters, seed):
     """(labels, count, warnings) of nnpc_from_spectra and of nnpc_from_distances on the same rows."""
     outcomes = []
     for run in (
-        lambda: nnpc_from_spectra(*half_spectrum_rows(values), q, n_clusters, rng=RngStream(seed)),
+        lambda: nnpc_from_spectra(half_spectrum_rows(values), q, n_clusters, rng=RngStream(seed)),
         lambda: nnpc_from_distances(distance_matrix(values), q, n_clusters, rng=RngStream(seed)),
     ):
         with warnings.catch_warnings(record=True) as caught:

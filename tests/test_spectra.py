@@ -113,6 +113,13 @@ class TestMakeWindow:
         with pytest.raises(ValueError, match="std"):
             make_window("gaussian", 64, std=std)
 
+    def test_rejects_a_std_whose_window_is_not_finite(self):
+        # 2 std^2 underflows to 0 and the lag-0 weight would be 0/0
+        with pytest.raises(ValueError, match="gaussian window std 1e-200 is too small"):
+            make_window("gaussian", 64, std=1e-200)
+        # 2 std^2 is subnormal: every lag past 0 gets weight 0
+        np.testing.assert_array_equal(make_window("gaussian", 4, std=1e-160).values, [1.0, 0.0, 0.0, 0.0])
+
 
 class TestEstimateAcf:
     def test_two_sample_hand_case(self):
