@@ -10,7 +10,9 @@ runs.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
+import io
 import json
 import math
 import sys
@@ -44,6 +46,12 @@ DEFAULT_GRID_FACTOR = 4
 DEFAULT_N_PER_MODEL = 25
 DEFAULT_TRIALS = 200
 
+# The CSV reader takes whole lines in batches of about this many bytes.
+CSV_BATCH_BYTES = 1 << 17
+_EXACT_POWER = 27  # the largest k with 10**k exact in the x87 significand
+_EXACT_MANTISSA = 10**18  # mantissas below this are exact there, and np.fromstring reads them unsaturated
+_TOKEN_BYTES = bytes.maketrans(b"e\n", b",,")
+
 _CONFIG_KEYS = {
     "models",
     "preset",
@@ -76,18 +84,19 @@ def _csv_rows(path, lines, start: int = 0):
         raise ValueError(f"{path}: line {record_no + 1}: {exc}") from exc
 
 
-def _observation_records(path, handle):
-    """Cells of each CSV record in handle, the same records csv.reader gives.
+def _observation_records(path, lines, start: int = 0):
+    """Cells of each CSV record in lines, the same records csv.reader gives,
+    numbered from start + 1.
 
     Lines are split on commas until the first line that holds a double quote
     or a field longer than csv's size limit; csv.reader parses the rest.
     """
     limit = csv.field_size_limit()
-    record_no = 0
-    for line in handle:
+    record_no = start
+    for line in lines:
         cells = line.rstrip("\r\n").split(",")
         if '"' in line or (len(line) > limit and max(map(len, cells)) > limit):
-            yield from _csv_rows(path, chain([line], handle), start=record_no)
+            yield from _csv_rows(path, chain([line], lines), start=record_no)
             return
         record_no += 1
         yield cells
@@ -120,24 +129,163 @@ def _record_samples(path, line_no: int, cells: list[str], with_truth: bool):
     return label, values
 
 
+def _exact_scaling_powers():
+    """10**0 .. 10**27 as np.longdouble where that is the x87 format, else None.
+
+    Each power is exact in the x87 64-bit significand (5**27 < 2**63), so a
+    mantissa below 10**18 times or over one of them is rounded once. The
+    significand is the low 8 bytes of each 16-byte item.
+    """
+    if np.finfo(np.longdouble).nmant != 63 or np.dtype(np.longdouble).itemsize != 16:
+        return None
+    return np.cumprod(np.r_[1, np.full(_EXACT_POWER, 10)].astype(np.longdouble))
+
+
+def _parse_sample_lines(region: bytes, powers):
+    """The samples of each line of a region of sample cells whose lines all
+    end in \\n, or None if a cell is outside the byte route's grammar.
+
+    A cell is an optional minus sign, digits with at most one dot among them
+    and at least one digit, and an optional exponent e[-]digits; its value
+    has the bits float() gives. The dots go, the exponent markers and
+    newlines become commas, and one np.fromstring reads every mantissa and
+    exponent as an integer. Each mantissa is scaled by a power of ten in
+    np.longdouble and cast to float64. float() reads the cells where that
+    could round twice: a mantissa of 10**18 or more (fromstring saturates at
+    2**63 - 1), a power beyond 10**27, or an extended result that lies
+    exactly halfway between two doubles.
+    """
+    if region.translate(None, b"0123456789.-e,\n"):
+        return None
+    data = np.frombuffer(region, np.uint8)
+    ends = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    if (ends - starts).max() > csv.field_size_limit():  # csv.reader refuses such a cell
+        return None
+    negative = data[starts] == ord("-")
+    dots = np.flatnonzero(data == ord("."))
+    marks = np.flatnonzero(data == ord("e"))
+    dot_cells, mark_cells = np.searchsorted(ends, dots), np.searchsorted(ends, marks)
+    negative_exponent = data[marks + 1] == ord("-")
+    if region.count(b"-") != np.count_nonzero(negative) + np.count_nonzero(negative_exponent):
+        return None  # a minus sign neither first in a cell nor right after its e
+    if np.any(np.diff(dot_cells) < 1) or np.any(np.diff(mark_cells) < 1):
+        return None  # two dots or two exponents in one cell
+    mantissa_ends = ends.copy()
+    mantissa_ends[mark_cells] = marks
+    if np.any(dots > mantissa_ends[dot_cells]):
+        return None  # a dot in the exponent
+    digits = mantissa_ends - starts - negative
+    digits[dot_cells] -= 1
+    if digits.min() < 1 or np.any(ends[mark_cells] - marks - negative_exponent < 2):
+        return None  # a mantissa or an exponent without digits
+    scale = np.zeros(len(ends), dtype=np.int64)
+    scale[dot_cells] = dots + 1 - mantissa_ends[dot_cells]
+    tokens = np.fromstring(region.translate(_TOKEN_BYTES, b"."), dtype=np.int64, sep=",")
+    if len(marks):
+        exponents = mark_cells + np.arange(1, len(marks) + 1)
+        scale[mark_cells] += tokens[exponents]
+        tokens = np.delete(tokens, exponents)
+    inexact = (scale > _EXACT_POWER) | (scale < -_EXACT_POWER)
+    inexact |= (tokens >= _EXACT_MANTISSA) | (tokens <= -_EXACT_MANTISSA)
+    np.clip(scale, -_EXACT_POWER, _EXACT_POWER, out=scale)
+    extended = np.abs(tokens).astype(np.longdouble) * powers[np.maximum(scale, 0)] / powers[np.maximum(-scale, 0)]
+    inexact |= (extended.view(np.uint64)[::2] & 0x7FF) == 0x400  # a tie in the cast that the decimal may not be
+    samples = extended.astype(np.float64)
+    np.negative(samples, out=samples, where=negative)  # the sign of -0.0 too
+    for cell in np.flatnonzero(inexact):
+        samples[cell] = float(region[starts[cell]:ends[cell]])
+    return np.split(samples, np.flatnonzero(data[ends[:-1]] == ord("\n")) + 1)
+
+
+def _parse_batch(batch: bytes, with_truth: bool, powers):
+    """(label or None, samples) of each line of a batch on the byte route, or
+    None if the batch is outside its grammar.
+
+    With with_truth each line's first cell is its label: stripped, nonblank,
+    free of double quotes and carriage returns, and valid UTF-8.
+    """
+    if not batch.endswith(b"\n"):
+        batch += b"\n"  # the last line of a file without a final newline
+    if not with_truth:
+        rows = _parse_sample_lines(batch, powers)
+        return None if rows is None else [(None, row) for row in rows]
+    labels, pieces, start = [], [], 0
+    while start < len(batch):
+        end = batch.index(b"\n", start) + 1
+        comma = batch.find(b",", start, end)
+        label = batch[start:comma]
+        if comma < 0 or len(label) > csv.field_size_limit() or b'"' in label or b"\r" in label:
+            return None
+        try:
+            label = label.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            return None
+        if not label:
+            return None
+        labels.append(label)
+        pieces.append(memoryview(batch)[comma + 1 : end])
+        start = end
+    rows = _parse_sample_lines(b"".join(pieces), powers)
+    return None if rows is None else list(zip(labels, rows))
+
+
+def _line_batches(handle):
+    """Whole lines of a binary file in batches of about CSV_BATCH_BYTES, a leading UTF-8 BOM dropped.
+
+    A line longer than a batch is a batch of its own, read once.
+    """
+    lines = handle.readlines(CSV_BATCH_BYTES)
+    if lines and lines[0].startswith(codecs.BOM_UTF8):
+        lines[0] = lines[0][len(codecs.BOM_UTF8):]
+    while lines:
+        batch = b"".join(lines)
+        if batch:
+            yield batch
+        lines = handle.readlines(CSV_BATCH_BYTES)
+
+
+def _observation_rows(path, handle, with_truth: bool):
+    """(line number, label or None, samples) of each nonblank record in a binary CSV handle.
+
+    A batch of lines on the byte route's grammar is parsed there; any other
+    batch goes through the per-record code, csv.reader included, which takes
+    the rest of the file from the first line with a double quote on. Both
+    give the same samples, labels, errors and line numbers.
+    """
+    powers = _exact_scaling_powers()
+    batches = _line_batches(handle)
+    line_no = 0
+    for batch in batches:
+        rows = None if powers is None else _parse_batch(batch, with_truth, powers)
+        if rows is not None:
+            for line_no, (label, values) in enumerate(rows, start=line_no + 1):
+                yield line_no, label, values
+            continue
+        lines = io.StringIO(batch.decode("utf-8"), newline="")
+        if b'"' in batch:
+            rest = (line for later in batches for line in io.StringIO(later.decode("utf-8"), newline=""))
+            lines = chain(lines, rest)
+        for line_no, cells in enumerate(_observation_records(path, lines, start=line_no), start=line_no + 1):
+            record = _record_samples(path, line_no, cells, with_truth)
+            if record is not None:
+                yield line_no, *record
+
+
 def _read_observation_csv(path, with_truth: bool, pad_zeros: bool, subtract_mean: bool):
     """Load observations (one per row); optionally a leading truth-label column.
 
     Returns (observations, truth) with truth None unless requested. Ragged
     rows are zero-padded to the longest row when pad_zeros is set and are an
     error otherwise. Mean subtraction happens before padding. The file is
-    read one line at a time, and each row goes straight into one
-    (rows, longest row) buffer that grows in place.
+    read in batches of whole lines (_observation_rows), and each row goes
+    straight into one (rows, longest row) buffer that grows in place.
     """
     observations = np.zeros((0, 0))
     count, ragged = 0, False
     truth_cells: list[str] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        for line_no, cells in enumerate(_observation_records(path, handle), start=1):
-            record = _record_samples(path, line_no, cells, with_truth)
-            if record is None:
-                continue
-            label, values = record
+    with open(path, "rb") as handle:
+        for line_no, label, values in _observation_rows(path, handle, with_truth):
             if values.size < 2:
                 raise ValueError(f"{path}: line {line_no}: observations need at least 2 samples")
             if not np.all(np.isfinite(values)):
@@ -186,7 +334,7 @@ def _input_spectra(args, uses_neighbors: bool, uses_max_clusters: bool, n_cluste
     spectra alone.
     """
     if uses_neighbors and args.neighbors < 1:
-        with open(args.input, newline="", encoding="utf-8") as handle:  # the reader's row count, no sample parsed
+        with open(args.input, newline="", encoding="utf-8-sig") as handle:  # the reader's row count, no sample parsed
             n_obs = sum(any(cell.strip() for cell in cells) for cells in _observation_records(args.input, handle))
         raise ValueError(f"neighbor count must be in 1..{n_obs - 1}, got {args.neighbors}")
     if uses_max_clusters and args.max_clusters < 1:
@@ -468,7 +616,7 @@ def _extract_column(path, column: str) -> np.ndarray:
     `column` is either a zero-based index or a header name; a header row is
     detected automatically in index mode and required in name mode.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         records = [record for record in _csv_rows(path, handle) if any(cell.strip() for cell in record)]
     if not records:
         raise ValueError(f"{path}: empty sequence file")
@@ -505,7 +653,7 @@ def _extract_column(path, column: str) -> np.ndarray:
 
 def _load_label_map(path) -> dict[str, str]:
     labels: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         for record in _csv_rows(path, handle):
             record = [cell.strip() for cell in record]
             if len(record) < 2 or not record[0]:

@@ -23,7 +23,7 @@ import psdcluster
 import psdcluster.cli
 import psdcluster.distances
 import psdcluster.nnpc
-from psdcluster.cli import _read_observation_csv, main, run_synth_bench
+from psdcluster.cli import _exact_scaling_powers, _parse_sample_lines, _read_observation_csv, main, run_synth_bench
 from psdcluster.distances import distance_matrix
 from psdcluster.generators import benchmark_models, make_benchmark_dataset
 from psdcluster.km import km_from_distances
@@ -521,6 +521,233 @@ class TestObservationReader:
             assert outcome == read_outcome(reference_read_observation_csv, path, flags)
         # the ragged file needs --pad-zeros, and its label column needs --truth
         assert outcome[0] == ("ok" if flags[:2] == (True, True) else "error")
+
+
+EXACT_POWERS = _exact_scaling_powers()
+needs_x87 = pytest.mark.skipif(EXACT_POWERS is None, reason="np.longdouble is not the x87 format, so no byte route")
+
+
+def route_bits(cells):
+    """The bits the byte route reads from one line of cells."""
+    rows = _parse_sample_lines((",".join(cells) + "\n").encode(), EXACT_POWERS)
+    assert rows is not None and len(rows) == 1
+    return rows[0].view(np.uint64).tolist()
+
+
+def float_bits(cells):
+    return np.array([float(cell) for cell in cells]).view(np.uint64).tolist()
+
+
+@st.composite
+def decimal_cells(draw):
+    """Up to 19 digits, the dot anywhere or absent, an exponent in -40..40 or none."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=19))
+    dot = draw(st.none() | st.integers(0, len(digits)))
+    exponent = draw(st.none() | st.integers(-40, 40))
+    mantissa = digits if dot is None else digits[:dot] + "." + digits[dot:]
+    return "-" * draw(st.booleans()) + mantissa + ("" if exponent is None else f"e{exponent}")
+
+
+def write_repr_csv(path, rows, labels=None):
+    with open(path, "w", encoding="utf-8") as handle:
+        for index, row in enumerate(rows):
+            label = [] if labels is None else [labels[index]]
+            handle.write(",".join(label + [repr(float(v)) for v in row]) + "\n")
+    return path
+
+
+@needs_x87
+class TestByteRouteNumbers:
+    """The byte route reads every cell of its grammar to the bits of float()."""
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
+    @example(values=[0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e-5, 123456789012345678.0])
+    def test_repr_of_any_double(self, values):
+        cells = [repr(v).replace("e+", "e") for v in values]  # the grammar's exponent has no plus sign
+        assert route_bits(cells) == float_bits(cells)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(cells=st.lists(decimal_cells(), min_size=1, max_size=20))
+    def test_decimal_strings(self, cells):
+        assert route_bits(cells) == float_bits(cells)
+
+    @pytest.mark.parametrize("cell", [
+        "67.4185598945439537",  # rounded once more from the extended tie: 67.41855989454396
+        "89.9688301807817723",
+        "-67.4185598945439537",
+        "9007199254740993",  # exactly halfway between two doubles
+        "999999999999999999", "1000000000000000000", "99999999999999999999999", "-9223372036854775808",
+        "1e27", "1e28", "1e-27", "1e-28", "0.000000000000000000000000001", "1e-9223372036854775808",
+        "-0", "-0.0e-5", "00000000000000000000000000000000000012.5",
+    ])
+    def test_cells_that_could_round_twice(self, cell):
+        assert route_bits([cell, "1.0"]) == float_bits([cell, "1.0"])
+
+    @pytest.mark.parametrize("cell", [
+        "", " 1", "1 ", "+1", "1e+5", "1_0", "1.2.3", "1e5e5", "1e5.5", "1e", "1e-", "-", ".", "-.", ".e5", "e5",
+        "--1", "1-", "1e--5", "1E5", "inf", "nan", "\u0661", '"1"', "1\r", "12e5.5", "12e-5.5",
+    ])
+    def test_cells_outside_the_grammar(self, cell):
+        assert _parse_sample_lines(f"1.0,{cell},2.0\n".encode(), EXACT_POWERS) is None
+
+
+@needs_x87
+class TestByteRoute:
+    """Files on the byte route's grammar are read there, and every file gives
+    the arrays, labels and errors of the reference reader."""
+
+    @pytest.fixture()
+    def per_record_unreachable(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a record went through the per-record code")
+
+        monkeypatch.setattr(psdcluster.cli, "_record_samples", unreachable)
+        monkeypatch.setattr(psdcluster.cli, "_observation_records", unreachable)
+
+    @pytest.mark.parametrize("final_newline", [True, False])
+    @pytest.mark.parametrize("ragged", [False, True])
+    @pytest.mark.parametrize("flags", [(True, True, True), (True, True, False), (True, False, False),
+                                       (False, True, True), (False, False, True)])
+    def test_repr_files_take_the_byte_route(self, tmp_path, per_record_unreachable, final_newline, ragged, flags):
+        gen = np.random.default_rng(11)
+        rows = [gen.standard_normal(gen.integers(300, 700) if ragged else 500) * 10.0 ** gen.integers(-8, 8)
+                for _ in range(40)]
+        rows[3][:5] = [0.0, -0.0, 1e-5, -2.5e-7, 1e15]
+        labels = [f" m{index % 3}" for index in range(40)] if flags[0] else None
+        path = write_repr_csv(tmp_path / "repr.csv", rows, labels)
+        if not final_newline:
+            path.write_bytes(path.read_bytes()[:-1])
+        outcome = read_outcome(_read_observation_csv, path, flags)
+        assert outcome == read_outcome(reference_read_observation_csv, path, flags)
+        assert outcome[0] == ("error" if ragged and not flags[1] else "ok")
+
+    @pytest.mark.parametrize("batch_bytes", [1, 7, 4096])
+    @pytest.mark.parametrize("flags", [(True, True, True), (False, False, False)])
+    def test_lines_straddle_small_batches(self, dataset_csv, tmp_path, monkeypatch, batch_bytes, flags):
+        monkeypatch.setattr(psdcluster.cli, "CSV_BATCH_BYTES", batch_bytes)
+        ragged = tmp_path / "ragged.csv"
+        lines = dataset_csv.read_text().splitlines()
+        ragged.write_text("\n".join(line.rsplit(",", k)[0] for k, line in enumerate(lines)))  # no final newline
+        unlabeled = tmp_path / "unlabeled.csv"
+        unlabeled.write_text("".join(line.split(",", 1)[1] + "\n" for line in lines))
+        quoted = tmp_path / "quoted.csv"  # csv.reader reads a quoted line break across batches
+        quoted.write_text("".join(f'"{line[:2]}\n",{line.split(",", 1)[1]}\n' if k == 2 else line + "\n"
+                                  for k, line in enumerate(lines)))
+        for path in (dataset_csv, ragged, unlabeled, quoted):
+            assert read_outcome(_read_observation_csv, path, flags) == read_outcome(
+                reference_read_observation_csv, path, flags
+            )
+
+    def test_only_batches_outside_the_grammar_take_the_per_record_code(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(psdcluster.cli, "CSV_BATCH_BYTES", 1024)
+        rows = np.random.default_rng(12).standard_normal((200, 8))
+        path = write_repr_csv(tmp_path / "obs.csv", rows, ["m0"] * 200)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[150] = lines[150].replace(",", ", ", 1)  # a space before a sample: outside the grammar, same value
+        path.write_text("".join(lines))
+        records = []
+        record_samples = psdcluster.cli._record_samples
+
+        def recording(path, line_no, *rest):
+            records.append(line_no)
+            return record_samples(path, line_no, *rest)
+
+        monkeypatch.setattr(psdcluster.cli, "_record_samples", recording)
+        flags = (True, False, True)
+        assert read_outcome(_read_observation_csv, path, flags) == read_outcome(
+            reference_read_observation_csv, path, flags
+        )
+        assert 151 in records and len(records) <= 1024 // 100  # one batch of lines over 100 bytes long
+
+    def test_error_after_a_quoted_cell_names_its_line(self, tmp_path):
+        rows = np.random.default_rng(13).standard_normal((1000, 8))
+        path = write_repr_csv(tmp_path / "obs.csv", rows, ["m0"] * 1000)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[499] = lines[499].replace(",", ',"', 1).replace(",", '",', 2)  # line 500: "m0,"<sample>",..."
+        lines[899] = lines[899].replace(",", ",x", 1)  # line 900: a non-numeric cell
+        path.write_text("".join(lines))
+        for flags in [(True, False, False), (True, True, True)]:
+            outcome = read_outcome(_read_observation_csv, path, flags)
+            assert outcome == read_outcome(reference_read_observation_csv, path, flags)
+            assert outcome == ("error", f"{path}: line 900: non-numeric sample value")
+
+    def test_cells_beyond_the_csv_field_limit_are_csv_errors(self, tmp_path):
+        path = tmp_path / "long-cell.csv"
+        long_label, long_sample = "m" * (csv.field_size_limit() + 1), "1" + "0" * csv.field_size_limit()
+        for with_truth, line in [(True, long_label + ",1.0,2.0"), (True, "m0,1.0," + long_sample),
+                                 (False, "1.0," + long_sample)]:
+            path.write_text(("m0," * with_truth) + "1.0,2.0\n" + line + "\n")
+            with pytest.raises(ValueError, match=f"^{path}: line 2: field larger than field limit"):
+                _read_observation_csv(path, with_truth, False, False)
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(data=st.data(), with_truth=st.booleans(), pad_zeros=st.booleans(), subtract_mean=st.booleans())
+    def test_without_x87_every_batch_takes_the_per_record_code(self, tmp_path_factory, data, with_truth, pad_zeros,
+                                                               subtract_mean):
+        text = data.draw(csv_text(LABEL_CELLS if with_truth else NUMERIC_CELLS, NUMERIC_CELLS, 2))
+        path = tmp_path_factory.getbasetemp() / "reader-no-x87.csv"
+        path.write_bytes(text.encode("utf-8"))
+        flags = (with_truth, pad_zeros, subtract_mean)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(psdcluster.cli, "_exact_scaling_powers", lambda: None)
+            outcome = read_outcome(_read_observation_csv, path, flags)
+        assert outcome == read_outcome(reference_read_observation_csv, path, flags)
+
+    def test_traced_peak_is_the_buffer_and_one_line(self, tmp_path):
+        """48 rows of 16384 samples peak at the sample buffer's capacity plus
+        the transient arrays of one line's parse, not at every parsed row."""
+        path = write_repr_csv(tmp_path / "long.csv", np.random.default_rng(14).standard_normal((48, 16384)),
+                              [f"m{index % 3}" for index in range(48)])
+        flags = (True, True, True)
+        _read_observation_csv(path, *flags)
+        tracemalloc.start()
+        try:
+            observations, _ = _read_observation_csv(path, *flags)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert observations.shape == (48, 16384)
+        capacity = 61 * 16384 * 8  # the buffer grows from 16 to 36 to 61 rows
+        assert peak <= capacity + 24 * 16384 * 8
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte order mark, as Excel writes, is not part of the first cell."""
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_observation_reader(self, tmp_path, monkeypatch, exact):
+        if not exact:
+            monkeypatch.setattr(psdcluster.cli, "_exact_scaling_powers", lambda: None)
+        rows = np.random.default_rng(15).standard_normal((4, 16))
+        labeled = write_repr_csv(tmp_path / "labeled.csv", rows, ["m0", "m0", "m1", "m1"])
+        labeled.write_bytes(b"\xef\xbb\xbf" + labeled.read_bytes())
+        observations, truth = _read_observation_csv(labeled, True, False, False)
+        assert truth.tolist() == [0, 0, 1, 1]
+        np.testing.assert_array_equal(observations, rows)
+        unlabeled = write_repr_csv(tmp_path / "unlabeled.csv", rows)
+        unlabeled.write_bytes(b"\xef\xbb\xbf" + unlabeled.read_bytes())
+        np.testing.assert_array_equal(_read_observation_csv(unlabeled, False, False, False)[0], rows)
+
+    def test_sequence_header(self, tmp_path, capsys):
+        sequence = tmp_path / "seq.csv"
+        sequence.write_bytes(b"\xef\xbb\xbftime,foot_r\n0,1.5\n1,2.5\n")
+        out = tmp_path / "dataset.csv"
+        assert main(["convert-mocap", str(sequence), "--column", "time", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_text() == "0.0,1.0\n"
+
+    def test_label_map(self, tmp_path, capsys):
+        sequence = tmp_path / "walk1.csv"
+        sequence.write_text("0,1.5\n1,2.5\n")
+        labels_csv = tmp_path / "labels.csv"
+        labels_csv.write_bytes(b"\xef\xbb\xbfwalk1.csv,walk\n")
+        out = tmp_path / "dataset.csv"
+        assert main(["convert-mocap", str(sequence), "--column", "1", "--out", str(out),
+                     "--labels-csv", str(labels_csv)]) == 0
+        capsys.readouterr()
+        assert out.read_text() == "walk,1.5,2.5\n"
 
 
 class TestStrayQuote:
