@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import codecs
 import csv
-import io
 import json
 import math
 import sys
@@ -29,7 +28,7 @@ from .km import km_from_spectra
 from .metrics import clustering_error, confusion_entropy
 from .nnpc import estimate_count_from_spectra, nnpc_from_spectra
 from .numerics import RngStream
-from .spectra import WINDOW_KINDS, make_window, next_pow2
+from .spectra import DEFAULT_GAUSSIAN_STD, DEFAULT_GRID_FACTOR, WINDOW_KINDS, make_window, next_pow2
 from .theory import check_condition
 
 # benchmarks/tracer.py wraps these names on this module, though no command calls them
@@ -41,8 +40,6 @@ from .spectra import estimate_dataset_psds  # noqa: F401
 PRESETS = {"arma3": benchmark_models}
 
 DEFAULT_NEIGHBORS = 10
-DEFAULT_WINDOW_STD = 50.0
-DEFAULT_GRID_FACTOR = 4
 DEFAULT_N_PER_MODEL = 25
 DEFAULT_TRIALS = 200
 
@@ -84,44 +81,16 @@ def _csv_rows(path, lines, start: int = 0):
         raise ValueError(f"{path}: line {record_no + 1}: {exc}") from exc
 
 
-def _observation_records(path, lines, start: int = 0):
-    """Cells of each CSV record in lines, the same records csv.reader gives,
-    numbered from start + 1.
-
-    Lines are split on commas until the first line that holds a double quote
-    or a field longer than csv's size limit; csv.reader parses the rest.
-    """
-    limit = csv.field_size_limit()
-    record_no = start
-    for line in lines:
-        cells = line.rstrip("\r\n").split(",")
-        if '"' in line or (len(line) > limit and max(map(len, cells)) > limit):
-            yield from _csv_rows(path, chain([line], lines), start=record_no)
-            return
-        record_no += 1
-        yield cells
-
-
 def _record_samples(path, line_no: int, cells: list[str], with_truth: bool):
     """(truth cell or None, samples) of one record, or None if every cell is blank.
 
     Blank and whitespace-only cells are dropped and the rest are stripped;
-    with_truth takes the first remaining cell as the label. A record with a
-    nonblank label and numeric cells throughout converts in one pass.
+    with_truth takes the first remaining cell as the label.
     """
-    if cells and (not with_truth or cells[0].strip()):
-        try:
-            values = np.array(cells[1:] if with_truth else cells, dtype=float)
-        except ValueError:
-            pass
-        else:
-            return (cells[0].strip() if with_truth else None), values
-    cells = [cell.strip() for cell in cells if cell.strip() != ""]
+    cells = [cell for cell in map(str.strip, cells) if cell]
     if not cells:
         return None
-    label = None
-    if with_truth:
-        label, cells = cells[0], cells[1:]
+    label = cells.pop(0) if with_truth else None
     try:
         values = np.array(cells, dtype=float)
     except ValueError as exc:
@@ -245,13 +214,28 @@ def _line_batches(handle):
         lines = handle.readlines(CSV_BATCH_BYTES)
 
 
+def _decoded_lines(path, batches, line_no: int = 0):
+    """The lines of byte batches as UTF-8 text, split where csv.reader splits
+    them (\\n, \\r\\n or \\r); the first is physical line line_no + 1.
+
+    An invalid byte is a ValueError naming the file and its line.
+    """
+    for batch in batches:
+        for line in batch.splitlines(keepends=True):
+            line_no += 1
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: line {line_no}: invalid UTF-8 byte 0x{line[exc.start]:02x}") from exc
+            yield text
+
+
 def _observation_rows(path, handle, with_truth: bool):
     """(line number, label or None, samples) of each nonblank record in a binary CSV handle.
 
-    A batch of lines on the byte route's grammar is parsed there; any other
-    batch goes through the per-record code, csv.reader included, which takes
-    the rest of the file from the first line with a double quote on. Both
-    give the same samples, labels, errors and line numbers.
+    A batch of lines on the byte route's grammar is parsed there; csv.reader
+    reads any other batch, and the rest of the file too if the batch holds a
+    double quote. Both give the same samples, labels, errors and line numbers.
     """
     powers = _exact_scaling_powers()
     batches = _line_batches(handle)
@@ -262,11 +246,8 @@ def _observation_rows(path, handle, with_truth: bool):
             for line_no, (label, values) in enumerate(rows, start=line_no + 1):
                 yield line_no, label, values
             continue
-        lines = io.StringIO(batch.decode("utf-8"), newline="")
-        if b'"' in batch:
-            rest = (line for later in batches for line in io.StringIO(later.decode("utf-8"), newline=""))
-            lines = chain(lines, rest)
-        for line_no, cells in enumerate(_observation_records(path, lines, start=line_no), start=line_no + 1):
+        lines = _decoded_lines(path, chain([batch], batches) if b'"' in batch else [batch], line_no)
+        for line_no, cells in enumerate(_csv_rows(path, lines, start=line_no), start=line_no + 1):
             record = _record_samples(path, line_no, cells, with_truth)
             if record is not None:
                 yield line_no, *record
@@ -320,10 +301,6 @@ def _read_observation_csv(path, with_truth: bool, pad_zeros: bool, subtract_mean
     return observations, truth
 
 
-def _window_for(kind: str, length: int, std: float):
-    return make_window(kind, length, std=std if kind == "gaussian" else None)
-
-
 def _input_spectra(args, uses_neighbors: bool, uses_max_clusters: bool, n_clusters: int | None = None,
                    single_needs_no_neighbors: bool = False):
     """The front end of cluster and estimate-l: the weighted spectra of the input, (rows, truth, M, F).
@@ -334,12 +311,13 @@ def _input_spectra(args, uses_neighbors: bool, uses_max_clusters: bool, n_cluste
     spectra alone.
     """
     if uses_neighbors and args.neighbors < 1:
-        with open(args.input, newline="", encoding="utf-8-sig") as handle:  # the reader's row count, no sample parsed
-            n_obs = sum(any(cell.strip() for cell in cells) for cells in _observation_records(args.input, handle))
+        with open(args.input, "rb") as handle:  # the reader's row count, no sample parsed
+            records = _csv_rows(args.input, _decoded_lines(args.input, _line_batches(handle)))
+            n_obs = sum(any(cell.strip() for cell in cells) for cells in records)
         raise ValueError(f"neighbor count must be in 1..{n_obs - 1}, got {args.neighbors}")
     if uses_max_clusters and args.max_clusters < 1:
         raise ValueError(f"the cluster-count cap must be positive, got {args.max_clusters}")
-    _window_for(args.window, 2, args.std)  # the window options, checked on the shortest observation's window
+    make_window(args.window, 2, args.std)  # the window options, checked on the shortest observation's window
     if args.grid_factor < 2:
         raise ValueError("grid factor must be >= 2")
     observations, truth = _read_observation_csv(args.input, args.truth, args.pad_zeros, args.subtract_mean)
@@ -349,7 +327,7 @@ def _input_spectra(args, uses_neighbors: bool, uses_max_clusters: bool, n_cluste
     if uses_neighbors and args.neighbors > n_obs - 1 and not (single_needs_no_neighbors and n_obs == 1):
         raise ValueError(f"neighbor count must be in 1..{n_obs - 1}, got {args.neighbors}")
     grid = next_pow2(args.grid_factor * obs_len)
-    window = _window_for(args.window, obs_len, args.std)
+    window = make_window(args.window, obs_len, args.std)
     return weighted_spectra(observations, window, grid, args.normalize_psd), truth, obs_len, grid
 
 
@@ -419,7 +397,7 @@ def cmd_cluster(args) -> int:
 
 
 def _load_config(path) -> dict:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             config = json.load(handle)
         except json.JSONDecodeError as exc:
@@ -485,12 +463,12 @@ def _int_option(config, key, default, minimum):
 def _parse_config(config) -> dict:
     """Validate the shared benchmark config schema and fill in defaults."""
     models = _build_models(config)
-    window_cfg = config.get("window", {"kind": "gaussian", "std": DEFAULT_WINDOW_STD})
+    window_cfg = config.get("window", {"kind": "gaussian", "std": DEFAULT_GAUSSIAN_STD})
     if not isinstance(window_cfg, dict) or "kind" not in window_cfg:
         raise ValueError("'window' must be an object with at least a 'kind'")
     if set(window_cfg) - {"kind", "std"}:
         raise ValueError("'window' accepts only 'kind' and 'std'")
-    std = window_cfg.get("std", DEFAULT_WINDOW_STD)
+    std = window_cfg.get("std", DEFAULT_GAUSSIAN_STD)
     if isinstance(std, bool) or not isinstance(std, (int, float)) or not 0 < std < math.inf:
         raise ValueError(f"'window' std must be a positive finite number, got {std!r}")
     return {
@@ -525,7 +503,7 @@ def run_synth_bench(config: dict) -> list[dict]:
     trials = cfg["trials"]
     rows = []
     for combo_index, (obs_len, sigma2) in enumerate(combos):
-        window = _window_for(cfg["window_kind"], obs_len, cfg["window_std"])
+        window = make_window(cfg["window_kind"], obs_len, cfg["window_std"])
         grid_size = next_pow2(cfg["grid_factor"] * obs_len)
         errors = {"nnpc": [], "km": []}
         for trial in range(trials):
@@ -580,7 +558,7 @@ def run_check_condition(config: dict) -> list[dict]:
     n_obs = len(models) * cfg["n_per_model"]
     reports = []
     for obs_len, sigma2 in sorted(set(product(cfg["M_list"], cfg["sigma2_list"]))):
-        window = _window_for(cfg["window_kind"], obs_len, cfg["window_std"])
+        window = make_window(cfg["window_kind"], obs_len, cfg["window_std"])
         reports.append(asdict(check_condition(models, window, n_obs, sigma2)))
     return reports
 
@@ -714,7 +692,7 @@ def _add_observation_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--subtract-mean", action="store_true", help="remove each observation's sample mean")
     parser.add_argument("--normalize-psd", action="store_true", help="rescale every PSD estimate to unit power")
     parser.add_argument("--window", choices=WINDOW_KINDS, default="gaussian")
-    parser.add_argument("--std", type=float, default=DEFAULT_WINDOW_STD, help="gaussian window std")
+    parser.add_argument("--std", type=float, default=DEFAULT_GAUSSIAN_STD, help="gaussian window std")
     parser.add_argument("--grid-factor", type=int, default=DEFAULT_GRID_FACTOR,
                         help="frequency grid size = next power of two >= factor * M")
     parser.add_argument("--neighbors", type=int, default=DEFAULT_NEIGHBORS,

@@ -30,6 +30,8 @@ WINDOW_SCAN_POINTS = 4096
 # rectangular window's Dirichlet kernel dips to -21%.
 WINDOW_SIGN_RTOL = 1e-6
 DEFAULT_GAUSSIAN_STD = 50.0
+# The PSD grid is next_pow2(DEFAULT_GRID_FACTOR * M) unless a caller chooses one.
+DEFAULT_GRID_FACTOR = 4
 WINDOW_KINDS = ("gaussian", "bartlett", "rectangular")
 # Bytes of next_pow2(2M)-point FFT rows per chunk of the PSD stage; a chunk
 # holds max(1, PSD_CHUNK_BYTES // (8 next_pow2(2M))) observations.
@@ -234,7 +236,7 @@ def estimate_dataset_psds(
     if window is None:
         window = make_window("gaussian", m, std=DEFAULT_GAUSSIAN_STD)
     if grid_size is None:
-        grid_size = next_pow2(4 * m)
+        grid_size = next_pow2(DEFAULT_GRID_FACTOR * m)
     values = _psd_rows(obs, window, grid_size)
     if unit_power:
         _unit_power_rows(values)

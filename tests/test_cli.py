@@ -604,7 +604,7 @@ class TestByteRoute:
             raise AssertionError("a record went through the per-record code")
 
         monkeypatch.setattr(psdcluster.cli, "_record_samples", unreachable)
-        monkeypatch.setattr(psdcluster.cli, "_observation_records", unreachable)
+        monkeypatch.setattr(psdcluster.cli, "_csv_rows", unreachable)
 
     @pytest.mark.parametrize("final_newline", [True, False])
     @pytest.mark.parametrize("ragged", [False, True])
@@ -748,6 +748,62 @@ class TestByteOrderMark:
                      "--labels-csv", str(labels_csv)]) == 0
         capsys.readouterr()
         assert out.read_text() == "walk,1.5,2.5\n"
+
+    def test_neighbor_count_prelude(self, tmp_path, capsys):
+        path = write_repr_csv(tmp_path / "obs.csv", np.random.default_rng(17).standard_normal((3, 16)))
+        path.write_bytes(b"\xef\xbb\xbf\n" + path.read_bytes())  # a line that is blank once the mark is dropped
+        for neighbors in ["0", "3"]:
+            assert main(["estimate-l", str(path), "--neighbors", neighbors]) == 2
+            assert capsys.readouterr().err == f"error: neighbor count must be in 1..2, got {neighbors}\n"
+
+    @pytest.mark.parametrize("command", ["check-condition", "synth-bench"])
+    def test_config(self, tmp_path, capsys, command):
+        payload = json.dumps({"preset": "arma3", "M_list": [256], "trials": 1, "n_per_model": 3, "q": 2})
+        outputs = []
+        for name, prefix in [("plain.json", b""), ("bom.json", b"\xef\xbb\xbf")]:
+            config = tmp_path / name
+            config.write_bytes(prefix + payload.encode())
+            out = tmp_path / f"{name}.out"
+            assert main([command, "--config", str(config), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
+
+
+class TestInvalidUtf8:
+    """A byte that is not UTF-8 is an input error naming the file and the
+    physical line, whichever route its batch takes."""
+
+    def write_bad_byte_csv(self, path, line_end, with_truth, quoted_line=None):
+        rows = np.random.default_rng(16).standard_normal((3000, 8))
+        lines = [("m0," * with_truth + ",".join(repr(float(v)) for v in row)).encode() for row in rows]
+        lines[2500] = lines[2500].replace(b",", b",\xff", 1)  # line 2501
+        if quoted_line is not None:  # a quoted label holding a line break: two physical lines, one record
+            lines[quoted_line - 1] = b'"m\n0"' + lines[quoted_line - 1][2:]
+        path.write_bytes(b"".join(line + line_end for line in lines))
+
+    @pytest.mark.parametrize("line_end", [b"\n", b"\r\n"])
+    @pytest.mark.parametrize("with_truth", [True, False])
+    def test_cluster(self, tmp_path, capsys, line_end, with_truth):
+        path = tmp_path / "bad.csv"
+        self.write_bad_byte_csv(path, line_end, with_truth)
+        code = main(["cluster", str(path), *["--truth"] * with_truth, "--labels-out", str(tmp_path / "labels.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: line 2501: invalid UTF-8 byte 0xff\n"
+
+    def test_after_a_quoted_cell(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        self.write_bad_byte_csv(path, b"\n", True, quoted_line=500)
+        code = main(["estimate-l", str(path), "--truth"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: line 2502: invalid UTF-8 byte 0xff\n"
+
+    def test_neighbor_count_prelude(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        self.write_bad_byte_csv(path, b"\r\n", True)
+        code = main(["cluster", str(path), "--truth", "--neighbors", "0", "--labels-out", str(tmp_path / "l.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: line 2501: invalid UTF-8 byte 0xff\n"
 
 
 class TestStrayQuote:
