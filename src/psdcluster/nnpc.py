@@ -8,10 +8,11 @@ Laplacian (estimate_graph_count, also behind estimate_count_from_spectra). One
 partial eigensolve serves both the estimate and the embedding.
 
 The graph needs only the q nearest neighbors of each observation.
-`nnpc_from_spectra` takes them from the blocked scan over the weighted half
-spectra (distances.nearest_neighbors) and never builds the distance
-matrix; `nnpc_from_distances` reads them off a given matrix. From the
-adjacency on, both run the same code.
+`nnpc_from_spectra` takes them from the scan over the weighted half
+spectra (distances.nearest_neighbors), which computes only the pairs a
+lower bound cannot rule out and never builds the distance matrix;
+`nnpc_from_distances` reads them off a given matrix. Both give the same
+sets and distances, and from the adjacency on they run the same code.
 """
 
 from __future__ import annotations
@@ -338,7 +339,7 @@ def nnpc_from_spectra(
     """nnpc_from_distances on the distances of weighted spectra, without the matrix.
 
     `rows` come from distances.weighted_spectra (or half_spectrum_rows).
-    The blocked q-NN scan gives the same neighbor sets and distances as the
+    The pruned q-NN scan gives the same neighbor sets and distances as the
     matrix, so the result is the same; the distance rows of isolated nodes
     are computed only if spectral_cluster has to place them by distance.
     """
@@ -367,7 +368,7 @@ def nnpc_cluster(
     rng: RngStream | None = None,
     max_clusters: int = 10,
 ) -> NnpcResult:
-    """Full pipeline: PSD estimates, blocked q-NN distances, q-NN graph, spectral clustering.
+    """Full pipeline: PSD estimates, pruned q-NN distances, q-NN graph, spectral clustering.
 
     With n_clusters=None the count is estimated by the eigengap heuristic,
     capped at max_clusters. No N x N distance matrix is built.

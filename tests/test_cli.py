@@ -11,7 +11,7 @@ import sys
 import tracemalloc
 import warnings
 import weakref
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ from psdcluster.nnpc import (
     normalized_laplacian,
 )
 from psdcluster.numerics import RngStream, eig_symmetric
-from psdcluster.spectra import PSD_CHUNK_BYTES
+from psdcluster.spectra import PSD_CHUNK_BYTES, WINDOW_KINDS
 
 
 @pytest.fixture()
@@ -1393,6 +1393,98 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["cluster", str(dataset_csv), "--clusters", "0"])
         capsys.readouterr()
+
+
+def tone_csv_bytes(n_rows=18, length=24):
+    """A valid cluster input with a truth column: noisy sinusoids at three frequencies."""
+    gen = np.random.default_rng(5)
+    t = np.arange(length)
+    lines = []
+    for i in range(n_rows):
+        row = np.sin(2 * np.pi * (0.05, 0.2, 0.4)[i % 3] * t + gen.uniform(0, 6)) + 0.2 * gen.standard_normal(length)
+        lines.append(f"m{i % 3}," + ",".join(repr(float(v)) for v in row) + "\n")
+    return "".join(lines).encode()
+
+
+TONE_CSV = tone_csv_bytes()
+# Byte strings that the mutations splice into a valid CSV.
+DAMAGE = [b'"', b"\xef\xbb\xbf", b"\xff", b"\x00", b"\r", b"\r\n", b"\n", b",", b"nan", b"-inf", b"inf",
+          b"1e308", b"-1e308", b"1e-320", b"e+16", b"e+150", b"x"]
+
+
+@st.composite
+def damaged_csv(draw):
+    """TONE_CSV after a few insertions, replacements and deletions at drawn positions."""
+    text = bytearray(TONE_CSV)
+    for _ in range(draw(st.integers(0, 3))):
+        position = draw(st.integers(0, len(text)))
+        action = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if action == "delete":
+            del text[position : position + draw(st.integers(1, 40))]
+        else:
+            text[position : position + (action == "replace")] = draw(st.sampled_from(DAMAGE))
+    return bytes(text)
+
+
+@st.composite
+def command_options(draw):
+    """A command with options that argparse accepts; about one draw in five sets one invalid value."""
+    command = draw(st.sampled_from(["cluster", "estimate-l"]))
+    flags = [flag for flag in ("--truth", "--pad-zeros", "--subtract-mean", "--normalize-psd")
+             if flag == "--truth" or draw(st.booleans())]
+    values = {"--window": draw(st.sampled_from(WINDOW_KINDS)), "--neighbors": draw(st.integers(1, 8)),
+              "--grid-factor": draw(st.integers(2, 4)), "--max-clusters": draw(st.integers(1, 6))}
+    invalid = [("--neighbors", 0), ("--neighbors", 20), ("--grid-factor", 1), ("--max-clusters", 0)]
+    if command == "cluster":
+        values.update({"--algorithm": draw(st.sampled_from(["nnpc", "km"])),
+                       "--clusters": draw(st.sampled_from(["1", "2", "3", "5"])), "--seed": draw(st.integers(0, 3))})
+        invalid.append(("--clusters", "auto"))  # an error with km
+    if draw(st.integers(0, 4)) == 0:
+        option, value = draw(st.sampled_from([("--truth", None), *invalid]))
+        if option == "--truth":
+            flags.remove("--truth")  # the labels are read as samples
+        else:
+            values[option] = value
+    return command, [*flags, *(str(item) for pair in values.items() for item in pair)]
+
+
+class TestErrorContract:
+    """Damaged input under random options: exit 0, 1 or 2, one error line on failure, repeatable success."""
+
+    @staticmethod
+    def run(command, path, options, outputs):
+        argv = [command, str(path), *options]
+        if command == "cluster":
+            argv += ["--labels-out", str(outputs / "labels.csv"), "--report-out", str(outputs / "report.json")]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "isolated node", RuntimeWarning)  # any other warning is an error
+            code = main(argv)
+        files = {name: (outputs / name).read_bytes() for name in ("labels.csv", "report.json")
+                 if (outputs / name).exists()}
+        return code, out.getvalue(), err.getvalue(), files
+
+    @settings(max_examples=250, deadline=None, database=None, derandomize=True)
+    @given(content=damaged_csv(), command=command_options())
+    @example(content=TONE_CSV.replace(b"m1,", b"m1,1e200,", 1), command=("cluster", ["--truth", "--pad-zeros"]))
+    @example(content=TONE_CSV.replace(b"m2,", b"m2,1e-320,", 1), command=("estimate-l", ["--truth", "--pad-zeros"]))
+    def test_damaged_input(self, tmp_path_factory, content, command):
+        command, options = command
+        base = tmp_path_factory.mktemp("contract")
+        path = base / "input.csv"
+        path.write_bytes(content)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(psdcluster.distances, "NEIGHBOR_BLOCK_ROWS", 4)  # the multi-block scan
+            first = self.run(command, path, options, base)
+            code, _, err, _ = first
+            assert code in (0, 1, 2)
+            if code:
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+            else:
+                assert err == ""
+                for name in first[3]:
+                    (base / name).unlink()
+                assert self.run(command, path, options, base) == first
 
 
 # Runs in a fresh interpreter: argv[1] is a JSON list of (stage, argv) pairs.

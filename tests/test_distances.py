@@ -1,6 +1,6 @@
 """Distance tests: hand values, metric axioms on random spectra, matrix
 consistency with the pairwise scalar routine, the one-sided kernel against
-the full-grid formula on the mirrored grid, the blocked q-NN scan and the
+the full-grid formula on the mirrored grid, the pruned q-NN scan and the
 distance columns against the matrix, and validator error paths."""
 
 import numpy as np
@@ -8,11 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import full_grid
-from scipy.spatial.distance import pdist, squareform
+from scipy.signal import lfilter
+from scipy.spatial.distance import cdist, pdist, squareform
 
 import psdcluster.distances
 from psdcluster.distances import (
     NEIGHBOR_BLOCK_ROWS,
+    _pool_starts,
     distance_columns,
     distance_matrix,
     half_spectrum_rows,
@@ -238,16 +240,35 @@ def integer_psds(seed, n, bins, levels):
     return np.random.default_rng(seed).integers(0, levels, (n, bins))
 
 
-def dense_neighbors(psds, q):
-    d = distance_matrix(psds)
+def assert_scan_matches_the_matrix(rows, q, block=None):
+    """nearest_neighbors on weighted rows equals the q smallest of their pdist matrix, bit for bit.
+
+    `block`, if given, patches NEIGHBOR_BLOCK_ROWS for the scan.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        if block is not None:
+            patch.setattr(psdcluster.distances, "NEIGHBOR_BLOCK_ROWS", block)
+        index, dist = nearest_neighbors(rows, q)
+    d = squareform(pdist(rows, "cityblock"))
     sets = nearest_neighbor_sets(d, q)
-    return sets, np.take_along_axis(d, sets, axis=1)
+    np.testing.assert_array_equal(index, sets)
+    np.testing.assert_array_equal(dist, np.take_along_axis(d, sets, axis=1))
+
+
+def tone_observations(seed, n, m):
+    """Noisy sinusoids at a few frequencies: observations in clusters, with amplitudes spread over a decade."""
+    gen = np.random.default_rng(seed)
+    t = np.arange(m)
+    frequency = gen.choice([0.05, 0.12, 0.3], n)[:, None]
+    amplitude = gen.uniform(1.0, 10.0, (n, 1))
+    phase = gen.uniform(0, 2 * np.pi, (n, 1))
+    return amplitude * np.sin(2 * np.pi * frequency * t + phase) + gen.standard_normal((n, m))
 
 
 class TestBlockedNeighbors:
-    """The blocked q-NN scan gives the matrix's neighbor sets and distances, bit for bit."""
+    """The q-NN scan gives the matrix's neighbor sets and distances, bit for bit."""
 
-    @settings(max_examples=30, deadline=None, database=None, derandomize=True)
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
     @given(
         n=st.one_of(
             st.integers(2, NEIGHBOR_BLOCK_ROWS - 1),  # below one block
@@ -256,35 +277,109 @@ class TestBlockedNeighbors:
                 lambda n: n % NEIGHBOR_BLOCK_ROWS != 0
             ),
         ),
-        bins=st.integers(2, 4),
+        bins=st.one_of(st.integers(2, 4), st.integers(33, 130)),  # wide rows have more bins than pool groups
         levels=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
         data=st.data(),
     )
     def test_tie_heavy_rows_match_the_matrix(self, n, bins, levels, seed, data):
         q = data.draw(st.one_of(st.integers(1, min(n - 1, 12)), st.integers(1, n - 1)))
-        psds = integer_psds(seed, n, bins, levels)
-        index, dist = nearest_neighbors(half_spectrum_rows(psds), q)
-        sets, expected = dense_neighbors(psds, q)
-        np.testing.assert_array_equal(index, sets)
-        np.testing.assert_array_equal(dist, expected)
+        assert_scan_matches_the_matrix(half_spectrum_rows(integer_psds(seed, n, bins, levels)), q)
 
     @pytest.mark.parametrize("block, n, q", [(1, 9, 3), (3, 20, 19), (4, 23, 6), (7, 50, 10)])
-    def test_small_blocks_match_the_matrix(self, monkeypatch, block, n, q):
-        monkeypatch.setattr(psdcluster.distances, "NEIGHBOR_BLOCK_ROWS", block)
-        psds = integer_psds(n + q, n, 3, 3)
-        index, dist = nearest_neighbors(half_spectrum_rows(psds), q)
-        sets, expected = dense_neighbors(psds, q)
-        np.testing.assert_array_equal(index, sets)
-        np.testing.assert_array_equal(dist, expected)
+    def test_small_blocks_match_the_matrix(self, block, n, q):
+        assert_scan_matches_the_matrix(half_spectrum_rows(integer_psds(n + q, n, 3, 3)), q, block)
 
     def test_estimated_psds_match_the_matrix(self):
         obs = np.random.default_rng(8).standard_normal((300, 64))
         psds = estimate_dataset_psds(obs, window=make_window("bartlett", 64), grid_size=256)
-        index, dist = nearest_neighbors(half_spectrum_rows(psds), 10)
-        sets, expected = dense_neighbors(psds, 10)
-        np.testing.assert_array_equal(index, sets)
-        np.testing.assert_array_equal(dist, expected)
+        assert_scan_matches_the_matrix(half_spectrum_rows(psds), 10)
+
+    # The cases below have more bins than pool groups, so the bound is below
+    # the distance and the multi-block scan leaves pairs out.
+
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @given(
+        n=st.integers(12, 90),
+        block=st.integers(2, 20),
+        m=st.integers(16, 48),
+        grid_factor=st.sampled_from([4, 8]),
+        kind=st.sampled_from(WINDOW_KINDS),
+        unit_power=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_estimated_psds_over_several_blocks(self, n, block, m, grid_factor, kind, unit_power, seed, data):
+        q = data.draw(st.one_of(st.integers(1, min(n - 1, 12)), st.integers(1, n - 1)))
+        window = make_window(kind, m, std=m / 4 if kind == "gaussian" else None)
+        rows = weighted_spectra(tone_observations(seed, n, m), window, next_pow2(grid_factor * m), unit_power)
+        assert _pool_starts(rows.shape[1]).size < rows.shape[1]
+        assert_scan_matches_the_matrix(rows, q, block)
+
+    @settings(max_examples=25, deadline=None, database=None, derandomize=True)
+    @given(n=st.integers(8, 90), block=st.integers(2, 20), bins=st.integers(33, 130), bases=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_rows_with_equal_group_sums(self, n, block, bins, bases, seed, data):
+        """Rows that differ only inside pool groups, with sums kept: their bounds tie at one value."""
+        q = data.draw(st.integers(1, n - 1))
+        gen = np.random.default_rng(seed)
+        psds = 3 + integer_psds(seed, bases, bins, 3)[gen.integers(0, bases, n)]
+        starts = _pool_starts(bins)
+        shared = starts[np.diff(starts, append=bins) >= 2]  # groups holding bins b and b + 1
+        shift = gen.integers(-3, 4, (n, shared.size))
+        psds[:, shared] += shift
+        psds[:, shared + 1] -= shift
+        assert_scan_matches_the_matrix(half_spectrum_rows(psds), q, block)
+
+    def test_a_lower_index_row_at_the_qth_distance_is_computed(self):
+        """A row whose bound equals u_i is computed, and wins the tie with the candidate at u_i.
+
+        The samples are multiples of the smallest subnormal, so every sum is
+        exact and the slack rounds away: u_i (1 + slack) is u_i itself. Row
+        8 takes candidates 1 to 4 (bounds 0, 0, 1, 1), whose distances make
+        u_8 = 3, the distance of candidate 2. Row 0 is also at 3, with bound
+        3, so only a survivor test of bound <= u_i computes it, and then it
+        is second for row 8 by the lower index.
+        """
+        bins = 64
+        assert _pool_starts(bins)[1] >= 2  # bins 0 and 1 share a pool group
+        units = np.full((9, bins), 5)
+        units[0, 2] += 3  # distance 3, bound 3
+        units[1, 0], units[1, 1] = 5 + 3, 5 - 3  # distance 6, bound 0
+        units[2, 0], units[2, 1] = 5 + 2, 5 - 1  # distance 3, bound 1
+        units[3, 0], units[3, 1] = 5 + 4, 5 - 4  # distance 8, bound 0
+        units[4, 2] += 1  # distance 1, bound 1
+        units[5:8, 10] += 20  # far rows
+        rows = units * 5e-324
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(psdcluster.distances, "NEIGHBOR_BLOCK_ROWS", 4)
+            index, _ = nearest_neighbors(rows, 2)
+        np.testing.assert_array_equal(index[8], [4, 0])
+        assert_scan_matches_the_matrix(rows, 2, 4)
+
+    def test_a_bound_rounded_above_the_distance_keeps_its_row(self):
+        """Near-duplicate rows whose group sums round apart: the computed bound exceeds the distance.
+
+        With e = 2**-52, row 8 starts (1 + e, 1 + 2e) and row 0 (1 + e, 1 + e),
+        at distance e; the sums 2 + 3e and 2 + 2e round to 2 + 4e and 2 + 2e,
+        a bound of 2e. Candidates 1 and 2 have bound 0 and distances e and
+        4e, so u_8 = e; only the rounding allowance of the survivor test
+        computes row 0, which then wins the tie at e by the lower index.
+        """
+        e = np.finfo(float).eps
+        bins = 64
+        assert _pool_starts(bins)[1] == 2  # bins 0 and 1 are one pool group
+        rows = np.ones((9, bins))
+        rows[0, :2] = 1 + e, 1 + e
+        rows[1, :2] = 1 + 2 * e, 1 + 2 * e  # distance e, bound 0
+        rows[2, :2] = 1 + 3 * e, 1  # distance 4e, bound 0
+        rows[3:8, 10] = 5.0  # far rows
+        rows[8, :2] = 1 + e, 1 + 2 * e
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(psdcluster.distances, "NEIGHBOR_BLOCK_ROWS", 4)
+            index, dist = nearest_neighbors(rows, 1)
+        assert (index[8, 0], dist[8, 0]) == (0, e)
+        assert_scan_matches_the_matrix(rows, 1, 4)
 
     def test_rejects_out_of_range_q(self):
         rows = half_spectrum_rows(integer_psds(1, 5, 3, 3))
@@ -297,6 +392,71 @@ class TestBlockedNeighbors:
         rows[3, 1] = np.nan
         with pytest.raises(ValueError, match="distance matrix entries must be finite"):
             nearest_neighbors(rows, 2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_rows_over_several_blocks(self, monkeypatch, value):
+        monkeypatch.setattr(psdcluster.distances, "NEIGHBOR_BLOCK_ROWS", 4)
+        rows = half_spectrum_rows(integer_psds(1, 12, 40, 3))
+        rows[7, 20] = value
+        with pytest.raises(ValueError, match="distance matrix entries must be finite"):
+            nearest_neighbors(rows, 2)
+
+    def test_an_overflowing_pair_raises_when_the_bound_would_skip_it(self, monkeypatch):
+        """Two huge rows with their mass in different pool groups: their distance overflows.
+
+        Both rows and their pooled rows are finite, but the pair's bound is
+        as large as its distance, so without the norm test the scan would
+        leave the pair out; it must raise as the full matrix does.
+        """
+        monkeypatch.setattr(psdcluster.distances, "NEIGHBOR_BLOCK_ROWS", 4)
+        bins = 64
+        rows = np.random.default_rng(2).uniform(1.0, 2.0, (12, bins))
+        rows[5, 0] = rows[9, -1] = 1.5e308
+        assert _pool_starts(bins).size > 1  # bins 0 and 63 lie in different groups
+        assert np.isinf(pdist(rows[[5, 9]], "cityblock")).all()
+        with pytest.raises(ValueError, match="distance matrix entries must be finite"):
+            nearest_neighbors(rows, 2)
+
+
+# arma3 (AR, MA) coefficients before unit-power scaling
+ARMA3 = [
+    ([1.0], [0.75, 1.0, -1.75, 0.5]),
+    ([1.0], [0.5, 1.25, -1.5, 0.75]),
+    ([1.0, -0.2, 0.4, 0.1], [1.0]),
+]
+
+
+def arma3_observations(seed, per_model, length, burn_in=1000):
+    """Unit-power arma3 observations of every model, shuffled, without psdcluster.generators."""
+    gen = np.random.default_rng(seed)
+    truth = gen.permutation(np.repeat(np.arange(len(ARMA3)), per_model))
+    models = []
+    for ar, ma in ARMA3:
+        power = np.mean(np.abs(np.fft.fft(ma, 1 << 16)) ** 2 / np.abs(np.fft.fft(ar, 1 << 16)) ** 2)
+        models.append((ar, np.asarray(ma) / np.sqrt(power)))
+    return np.array([lfilter(models[t][1], models[t][0], gen.standard_normal(burn_in + length))[burn_in:]
+                     for t in truth])
+
+
+def test_the_scan_computes_few_pairs_exactly(monkeypatch):
+    """On a cluster-wide sized input (1200 x 256 arma3), the bound leaves most pairs out.
+
+    About 4.2% of the ordered pairs are computed exactly at this size;
+    the bound 6% leaves room for a small change of P or of the candidates.
+    """
+    rows = weighted_spectra(arma3_observations(1, 400, 256))
+    exact = 0
+
+    def counting_cdist(first, second, metric):
+        nonlocal exact
+        if second.shape[1] == rows.shape[1]:  # not a bound call, which reads pooled rows
+            exact += first.shape[0] * second.shape[0]
+        return cdist(first, second, metric)
+
+    monkeypatch.setattr(psdcluster.distances, "cdist", counting_cdist)
+    nearest_neighbors(rows, 10)
+    fraction = exact / (len(rows) * (len(rows) - 1))
+    assert fraction < 0.06, fraction
 
 
 def test_distance_columns_match_the_matrix():
