@@ -25,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from .numerics import smallest_per_row
 from .spectra import WindowSpec, estimate_dataset_psds
 
 # Rows per block of the q-NN scan: a block holds NEIGHBOR_BLOCK_ROWS x N bounds.
@@ -111,9 +110,18 @@ def nearest_neighbors(rows: np.ndarray, n_neighbors: int) -> tuple[np.ndarray, n
     if n > NEIGHBOR_BLOCK_ROWS:
         return _pruned_neighbors(rows, q)
     dist = squareform(check_distance_entries(pdist(rows, "cityblock")))
-    np.fill_diagonal(dist, np.inf)  # a row is not its own neighbor
-    index = smallest_per_row(dist, q)
+    index = _matrix_neighbors(dist, q)
     return index, np.take_along_axis(dist, index, axis=1)
+
+
+def _matrix_neighbors(dist: np.ndarray, q: int) -> np.ndarray:
+    """Columns of the q nearest other rows in each row of a square distance matrix.
+
+    A stable sort orders each row by distance, ties going to the lower
+    index. Writes inf on the diagonal of `dist`: a row is not its own neighbor.
+    """
+    np.fill_diagonal(dist, np.inf)
+    return np.argsort(dist, axis=1, kind="stable")[:, :q]
 
 
 def _pruned_neighbors(rows: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:

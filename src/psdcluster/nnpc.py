@@ -26,13 +26,14 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import LinearOperator
 
 from .distances import (
+    _matrix_neighbors,
     check_distance_entries,
     distance_columns,
     nearest_neighbors,
     validate_distance_matrix,
     weighted_spectra,
 )
-from .numerics import RngStream, eig_symmetric, kmeans, relabel_first_seen, smallest_per_row
+from .numerics import RngStream, eig_symmetric, kmeans, relabel_first_seen
 from .spectra import WindowSpec
 
 KMEANS_RESTARTS = 10
@@ -79,9 +80,7 @@ def nearest_neighbor_sets(dist, n_neighbors: int) -> np.ndarray:
     n = d.shape[0]
     if not 1 <= n_neighbors <= n - 1:
         raise ValueError(f"n_neighbors must be in 1..{n - 1}, got {n_neighbors}")
-    work = d.copy()
-    np.fill_diagonal(work, np.inf)
-    return smallest_per_row(work, n_neighbors)
+    return _matrix_neighbors(d.copy(), n_neighbors)
 
 
 def build_adjacency(dist, neighbor_sets) -> csr_array:

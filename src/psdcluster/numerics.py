@@ -1,6 +1,5 @@
 """Low-level numerical kernels: seeded random streams, symmetric
-eigendecomposition, k-means, row-wise smallest-k selection, and
-minimum-cost assignment.
+eigendecomposition, k-means, and minimum-cost assignment.
 
 The eigendecomposition delegates to numpy's LAPACK backend, or to ARPACK when
 only a few eigenpairs of a large matrix are wanted. k-means and the
@@ -116,9 +115,9 @@ def kmeans(points, k: int, restarts: int = 10, rng: RngStream | None = None) -> 
     best_wcss = np.inf
     for _ in range(restarts):
         centers = _kmeanspp(work, k, gen)
-        labels, history = _lloyd(work, centers)
-        if history[-1] < best_wcss:
-            best_wcss = history[-1]
+        labels, wcss = _lloyd(work, centers)
+        if wcss < best_wcss:
+            best_wcss = wcss
             best_labels = labels
 
     out = np.empty(n, dtype=int)
@@ -146,21 +145,21 @@ def _kmeanspp(pts: np.ndarray, k: int, gen: np.random.Generator) -> np.ndarray:
     return centers
 
 
-def _lloyd(pts: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, list[float]]:
+def _lloyd(pts: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, float]:
     """Iterate assignment/update until labels stop changing (or the cap).
 
-    Returns (labels, wcss_history); the history is non-increasing. Assignment
-    ties go to the lowest center index; empty clusters keep their center.
+    Returns the labels and the within-cluster sum of squares of the last
+    assignment. Assignment ties go to the lowest center index; empty clusters
+    keep their center.
     """
     n = pts.shape[0]
     k = centers.shape[0]
     centers = centers.copy()
     labels = None
-    history: list[float] = []
     for _ in range(LLOYD_MAX_ITER):
         d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = d2.argmin(axis=1)
-        history.append(float(d2[np.arange(n), new_labels].sum()))
+        wcss = float(d2[np.arange(n), new_labels].sum())
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -168,35 +167,15 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, list[float
             mask = labels == j
             if mask.any():
                 centers[j] = pts[mask].mean(axis=0)
-    return labels, history
+    return labels, wcss
 
 
 def relabel_first_seen(labels: np.ndarray, k: int) -> np.ndarray:
     """Renumber labels 0..k-1 by order of first appearance."""
+    present, first = np.unique(labels, return_index=True)
     mapping = np.full(k, -1, dtype=int)
-    next_id = 0
-    for lab in labels:
-        if mapping[lab] < 0:
-            mapping[lab] = next_id
-            next_id += 1
+    mapping[present[np.argsort(first)]] = np.arange(present.size)
     return mapping[labels]
-
-
-def smallest_per_row(values: np.ndarray, k: int) -> np.ndarray:
-    """Column positions of the k smallest entries of each row, by increasing value.
-
-    Ties go to the lower position, so the output is deterministic. A partial
-    sort picks each row's k smallest; a row whose k-th value ties with a
-    left-out entry takes the full stable sort instead.
-    """
-    # the k smallest of each row in position order, so a stable sort by value breaks ties low
-    part = np.sort(np.argpartition(values, k - 1, axis=1)[:, :k], axis=1)
-    by_value = np.argsort(np.take_along_axis(values, part, axis=1), axis=1, kind="stable")
-    order = np.take_along_axis(part, by_value, axis=1)
-    kth = np.take_along_axis(values, order[:, -1:], axis=1)
-    tied = np.flatnonzero((values <= kth).sum(axis=1) > k)
-    order[tied] = np.argsort(values[tied], axis=1, kind="stable")[:, :k]
-    return order
 
 
 def min_cost_assignment(cost) -> np.ndarray:

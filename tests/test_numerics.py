@@ -9,6 +9,8 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scipy.sparse import csr_array, diags_array
 from scipy.sparse.linalg import aslinearoperator
@@ -19,6 +21,7 @@ from psdcluster.numerics import (
     eig_symmetric,
     kmeans,
     min_cost_assignment,
+    relabel_first_seen,
 )
 
 
@@ -186,6 +189,34 @@ class TestKmeans:
             kmeans(np.array([[np.inf, 0.0]]), 1)
         with pytest.raises(ValueError):
             kmeans(np.empty((0, 2)), 1)
+
+    def test_lloyd_returns_the_wcss_of_its_labels(self):
+        gen = np.random.default_rng(8)
+        for _ in range(10):
+            pts = gen.standard_normal((20, 2))
+            k = int(gen.integers(1, 5))
+            labels, wcss = numerics._lloyd(pts, pts[gen.choice(20, k, replace=False)])
+            assert wcss == pytest.approx(wcss_of(pts, labels, k), rel=1e-12)
+
+
+def relabel_by_loop(labels, k):
+    """Renumber labels by first appearance, one label at a time."""
+    mapping = [-1] * k
+    next_id = 0
+    for lab in labels:
+        if mapping[lab] < 0:
+            mapping[lab] = next_id
+            next_id += 1
+    return np.array([mapping[lab] for lab in labels])
+
+
+class TestRelabelFirstSeen:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(data=st.data(), k=st.integers(1, 8))
+    def test_matches_the_first_appearance_loop(self, data, k):
+        # short vectors leave most of 0..k-1 out; a length-1 vector is drawn often
+        labels = np.array(data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=3 * k)))
+        np.testing.assert_array_equal(relabel_first_seen(labels, k), relabel_by_loop(labels, k))
 
 
 class TestMinCostAssignment:
