@@ -14,16 +14,19 @@ import codecs
 import csv
 import json
 import math
+import os
 import sys
+import threading
 from dataclasses import asdict
+from functools import partial
 from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .distances import weighted_spectra
-from .generators import benchmark_models, make_benchmark_dataset, make_model, normalize_model
+from .distances import weighted_chunk_spectra, weighted_spectra
+from .generators import benchmark_models, benchmark_rows, make_model, normalize_model
 from .km import km_from_spectra
 from .metrics import clustering_error, confusion_entropy
 from .nnpc import estimate_count_from_spectra, nnpc_from_spectra
@@ -33,6 +36,7 @@ from .theory import check_condition
 
 # benchmarks/tracer.py wraps these names on this module, though no command calls them
 from .distances import distance_matrix  # noqa: F401
+from .generators import make_benchmark_dataset  # noqa: F401
 from .km import km_from_distances  # noqa: F401
 from .nnpc import nnpc_from_distances  # noqa: F401
 from .spectra import estimate_dataset_psds  # noqa: F401
@@ -115,16 +119,17 @@ def _parse_sample_lines(region: bytes, powers):
     end in \\n, or None if a cell is outside the byte route's grammar.
 
     A cell is an optional minus sign, digits with at most one dot among them
-    and at least one digit, and an optional exponent e[-]digits; its value
-    has the bits float() gives. The dots go, the exponent markers and
-    newlines become commas, and one np.fromstring reads every mantissa and
-    exponent as an integer. Each mantissa is scaled by a power of ten in
+    and at least one digit, and an optional exponent e[-|+]digits (repr
+    writes e+16 and up); its value has the bits float() gives. The dots and
+    plus signs go, the exponent markers and newlines become commas, and one
+    np.fromstring reads every mantissa and exponent as an integer. A region
+    without a plus sign skips the plus-sign scan. Each mantissa is scaled by a power of ten in
     np.longdouble and cast to float64. float() reads the cells where that
     could round twice: a mantissa of 10**18 or more (fromstring saturates at
     2**63 - 1), a power beyond 10**27, or an extended result that lies
     exactly halfway between two doubles.
     """
-    if region.translate(None, b"0123456789.-e,\n"):
+    if region.translate(None, b"0123456789.-+e,\n"):
         return None
     data = np.frombuffer(region, np.uint8)
     ends = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
@@ -138,6 +143,12 @@ def _parse_sample_lines(region: bytes, powers):
     negative_exponent = data[marks + 1] == ord("-")
     if region.count(b"-") != np.count_nonzero(negative) + np.count_nonzero(negative_exponent):
         return None  # a minus sign neither first in a cell nor right after its e
+    exponent_sign = negative_exponent
+    if b"+" in region:
+        positive_exponent = data[marks + 1] == ord("+")
+        if region.count(b"+") != np.count_nonzero(positive_exponent):
+            return None  # a plus sign anywhere but right after an e
+        exponent_sign = negative_exponent | positive_exponent
     if np.any(np.diff(dot_cells) < 1) or np.any(np.diff(mark_cells) < 1):
         return None  # two dots or two exponents in one cell
     mantissa_ends = ends.copy()
@@ -146,11 +157,11 @@ def _parse_sample_lines(region: bytes, powers):
         return None  # a dot in the exponent
     digits = mantissa_ends - starts - negative
     digits[dot_cells] -= 1
-    if digits.min() < 1 or np.any(ends[mark_cells] - marks - negative_exponent < 2):
+    if digits.min() < 1 or np.any(ends[mark_cells] - marks - exponent_sign < 2):
         return None  # a mantissa or an exponent without digits
     scale = np.zeros(len(ends), dtype=np.int64)
     scale[dot_cells] = dots + 1 - mantissa_ends[dot_cells]
-    tokens = np.fromstring(region.translate(_TOKEN_BYTES, b"."), dtype=np.int64, sep=",")
+    tokens = np.fromstring(region.translate(_TOKEN_BYTES, b".+"), dtype=np.int64, sep=",")
     if len(marks):
         exponents = mark_cells + np.arange(1, len(marks) + 1)
         scale[mark_cells] += tokens[exponents]
@@ -485,39 +496,108 @@ def _parse_config(config) -> dict:
     }
 
 
+def _trial_workers(tasks: int) -> int:
+    """Threads for synth-bench trials: one per CPU this process may run on, at most one per task."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, tasks))
+
+
+def _map_trials(trial, tasks: list) -> list:
+    """[trial(task) for task in tasks], run by this thread and _trial_workers - 1 more.
+
+    Each thread takes the next task in order until none is left. Once a
+    trial raises, no thread takes another; the running ones finish, and the
+    failure of the earliest task is raised, the one a serial loop would
+    meet first. Working on this thread, rather than waiting on a pool, keeps
+    one malloc arena fewer, about 6 MB of peak RSS on a synth-mc job.
+    """
+    results = [None] * len(tasks)
+    failures = {}
+    queue = iter(enumerate(tasks))
+    lock = threading.Lock()
+
+    def next_task():
+        with lock:
+            return None if failures else next(queue, None)
+
+    def work():
+        while (item := next_task()) is not None:
+            index, task = item
+            try:
+                results[index] = trial(task)
+            except BaseException as exc:
+                with lock:
+                    failures[index] = exc
+
+    helpers = [threading.Thread(target=work) for _ in range(_trial_workers(len(tasks)) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
+
+
+def _synth_trial(cfg: dict, windows: dict, task) -> dict:
+    """The clustering error of each algorithm in one synth-bench trial; task is (M, sigma2, stream).
+
+    The samples go chunk by chunk from the generator into the trial's one
+    weighted spectra array, which both algorithms read.
+    """
+    obs_len, sigma2, stream = task
+    n_clusters = len(cfg["models"])
+    grid_size = next_pow2(cfg["grid_factor"] * obs_len)
+    spectra, truth = benchmark_rows(
+        cfg["models"], cfg["n_per_model"], obs_len, sigma2, RngStream(cfg["seed"], stream),
+        partial(weighted_chunk_spectra, window=windows[obs_len], grid_size=grid_size),
+    )
+    nnpc_result = nnpc_from_spectra(spectra, cfg["q"], n_clusters, rng=RngStream(cfg["seed"], stream + 1))
+    return {
+        "nnpc": clustering_error(nnpc_result.labels, truth),
+        "km": clustering_error(km_from_spectra(spectra, n_clusters), truth),
+    }
+
+
 def run_synth_bench(config: dict) -> list[dict]:
     """Monte Carlo benchmark over all (M, sigma2) combinations in the config.
 
     Both algorithms see the same datasets and spectra trial by trial.
-    Returns one row per (M, sigma2, algorithm) with the mean and
-    population std of the clustering error, sorted for stable output.
+    Trial t of combination c draws from stream 2 (c trials + t) of the seed
+    (and its nnpc from the next stream), so the trials are independent. They
+    run on one thread per CPU this process may use (_map_trials), and each
+    trial holds only its spectra array and one chunk of samples. Results are
+    collected in task order, so the output does not depend on the thread
+    count, and a failure stops the run with the serial loop's first error.
+    Returns one row per (M, sigma2, algorithm) with the mean and population
+    std of the clustering error, sorted for stable output.
     """
     cfg = _parse_config(config)
-    models = cfg["models"]
-    n_clusters = len(models)
-    n_obs = n_clusters * cfg["n_per_model"]
+    n_obs = len(cfg["models"]) * cfg["n_per_model"]
     if not 1 <= cfg["q"] <= n_obs - 1:
         raise ValueError(f"'q' must be in 1..{n_obs - 1} for {n_obs} observations, got {cfg['q']}")
 
     combos = sorted(set(product(cfg["M_list"], cfg["sigma2_list"])))
     trials = cfg["trials"]
+    # every window is built, and a bad one fails, before any trial runs
+    windows = {m: make_window(cfg["window_kind"], m, cfg["window_std"]) for m in sorted(set(cfg["M_list"]))}
+    tasks = [
+        (obs_len, sigma2, 2 * (combo_index * trials + trial))
+        for combo_index, (obs_len, sigma2) in enumerate(combos)
+        for trial in range(trials)
+    ]
+    errors = _map_trials(partial(_synth_trial, cfg, windows), tasks)
     rows = []
     for combo_index, (obs_len, sigma2) in enumerate(combos):
-        window = make_window(cfg["window_kind"], obs_len, cfg["window_std"])
-        grid_size = next_pow2(cfg["grid_factor"] * obs_len)
-        errors = {"nnpc": [], "km": []}
-        for trial in range(trials):
-            base = 2 * (combo_index * trials + trial)
-            dataset = make_benchmark_dataset(
-                models, cfg["n_per_model"], obs_len, sigma2, RngStream(cfg["seed"], base)
-            )
-            spectra = weighted_spectra(dataset.observations, window, grid_size)
-            nnpc_result = nnpc_from_spectra(spectra, cfg["q"], n_clusters, rng=RngStream(cfg["seed"], base + 1))
-            errors["nnpc"].append(clustering_error(nnpc_result.labels, dataset.labels))
-            errors["km"].append(clustering_error(km_from_spectra(spectra, n_clusters), dataset.labels))
-            del dataset, spectra  # so the next trial makes its data and spectra without them
+        combo_errors = errors[combo_index * trials : (combo_index + 1) * trials]
         for algorithm in ("km", "nnpc"):
-            ce = np.asarray(errors[algorithm])
+            ce = np.asarray([trial_errors[algorithm] for trial_errors in combo_errors])
             rows.append(
                 {
                     "M": obs_len,

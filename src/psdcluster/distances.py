@@ -10,9 +10,10 @@ the interior bins count twice and the two endpoints once. The kernels read
 weighted rows: estimates scaled by 1/F with the two endpoint columns halved,
 whose cityblock distance is the L1 distance itself, so no kernel needs F.
 `weighted_spectra` estimates them from observations and weights them in
-place, the one array that clustering reads; `half_spectrum_rows` weights a
-copy of given estimates. `distance_matrix` takes one `pdist` pass over the
-rows. `nearest_neighbors` and `distance_columns` read only what nnpc and km
+place, the one array that clustering reads; `weighted_chunk_spectra` does
+the same for observations that arrive in chunks of rows, so no caller need
+hold them all; `half_spectrum_rows` weights a copy of given estimates.
+`distance_matrix` takes one `pdist` pass over the rows. `nearest_neighbors` and `distance_columns` read only what nnpc and km
 need, in row blocks or columns, and never hold an N x N array; above one
 block, `nearest_neighbors` skips the pairs that a lower bound on pooled
 bins rules out. Every distance a kernel reports comes from the same
@@ -25,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from .spectra import WindowSpec, estimate_dataset_psds
+from .spectra import WindowSpec, estimate_dataset_psds, estimate_psd_chunks
 
 # Rows per block of the q-NN scan: a block holds NEIGHBOR_BLOCK_ROWS x N bounds.
 NEIGHBOR_BLOCK_ROWS = 256
@@ -48,6 +49,11 @@ def weighted_spectra(observations, window: WindowSpec | None = None, grid_size: 
     only samples under about 1e-150 produce.
     """
     return _weight_rows(estimate_dataset_psds(observations, window, grid_size, unit_power))
+
+
+def weighted_chunk_spectra(chunks, n_obs: int, window: WindowSpec, grid_size: int) -> np.ndarray:
+    """weighted_spectra of n_obs observations that arrive as consecutive chunks of rows (spectra.estimate_psd_chunks)."""
+    return _weight_rows(estimate_psd_chunks(chunks, n_obs, window, grid_size))
 
 
 def half_spectrum_rows(psds) -> np.ndarray:

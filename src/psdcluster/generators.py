@@ -5,17 +5,27 @@ exact PSD is tabulated once on a dense grid (2^16 points), which makes exact
 power normalization, autocorrelations, and inter-model distances cheap and
 free of estimation error. Simulation runs the filter recursion past a burn-in
 and optionally adds white Gaussian measurement noise.
+
+A benchmark dataset is drawn model by model in chunks of rows of about
+SAMPLE_CHUNK_BYTES of normal draws (`benchmark_rows`), in the same RNG order
+as one draw per model, and then shuffled in place. A caller can turn each
+chunk into its PSD estimates as it arrives, as synth-bench does, and so never
+hold the samples; `make_benchmark_dataset` stacks the chunks into one array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .numerics import RngStream
 
 FINE_GRID = 1 << 16
+# Bytes of normal draws per chunk of benchmark rows; a chunk of a model holds
+# max(1, SAMPLE_CHUNK_BYTES // (8 (burn-in + M, plus M with noise))) observations.
+SAMPLE_CHUNK_BYTES = 1 << 19
 
 
 def _check_stable(ar: np.ndarray) -> None:
@@ -102,15 +112,21 @@ def _burn_in(model: GenerativeModel) -> int:
     return max(1000, 50 * (model.ar.size + model.ma.size))
 
 
-def _simulate_with(
+def _independent_chunks(
     model: GenerativeModel,
     noise_variance: float,
     length: int,
     count: int,
-    mode: str,
-    stride: int | None,
     gen: np.random.Generator,
-) -> np.ndarray:
+    chunk_bytes: int | None,
+):
+    """count independent observations of the model in RNG order, in chunks of rows
+    of about chunk_bytes of draws each, or in one chunk if chunk_bytes is None.
+
+    Each row consumes the stream as innovations, then noise; normal draws
+    carry no state between calls, so the chunks yield exactly the numbers
+    one (count, width) draw, or a row-by-row loop, would.
+    """
     # Imported here, not at module scope: scipy.signal (and the scipy.stats
     # it pulls in) is half of the package's import time, and only
     # simulation uses it.
@@ -118,27 +134,17 @@ def _simulate_with(
 
     noise_std = float(np.sqrt(noise_variance))
     burn = _burn_in(model)
-    if mode == "independent":
-        # Each row consumes the stream as innovations, then noise; normal
-        # draws carry no state between calls, so one (count, width) draw
-        # yields exactly the numbers a row-by-row loop would.
-        width = burn + length + (length if noise_std > 0.0 else 0)
-        draws = gen.standard_normal((count, width))
+    width = burn + length + (length if noise_std > 0.0 else 0)
+    chunk_rows = count if chunk_bytes is None else max(1, chunk_bytes // (8 * width))
+    for start in range(0, count, chunk_rows):
+        draws = gen.standard_normal((min(chunk_rows, count - start), width))
         out = lfilter(model.ma, model.ar, draws[:, : burn + length], axis=1)[:, burn:]
         if noise_std > 0.0:
-            out = out + noise_std * draws[:, burn + length :]
-        return out
-    if mode == "segments":
-        if stride is None or stride < 1:
-            raise ValueError("segment mode needs a stride >= 1")
-        total = burn + length + (count - 1) * stride
-        innovations = gen.standard_normal(total)
-        path = lfilter(model.ma, model.ar, innovations)
-        if noise_std > 0.0:
-            path = path + noise_std * gen.standard_normal(total)
-        starts = burn + stride * np.arange(count)
-        return np.stack([path[s : s + length] for s in starts])
-    raise ValueError(f"unknown simulation mode {mode!r}; expected 'independent' or 'segments'")
+            noise = draws[:, burn + length :]
+            noise *= noise_std
+            noise += out
+            out = noise
+        yield out
 
 
 def simulate(
@@ -163,7 +169,24 @@ def simulate(
         raise ValueError("count must be positive")
     _check_noise_variance(noise_variance)
     _check_stable(model.ar)
-    return _simulate_with(model, noise_variance, length, count, mode, stride, rng.generator())
+    gen = rng.generator()
+    if mode == "independent":
+        return next(_independent_chunks(model, noise_variance, length, count, gen, None))
+    if mode == "segments":
+        from scipy.signal import lfilter  # at first use, as in _independent_chunks
+
+        if stride is None or stride < 1:
+            raise ValueError("segment mode needs a stride >= 1")
+        noise_std = float(np.sqrt(noise_variance))
+        burn = _burn_in(model)
+        total = burn + length + (count - 1) * stride
+        innovations = gen.standard_normal(total)
+        path = lfilter(model.ma, model.ar, innovations)
+        if noise_std > 0.0:
+            path = path + noise_std * gen.standard_normal(total)
+        starts = burn + stride * np.arange(count)
+        return np.stack([path[s : s + length] for s in starts])
+    raise ValueError(f"unknown simulation mode {mode!r}; expected 'independent' or 'segments'")
 
 
 @dataclass(frozen=True)
@@ -182,14 +205,35 @@ class LabeledDataset:
         return int(self.observations.shape[1])
 
 
-def make_benchmark_dataset(
-    models,
-    n_per_model: int,
-    length: int,
-    noise_variance: float,
-    rng: RngStream,
-) -> LabeledDataset:
-    """n_per_model independent observations from each model, shuffled together."""
+def _permute_rows(rows: np.ndarray, perm: np.ndarray) -> None:
+    """rows[:] = rows[perm] in place, setting one row aside per cycle of perm."""
+    perm = perm.tolist()
+    placed = [False] * len(perm)
+    for start in range(len(perm)):
+        if placed[start]:
+            continue
+        held = rows[start].copy()
+        i = start
+        while perm[i] != start:
+            rows[i] = rows[perm[i]]
+            placed[i] = True
+            i = perm[i]
+        rows[i] = held
+        placed[i] = True
+
+
+def benchmark_rows(models, n_per_model: int, length: int, noise_variance: float, rng: RngStream, collect):
+    """The observations of make_benchmark_dataset mapped through collect, and their labels.
+
+    collect(chunks, n) receives the n = len(models) * n_per_model
+    observations as consecutive (rows, length) chunks, each model's in turn
+    in RNG order, about SAMPLE_CHUNK_BYTES of draws each, and returns an
+    array with one row per observation, say their PSD estimates. No chunk
+    is needed once the next is drawn, so the samples are never held at
+    once. That array is then shuffled in place by the permutation drawn
+    after the samples, the one make_benchmark_dataset applies, and returned
+    with the labels in the same order.
+    """
     models = list(models)
     if not models:
         raise ValueError("need at least one model")
@@ -198,17 +242,42 @@ def make_benchmark_dataset(
     if length < 2:
         raise ValueError("observation length must be >= 2")
     _check_noise_variance(noise_variance)
-    gen = rng.generator()
-    blocks = []
-    labels = []
-    for index, model in enumerate(models):
+    for model in models:
         _check_stable(model.ar)
-        blocks.append(_simulate_with(model, noise_variance, length, n_per_model, "independent", None, gen))
-        labels.append(np.full(n_per_model, index, dtype=int))
-    observations = np.concatenate(blocks)
-    truth = np.concatenate(labels)
-    perm = gen.permutation(observations.shape[0])
-    return LabeledDataset(observations=observations[perm], labels=truth[perm])
+    gen = rng.generator()
+
+    def chunks():
+        for model in models:
+            yield from _independent_chunks(model, noise_variance, length, n_per_model, gen, SAMPLE_CHUNK_BYTES)
+
+    n_obs = len(models) * n_per_model
+    values = collect(chunks(), n_obs)
+    perm = gen.permutation(n_obs)
+    _permute_rows(values, perm)
+    return values, np.repeat(np.arange(len(models)), n_per_model)[perm]
+
+
+def _stacked_rows(chunks, n_obs: int, length: int) -> np.ndarray:
+    """The chunks' rows copied into one preallocated (n_obs, length) array."""
+    observations = np.empty((n_obs, length))
+    start = 0
+    for chunk in chunks:
+        observations[start : start + chunk.shape[0]] = chunk
+        start += chunk.shape[0]
+    return observations
+
+
+def make_benchmark_dataset(
+    models,
+    n_per_model: int,
+    length: int,
+    noise_variance: float,
+    rng: RngStream,
+) -> LabeledDataset:
+    """n_per_model independent observations from each model, shuffled together."""
+    observations, labels = benchmark_rows(models, n_per_model, length, noise_variance, rng,
+                                          partial(_stacked_rows, length=length))
+    return LabeledDataset(observations=observations, labels=labels)
 
 
 def benchmark_models() -> list[GenerativeModel]:

@@ -10,9 +10,11 @@ r_hat divides by M (not M - |m|), which keeps the implied autocorrelation
 sequence positive semidefinite. A stack of observations goes through a
 zero-padded real FFT pair for the autocorrelations and a DCT-I for the
 spectra, in chunks of rows written into one preallocated output, so the
-stage holds the output plus one chunk of temporaries. Every step works row
-by row on real arrays, so a row's estimate has the same bits whichever rows
-share its chunk or its call. The sum is even in f, so an estimate keeps only
+stage holds the output plus one chunk of temporaries. The chunks may also
+arrive one by one from a generator of samples (`estimate_psd_chunks`), and
+then the samples are never held at once. Every step works row by row on
+real arrays, so a row's estimate has the same bits whichever rows share its
+chunk or its call. The sum is even in f, so an estimate keeps only
 bins j = 0..F/2, the DCT-I output; bins F/2+1..F-1 would repeat bins
 F/2-1..1.
 """
@@ -145,34 +147,58 @@ def _acf_rows(obs: np.ndarray) -> np.ndarray:
     return acf
 
 
+def _check_grid(m: int, grid_size: int) -> int:
+    """grid_size as an int, checked to be a power of two of at least 2M."""
+    f = int(grid_size)
+    if f < 2 * m or f & (f - 1):
+        raise ValueError(f"grid size must be a power of two >= {2 * m}, got {grid_size}")
+    return f
+
+
+def estimate_psd_chunks(chunks, n_obs: int, window: WindowSpec, grid_size: int) -> np.ndarray:
+    """PSD estimates of n_obs observations that arrive as consecutive chunks of rows, as one (n_obs, F/2 + 1) array.
+
+    Each (rows, M) chunk of finite samples is estimated straight into the
+    next rows of the output and can be dropped once the next is asked for,
+    so the stage holds the output, one chunk and its temporaries. The
+    estimates are batch-invariant, so a row has the same bits whichever
+    chunk carries it.
+    """
+    f = _check_grid(window.length, grid_size)
+    values = np.empty((n_obs, f // 2 + 1))
+    start = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for obs in chunks:
+            rows = slice(start, start + obs.shape[0])
+            acf = _acf_rows(obs)
+            acf *= window.values
+            if not np.isfinite(_even_half_spectrum(acf, values[rows])).all():
+                raise ValueError(
+                    "PSD estimation overflowed: sample magnitudes are too large for the autocorrelation FFT"
+                )
+            start = rows.stop
+    if start != n_obs:
+        raise ValueError(f"{start} observations arrived, {n_obs} were announced")
+    return values
+
+
 def _psd_rows(obs: np.ndarray, window: WindowSpec, grid_size: int) -> np.ndarray:
     """PSD estimates of every row of obs at bins 0..F/2, as one (N, F/2 + 1) array.
 
     Checks the window, the grid and finiteness for the whole stack, then
-    estimates it in chunks of rows (PSD_CHUNK_BYTES) straight into the output.
+    estimates it in chunks of rows (PSD_CHUNK_BYTES) through estimate_psd_chunks.
     """
     n, m = obs.shape
     if m < 2:
         raise ValueError("observations need at least 2 samples")
     if window.length != m:
         raise ValueError(f"window was built for length {window.length}, observation has {m}")
-    f = int(grid_size)
-    if f < 2 * m or f & (f - 1):
-        raise ValueError(f"grid size must be a power of two >= {2 * m}, got {grid_size}")
+    _check_grid(m, grid_size)
     step = max(1, PSD_CHUNK_BYTES // (8 * next_pow2(2 * m)))
-    chunks = [slice(start, start + step) for start in range(0, n, step)]
-    if not all(np.isfinite(obs[rows]).all() for rows in chunks):
+    chunks = [obs[start : start + step] for start in range(0, n, step)]
+    if not all(np.isfinite(chunk).all() for chunk in chunks):
         raise ValueError("observation samples must be finite")
-    values = np.empty((n, f // 2 + 1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for rows in chunks:
-            acf = _acf_rows(obs[rows])
-            acf *= window.values
-            if not np.isfinite(_even_half_spectrum(acf, values[rows])).all():
-                raise ValueError(
-                    "PSD estimation overflowed: sample magnitudes are too large for the autocorrelation FFT"
-                )
-    return values
+    return estimate_psd_chunks(chunks, n, window, grid_size)
 
 
 def estimate_acf(samples) -> np.ndarray:

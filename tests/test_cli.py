@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -18,24 +19,27 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import reference_make_benchmark_dataset
 
 import psdcluster
 import psdcluster.cli
 import psdcluster.distances
 import psdcluster.nnpc
 from psdcluster.cli import _exact_scaling_powers, _parse_sample_lines, _read_observation_csv, main, run_synth_bench
-from psdcluster.distances import distance_matrix
+from psdcluster.distances import distance_matrix, weighted_spectra
 from psdcluster.generators import benchmark_models, make_benchmark_dataset
-from psdcluster.km import km_from_distances
+from psdcluster.km import km_from_distances, km_from_spectra
+from psdcluster.metrics import clustering_error
 from psdcluster.nnpc import (
     build_adjacency,
     estimate_cluster_count,
     nearest_neighbor_sets,
     nnpc_from_distances,
+    nnpc_from_spectra,
     normalized_laplacian,
 )
 from psdcluster.numerics import RngStream, eig_symmetric
-from psdcluster.spectra import PSD_CHUNK_BYTES, WINDOW_KINDS
+from psdcluster.spectra import PSD_CHUNK_BYTES, WINDOW_KINDS, make_window
 
 
 @pytest.fixture()
@@ -565,7 +569,15 @@ class TestByteRouteNumbers:
     @example(values=[0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
                      1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e-5, 123456789012345678.0])
     def test_repr_of_any_double(self, values):
-        cells = [repr(v).replace("e+", "e") for v in values]  # the grammar's exponent has no plus sign
+        cells = [repr(v).replace("e+", "e") for v in values]  # the exponent without its plus sign
+        assert route_bits(cells) == float_bits(cells)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(values=st.lists(st.floats(-1e308, 1e308).filter(lambda v: "e+" in repr(v)), min_size=1, max_size=20))
+    @example(values=[1e16, -1e16, 1.7976931348623157e308, -1e308, 2.5e300, 9.999999999999999e22, 1e23])
+    def test_repr_with_plus_exponents(self, values):
+        """repr writes e+16 and up, and the byte route reads it as float() does."""
+        cells = [repr(v) for v in values]
         assert route_bits(cells) == float_bits(cells)
 
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -585,9 +597,14 @@ class TestByteRouteNumbers:
     def test_cells_that_could_round_twice(self, cell):
         assert route_bits([cell, "1.0"]) == float_bits([cell, "1.0"])
 
+    @pytest.mark.parametrize("cell", ["1e+5", "-2.5e+16", "1e+0", "1.e+05", "-.5e+27", "1e+28", "1e+309"])
+    def test_cells_with_a_plus_exponent(self, cell):
+        assert route_bits([cell, "1e+1"]) == float_bits([cell, "1e+1"])
+
     @pytest.mark.parametrize("cell", [
-        "", " 1", "1 ", "+1", "1e+5", "1_0", "1.2.3", "1e5e5", "1e5.5", "1e", "1e-", "-", ".", "-.", ".e5", "e5",
+        "", " 1", "1 ", "+1", "1_0", "1.2.3", "1e5e5", "1e5.5", "1e", "1e-", "-", ".", "-.", ".e5", "e5",
         "--1", "1-", "1e--5", "1E5", "inf", "nan", "\u0661", '"1"', "1\r", "12e5.5", "12e-5.5",
+        "+1e5", "1+e5", "1e5+", "1e++5", "1e+-5", "1e-+5", "1e+", "+e5", "1.+5", "1e+5.5", "1E+5",
     ])
     def test_cells_outside_the_grammar(self, cell):
         assert _parse_sample_lines(f"1.0,{cell},2.0\n".encode(), EXACT_POWERS) is None
@@ -622,6 +639,15 @@ class TestByteRoute:
         outcome = read_outcome(_read_observation_csv, path, flags)
         assert outcome == read_outcome(reference_read_observation_csv, path, flags)
         assert outcome[0] == ("error" if ragged and not flags[1] else "ok")
+
+    @pytest.mark.parametrize("flags", [(True, False, False), (False, False, True)])
+    def test_plus_exponents_take_the_byte_route(self, tmp_path, per_record_unreachable, flags):
+        rows = np.random.default_rng(15).standard_normal((20, 64)) * 10.0 ** np.arange(-20, 300, 16)[:, None]
+        path = write_repr_csv(tmp_path / "large.csv", rows, ["m0"] * 20 if flags[0] else None)
+        assert path.read_bytes().count(b"e+") > 64 * 15
+        outcome = read_outcome(_read_observation_csv, path, flags)
+        assert outcome == read_outcome(reference_read_observation_csv, path, flags)
+        assert outcome[0] == "ok"
 
     @pytest.mark.parametrize("batch_bytes", [1, 7, 4096])
     @pytest.mark.parametrize("flags", [(True, True, True), (False, False, False)])
@@ -1130,29 +1156,109 @@ class TestSynthBench:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_trials_free_their_spectra(self):
+    @staticmethod
+    def traced_peak(m_list, trials):
+        """Peak traced memory of a synth-bench run at M in m_list, sigma2 0, 75 rows per trial."""
+        run = {"preset": "arma3", "sigma2_list": [0.0], "n_per_model": 25, "q": 10, "seed": 0,
+               "M_list": m_list, "trials": trials}
+        run_synth_bench(run)  # warm the FFT plan caches outside the trace
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run_synth_bench(run)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_trials_free_their_spectra(self, monkeypatch):
         """Two trials at each of M = 1024 and 4096 peak within 64 KiB of one M = 4096 trial alone.
 
-        That trial holds its samples, its one spectra array and a few PSD
-        chunks; each trial's array is freed before the next trial estimates
-        its own.
+        That trial holds its one spectra array and a few chunks of samples
+        and PSD temporaries; each trial's array is freed before the next
+        trial estimates its own.
         """
-        config = {"preset": "arma3", "sigma2_list": [0.0], "n_per_model": 25, "q": 10, "seed": 0}
-
-        def traced_peak(m_list, trials):
-            run = {**config, "M_list": m_list, "trials": trials}
-            run_synth_bench(run)  # warm the FFT plan caches outside the trace
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                run_synth_bench(run)
-                return tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
-
-        alone = traced_peak([4096], 1)
+        monkeypatch.setattr(psdcluster.cli, "_trial_workers", lambda tasks: 1)
+        alone = self.traced_peak([4096], 1)
         assert alone <= 75 * (4096 + 8193) * 8 + 6 * PSD_CHUNK_BYTES
-        assert traced_peak([1024, 4096], 2) <= alone + 64 * 1024
+        assert self.traced_peak([1024, 4096], 2) <= alone + 64 * 1024
+
+    def test_two_workers_hold_two_trials(self, monkeypatch):
+        """With two threads, at most two trials hold their arrays at once."""
+        monkeypatch.setattr(psdcluster.cli, "_trial_workers", lambda tasks: 1)
+        alone = self.traced_peak([4096], 1)
+        monkeypatch.setattr(psdcluster.cli, "_trial_workers", lambda tasks: 2)
+        assert self.traced_peak([1024, 4096], 2) <= 2 * alone + 64 * 1024
+
+    def test_rows_do_not_depend_on_the_worker_count(self, monkeypatch):
+        """1, 2 and 3 threads give the rows of the serial loop over the unchunked dataset.
+
+        210 rows per trial put each graph above the dense-solver cutoff, and
+        70 rows per model are not a multiple of a chunk's rows (52 at
+        sigma2 0, 43 with noise).
+        """
+        config = {"preset": "arma3", "M_list": [256], "sigma2_list": [0.0, 1.0], "trials": 3, "n_per_model": 70,
+                  "q": 10, "seed": 4}
+        models, window = benchmark_models(), make_window("gaussian", 256)
+        expected = []
+        for combo, sigma2 in enumerate(config["sigma2_list"]):
+            errors = {"nnpc": [], "km": []}
+            for trial in range(config["trials"]):
+                stream = 2 * (combo * config["trials"] + trial)
+                observations, truth = reference_make_benchmark_dataset(models, 70, 256, sigma2, RngStream(4, stream))
+                spectra = weighted_spectra(observations, window, 1024)
+                labels = nnpc_from_spectra(spectra, 10, 3, rng=RngStream(4, stream + 1)).labels
+                errors["nnpc"].append(clustering_error(labels, truth))
+                errors["km"].append(clustering_error(km_from_spectra(spectra, 3), truth))
+            for algorithm in ("km", "nnpc"):
+                ce = np.asarray(errors[algorithm])
+                expected.append({"M": 256, "sigma2": sigma2, "algorithm": algorithm, "mean_ce": float(ce.mean()),
+                                 "std_ce": float(ce.std()), "trials": 3})
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(psdcluster.cli, "_trial_workers", lambda tasks: workers)
+            assert run_synth_bench(config) == expected
+
+    def failing_run(self, tmp_path, monkeypatch, capsys, failures):
+        """Exit code, stderr and the tasks that ran, of 6 trials on 2 threads where
+        failures maps a task's index to the seconds it waits before raising."""
+        config = self.write_config(tmp_path, {"preset": "arma3", "M_list": [128, 256], "sigma2_list": [0.0],
+                                              "trials": 3, "n_per_model": 4, "q": 3, "seed": 0})
+        trial, ran = psdcluster.cli._synth_trial, []
+
+        def failing(cfg, windows, task):
+            index = task[2] // 2
+            ran.append(index)
+            if index in failures:
+                time.sleep(failures[index])
+                raise ValueError(f"trial {index} failed")
+            time.sleep(0.2 if index > 1 else 0.0)  # the queued trials are slow, so cancelling them shows
+            return trial(cfg, windows, task)
+
+        monkeypatch.setattr(psdcluster.cli, "_trial_workers", lambda tasks: 2)
+        monkeypatch.setattr(psdcluster.cli, "_synth_trial", failing)
+        code = main(["synth-bench", "--config", str(config), "--out", str(tmp_path / "bench.csv")])
+        return code, capsys.readouterr().err, ran
+
+    def test_a_failing_trial_stops_the_run(self, tmp_path, monkeypatch, capsys):
+        code, err, ran = self.failing_run(tmp_path, monkeypatch, capsys, {1: 0.0})
+        assert (code, err) == (2, "error: trial 1 failed\n")
+        assert len(ran) < 6
+        assert not (tmp_path / "bench.csv").exists()
+
+    def test_the_first_failure_in_task_order_wins(self, tmp_path, monkeypatch, capsys):
+        code, err, ran = self.failing_run(tmp_path, monkeypatch, capsys, {1: 0.3, 2: 0.0})
+        assert (code, err) == (2, "error: trial 1 failed\n")
+
+    def test_a_bad_window_fails_before_any_trial(self, tmp_path, monkeypatch, capsys):
+        config = self.write_config(tmp_path, {"preset": "arma3", "M_list": [128, 256], "sigma2_list": [0.0],
+                                              "trials": 2, "n_per_model": 4, "q": 3, "window": {"kind": "hann"}})
+
+        def unreachable(*args):
+            raise AssertionError("a trial ran before every window was built")
+
+        monkeypatch.setattr(psdcluster.cli, "_synth_trial", unreachable)
+        code = main(["synth-bench", "--config", str(config), "--out", str(tmp_path / "bench.csv")])
+        assert code == 2
+        assert "error: unknown window kind 'hann'" in capsys.readouterr().err
 
     def test_explicit_models(self, tmp_path, capsys):
         config = self.write_config(

@@ -12,13 +12,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import full_grid
+from oracles import full_grid, reference_make_benchmark_dataset
 from scipy.signal import lfilter
 
+import psdcluster.generators
 from psdcluster.generators import (
     FINE_GRID,
     arma_psd,
     benchmark_models,
+    benchmark_rows,
     make_benchmark_dataset,
     make_model,
     normalize_model,
@@ -238,6 +240,30 @@ class TestBenchmarkDataset:
     def test_rejects_non_finite_noise_variance(self, variance):
         with pytest.raises(ValueError, match="noise variance"):
             make_benchmark_dataset(benchmark_models(), 4, 64, variance, RngStream(0))
+
+    @pytest.mark.parametrize("noise_variance", [0.0, 0.25])
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 10])
+    def test_chunks_match_the_unchunked_dataset(self, monkeypatch, chunk_rows, noise_variance):
+        """Chunks of 1 row, 7 rows (10 = 7 + 3) and a whole model give the bits of one draw per model."""
+        models, n_per_model, length = benchmark_models(), 10, 96
+        width = 1000 + length + (length if noise_variance > 0.0 else 0)  # arma3's burn-in is 1000
+        monkeypatch.setattr(psdcluster.generators, "SAMPLE_CHUNK_BYTES", chunk_rows * 8 * width)
+        sizes = []
+
+        def recording(chunks, n_obs):
+            chunks = list(chunks)
+            sizes.extend(len(chunk) for chunk in chunks)
+            return np.concatenate(chunks)
+
+        rows, labels = benchmark_rows(models, n_per_model, length, noise_variance, RngStream(8), recording)
+        assert sizes == [min(chunk_rows, n_per_model - start) for _ in models for start in range(0, n_per_model, chunk_rows)]
+        data = make_benchmark_dataset(models, n_per_model, length, noise_variance, RngStream(8))
+        observations, truth = reference_make_benchmark_dataset(models, n_per_model, length, noise_variance, RngStream(8))
+        for got in (rows, data.observations):
+            np.testing.assert_array_equal(got.view(np.uint64), observations.view(np.uint64))
+        for got in (labels, data.labels):
+            np.testing.assert_array_equal(got, truth)
+            assert got.dtype == truth.dtype
 
     @settings(max_examples=25, deadline=None, database=None, derandomize=True)
     @given(

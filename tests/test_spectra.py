@@ -25,6 +25,7 @@ from psdcluster.spectra import (
     bt_psd,
     estimate_acf,
     estimate_dataset_psds,
+    estimate_psd_chunks,
     make_window,
     next_pow2,
     normalize_unit_power,
@@ -330,6 +331,19 @@ class TestChunkedEstimation:
         monkeypatch.setattr(psdcluster.spectra, "PSD_CHUNK_BYTES", 3 * 1024)
         with pytest.raises(ValueError, match="observation samples must be finite"):
             estimate_dataset_psds(obs)
+
+    def test_chunk_stream_matches_the_stack(self):
+        obs = np.random.default_rng(8).standard_normal((10, self.OBS_LEN))
+        window = make_window("gaussian", self.OBS_LEN)
+        chunks = (obs[start : start + size] for start, size in [(0, 1), (1, 6), (7, 3)])
+        np.testing.assert_array_equal(estimate_psd_chunks(chunks, 10, window, 256),
+                                      estimate_dataset_psds(obs, window, 256))
+
+    @pytest.mark.parametrize("n_obs", [9, 11])
+    def test_chunk_stream_must_bring_the_announced_rows(self, n_obs):
+        obs = np.random.default_rng(8).standard_normal((10, self.OBS_LEN))
+        with pytest.raises(ValueError):
+            estimate_psd_chunks([obs[:5], obs[5:]], n_obs, make_window("gaussian", self.OBS_LEN), 256)
 
     def test_allocates_the_output_plus_a_few_chunks(self):
         # 48 x 16384 samples, F = 65536: a 12.6 MB output, and 4 rows per chunk
