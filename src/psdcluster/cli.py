@@ -421,6 +421,18 @@ def _load_config(path) -> dict:
     return config
 
 
+def _finite_float(item):
+    """A JSON number as a finite float, or None for anything else: booleans,
+    strings, NaN, the infinities and integers beyond the float range."""
+    if isinstance(item, bool) or not isinstance(item, (int, float)):
+        return None
+    try:
+        value = float(item)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 def _build_models(config):
     if "models" in config and "preset" in config:
         raise ValueError("config must give either 'models' or 'preset', not both")
@@ -429,10 +441,19 @@ def _build_models(config):
         if not isinstance(entries, list) or not entries:
             raise ValueError("'models' must be a non-empty list of {'a': [...], 'b': [...]} objects")
         models = []
-        for entry in entries:
+        for index, entry in enumerate(entries):
             if not isinstance(entry, dict) or set(entry) != {"a", "b"}:
-                raise ValueError("each model needs exactly the keys 'a' and 'b'")
-            models.append(normalize_model(make_model(entry["a"], entry["b"])))
+                raise ValueError(f"'models'[{index}] needs exactly the keys 'a' and 'b'")
+            coefficients = []
+            for key in ("a", "b"):
+                values = [_finite_float(v) for v in entry[key]] if isinstance(entry[key], list) else []
+                if not values or None in values:
+                    raise ValueError(f"'models'[{index}] '{key}' must be a non-empty list of finite numbers")
+                coefficients.append(values)
+            try:
+                models.append(normalize_model(make_model(*coefficients)))
+            except ValueError as exc:
+                raise ValueError(f"'models'[{index}]: {exc}") from exc
         return models
     preset = config.get("preset", "arma3")
     if preset not in PRESETS:
@@ -458,9 +479,10 @@ def _float_list(config, key, default):
         raise ValueError(f"'{key}' must be a non-empty list")
     values = []
     for item in raw:
-        if isinstance(item, bool) or not isinstance(item, (int, float)) or not 0 <= item < math.inf:
+        value = _finite_float(item)
+        if value is None or value < 0:
             raise ValueError(f"'{key}' entries must be finite nonnegative numbers, got {item!r}")
-        values.append(float(item))
+        values.append(value)
     return values
 
 
@@ -479,9 +501,10 @@ def _parse_config(config) -> dict:
         raise ValueError("'window' must be an object with at least a 'kind'")
     if set(window_cfg) - {"kind", "std"}:
         raise ValueError("'window' accepts only 'kind' and 'std'")
-    std = window_cfg.get("std", DEFAULT_GAUSSIAN_STD)
-    if isinstance(std, bool) or not isinstance(std, (int, float)) or not 0 < std < math.inf:
-        raise ValueError(f"'window' std must be a positive finite number, got {std!r}")
+    raw_std = window_cfg.get("std", DEFAULT_GAUSSIAN_STD)
+    std = _finite_float(raw_std)
+    if std is None or std <= 0:
+        raise ValueError(f"'window' std must be a positive finite number, got {raw_std!r}")
     return {
         "models": models,
         "M_list": _int_list(config, "M_list", minimum=2),
@@ -490,7 +513,7 @@ def _parse_config(config) -> dict:
         "n_per_model": _int_option(config, "n_per_model", DEFAULT_N_PER_MODEL, minimum=1),
         "q": _int_option(config, "q", DEFAULT_NEIGHBORS, minimum=1),
         "window_kind": window_cfg["kind"],
-        "window_std": float(std),
+        "window_std": std,
         "grid_factor": _int_option(config, "grid_factor", DEFAULT_GRID_FACTOR, minimum=2),
         "seed": _int_option(config, "seed", 0, minimum=0),
     }

@@ -16,7 +16,7 @@ hold the samples; `make_benchmark_dataset` stacks the chunks into one array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -76,10 +76,15 @@ class GenerativeModel:
 
 
 def make_model(ar, ma) -> GenerativeModel:
-    """Validate the coefficients and tabulate the exact PSD."""
+    """Validate the coefficients and tabulate the exact PSD, which must have a finite power."""
     a = np.atleast_1d(np.asarray(ar, dtype=float)).copy()
     b = np.atleast_1d(np.asarray(ma, dtype=float)).copy()
-    psd = arma_psd(a, b, FINE_GRID)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        psd = arma_psd(a, b, FINE_GRID)
+        power = np.mean(psd)
+    # the PSD is nonnegative, so its mean is finite exactly when every value and their sum are
+    if not np.isfinite(power):
+        raise ValueError(f"the model's PSD overflows: its power is {power}")
     return GenerativeModel(ar=a, ma=b, normalized=False, fine_grid_psd=psd)
 
 
@@ -280,16 +285,28 @@ def make_benchmark_dataset(
     return LabeledDataset(observations=observations, labels=labels)
 
 
-def benchmark_models() -> list[GenerativeModel]:
-    """The built-in "arma3" trio of overlapping unit-power models.
-
-    Two MA(3) models and one AR(3) model whose spectra overlap substantially,
-    which makes the clustering task genuinely hard at short observation
-    lengths and easy at long ones.
-    """
+@cache
+def _arma3_models() -> tuple[GenerativeModel, ...]:
+    """The arma3 models, built on first use and with every array read-only."""
     specs = [
         ([1.0], [0.75, 1.0, -1.75, 0.5]),
         ([1.0], [0.5, 1.25, -1.5, 0.75]),
         ([1.0, -0.2, 0.4, 0.1], [1.0]),
     ]
-    return [normalize_model(make_model(a, b)) for a, b in specs]
+    models = tuple(normalize_model(make_model(a, b)) for a, b in specs)
+    for model in models:
+        for array in (model.ar, model.ma, model.fine_grid_psd):
+            array.flags.writeable = False
+    return models
+
+
+def benchmark_models() -> list[GenerativeModel]:
+    """The built-in "arma3" trio of overlapping unit-power models.
+
+    Two MA(3) models and one AR(3) model whose spectra overlap substantially,
+    which makes the clustering task genuinely hard at short observation
+    lengths and easy at long ones. They are built once per process, on the
+    first call; each call returns a new list of the same models, whose ar,
+    ma and fine_grid_psd arrays are read-only.
+    """
+    return list(_arma3_models())

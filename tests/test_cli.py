@@ -24,6 +24,7 @@ from oracles import reference_make_benchmark_dataset
 import psdcluster
 import psdcluster.cli
 import psdcluster.distances
+import psdcluster.generators
 import psdcluster.nnpc
 from psdcluster.cli import _exact_scaling_powers, _parse_sample_lines, _read_observation_csv, main, run_synth_bench
 from psdcluster.distances import distance_matrix, weighted_spectra
@@ -1260,6 +1261,57 @@ class TestSynthBench:
         assert code == 2
         assert "error: unknown window kind 'hann'" in capsys.readouterr().err
 
+    def test_the_preset_is_built_once_per_process(self, monkeypatch):
+        built, make_model = [], psdcluster.generators.make_model
+        monkeypatch.setattr(psdcluster.generators, "make_model", lambda ar, ma: built.append(ar) or make_model(ar, ma))
+        psdcluster.generators._arma3_models.cache_clear()
+        config = {"preset": "arma3", "M_list": [128], "trials": 2, "n_per_model": 4, "q": 3, "seed": 0}
+        first = run_synth_bench(config)
+        assert run_synth_bench(config) == first
+        assert len(built) == 3
+
+    @pytest.mark.parametrize("command", ["synth-bench", "check-condition"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("b", {"x": 1}),
+            ("b", "12"),
+            ("b", [True]),
+            ("a", 1.0),
+            ("a", []),
+            ("b", ["1"]),
+            ("b", [1.0, None]),
+            ("b", [[1.0, 2.0]]),
+            ("b", [float("nan")]),
+            ("a", [1.0, float("inf")]),
+            ("b", [10**400]),
+        ],
+    )
+    def test_model_entries_must_be_lists_of_finite_numbers(self, tmp_path, capsys, command, key, value):
+        bad = {"a": [1.0], "b": [1.0], key: value}
+        config = self.write_config(tmp_path, {"models": [{"a": [1.0], "b": [1.0]}, bad], "M_list": [64], "trials": 1,
+                                              "n_per_model": 3, "q": 2})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: 'models'[1] '{key}' must be a non-empty list of finite numbers\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["synth-bench", "check-condition"])
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"a": [1.0], "b": [1e200]}, "the model's PSD overflows: its power is inf\n"),
+            ({"a": [1.0, -1.5], "b": [1.0]}, "unstable AR polynomial"),
+        ],
+    )
+    def test_a_model_that_cannot_be_built_is_refused(self, tmp_path, capsys, command, entry, message):
+        config = self.write_config(tmp_path, {"models": [{"a": [1.0], "b": [1.0]}, entry], "M_list": [64],
+                                              "trials": 1, "n_per_model": 3, "q": 2})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: 'models'[1]: {message}")
+        assert not out.exists()
+
     def test_explicit_models(self, tmp_path, capsys):
         config = self.write_config(
             tmp_path,
@@ -1289,6 +1341,8 @@ class TestSynthBench:
             {"preset": "arma3", "M_list": [64], "trials": True},
             {"preset": "arma3", "M_list": [64], "window": {"kind": "gaussian", "extra": 1}},
             {"models": [{"a": [1.0]}], "M_list": [64]},
+            {"preset": "arma3", "M_list": [64], "sigma2_list": [10**400]},  # an integer beyond the float range
+            {"preset": "arma3", "M_list": [64], "window": {"kind": "gaussian", "std": 10**400}},
         ],
     )
     def test_config_validation(self, tmp_path, capsys, payload):
@@ -1637,8 +1691,16 @@ class TestEntryPoints:
         assert seen["synth-bench"][0] == 0
         assert "scipy.signal" in seen["synth-bench"][1]
 
-    def test_python_dash_m_runs_the_cli(self):
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
         proc = subprocess.run([sys.executable, "-m", "psdcluster", "--version"], env=checkout_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == f"psdcluster {psdcluster.__version__}"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"preset": "arma3", "M_list": [64], "q": 0}))
+        proc = subprocess.run([sys.executable, "-m", "psdcluster", "synth-bench", "--config", str(config), "--out",
+                               str(tmp_path / "bench.csv")], env=checkout_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert proc.stdout == ""

@@ -115,6 +115,44 @@ class TestModels:
                 gap = 0.5 * np.mean(np.abs(models[i].fine_grid_psd - models[j].fine_grid_psd))
                 assert gap > 0.1
 
+    def test_benchmark_models_equal_a_fresh_build(self):
+        specs = [
+            ([1.0], [0.75, 1.0, -1.75, 0.5]),
+            ([1.0], [0.5, 1.25, -1.5, 0.75]),
+            ([1.0, -0.2, 0.4, 0.1], [1.0]),
+        ]
+        for model, (ar, ma) in zip(benchmark_models(), specs, strict=True):
+            fresh = normalize_model(make_model(ar, ma))
+            assert model.normalized
+            for name in ("ar", "ma", "fine_grid_psd"):
+                assert getattr(model, name).tobytes() == getattr(fresh, name).tobytes()
+
+    def test_benchmark_models_are_shared_and_read_only(self):
+        first, second = benchmark_models(), benchmark_models()
+        assert first is not second
+        assert all(a is b for a, b in zip(first, second, strict=True))
+        second.pop()
+        assert len(benchmark_models()) == 3
+        for model in first:
+            for array in (model.ar, model.ma, model.fine_grid_psd):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
+                with pytest.raises(ValueError, match="read-only"):
+                    array *= 1.0
+
+    @pytest.mark.parametrize(
+        "ar, ma",
+        [
+            ([1.0], [1e200]),  # |B|^2 overflows
+            ([1e-200], [1.0]),  # |A|^2 underflows, so |B|^2 / |A|^2 is inf
+            ([1.0], [1e152]),  # every value is finite, their sum is not
+            ([1e200], [1e200]),  # inf / inf
+        ],
+    )
+    def test_rejects_a_psd_that_overflows(self, ar, ma):
+        with pytest.raises(ValueError, match="PSD overflows"):
+            make_model(ar, ma)
+
 
 class TestTrueAcf:
     def test_white_noise(self):
