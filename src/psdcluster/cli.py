@@ -519,43 +519,47 @@ def _parse_config(config) -> dict:
     }
 
 
-def _trial_workers(tasks: int) -> int:
-    """Threads for synth-bench trials: one per CPU this process may run on, at most one per task."""
+def _trial_workers(count: int) -> int:
+    """Threads for synth-bench trials: one per CPU this process may run on, at most one per trial."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, tasks))
+    return max(1, min(cpus, count))
 
 
-def _map_trials(trial, tasks: list) -> list:
-    """[trial(task) for task in tasks], run by this thread and _trial_workers - 1 more.
+def _map_trials(trial, count: int) -> np.ndarray:
+    """The (count, 2) array whose row i is trial(i), run by this thread and _trial_workers - 1 more.
 
-    Each thread takes the next task in order until none is left. Once a
-    trial raises, no thread takes another; the running ones finish, and the
-    failure of the earliest task is raised, the one a serial loop would
-    meet first. Working on this thread, rather than waiting on a pool, keeps
-    one malloc arena fewer, about 6 MB of peak RSS on a synth-mc job.
+    The array is allocated before any trial runs, so a count whose results
+    cannot be held is a ValueError naming 'trials' at once. Each thread
+    takes the next index in order until none is left. Once a trial raises,
+    no thread takes another; the running ones finish, and the failure of the
+    earliest index is raised, the one a serial loop would meet first.
+    Working on this thread, rather than waiting on a pool, keeps one malloc
+    arena fewer, about 6 MB of peak RSS on a synth-mc job.
     """
-    results = [None] * len(tasks)
+    try:
+        results = np.empty((count, 2))
+    except (ValueError, MemoryError) as exc:
+        raise ValueError(f"'trials' is too large: the results of {count} trials cannot be held ({exc})") from exc
     failures = {}
-    queue = iter(enumerate(tasks))
+    indices = iter(range(count))
     lock = threading.Lock()
 
-    def next_task():
+    def next_index():
         with lock:
-            return None if failures else next(queue, None)
+            return None if failures else next(indices, None)
 
     def work():
-        while (item := next_task()) is not None:
-            index, task = item
+        while (index := next_index()) is not None:
             try:
-                results[index] = trial(task)
+                results[index] = trial(index)
             except BaseException as exc:
                 with lock:
                     failures[index] = exc
 
-    helpers = [threading.Thread(target=work) for _ in range(_trial_workers(len(tasks)) - 1)]
+    helpers = [threading.Thread(target=work) for _ in range(_trial_workers(count) - 1)]
     for helper in helpers:
         helper.start()
     try:
@@ -568,38 +572,38 @@ def _map_trials(trial, tasks: list) -> list:
     return results
 
 
-def _synth_trial(cfg: dict, windows: dict, task) -> dict:
-    """The clustering error of each algorithm in one synth-bench trial; task is (M, sigma2, stream).
+def _synth_trial(cfg: dict, windows: dict, combos: list, index: int) -> tuple[float, float]:
+    """The (km, nnpc) clustering errors of synth-bench trial index, one of combination combos[index // trials].
 
-    The samples go chunk by chunk from the generator into the trial's one
-    weighted spectra array, which both algorithms read.
+    Its dataset draws from stream 2 index of the seed and its nnpc from
+    stream 2 index + 1. The samples go chunk by chunk from the generator
+    into the trial's one weighted spectra array, which both algorithms read.
     """
-    obs_len, sigma2, stream = task
+    obs_len, sigma2 = combos[index // cfg["trials"]]
     n_clusters = len(cfg["models"])
     grid_size = next_pow2(cfg["grid_factor"] * obs_len)
     spectra, truth = benchmark_rows(
-        cfg["models"], cfg["n_per_model"], obs_len, sigma2, RngStream(cfg["seed"], stream),
+        cfg["models"], cfg["n_per_model"], obs_len, sigma2, RngStream(cfg["seed"], 2 * index),
         partial(weighted_chunk_spectra, window=windows[obs_len], grid_size=grid_size),
     )
-    nnpc_result = nnpc_from_spectra(spectra, cfg["q"], n_clusters, rng=RngStream(cfg["seed"], stream + 1))
-    return {
-        "nnpc": clustering_error(nnpc_result.labels, truth),
-        "km": clustering_error(km_from_spectra(spectra, n_clusters), truth),
-    }
+    nnpc_labels = nnpc_from_spectra(spectra, cfg["q"], n_clusters, rng=RngStream(cfg["seed"], 2 * index + 1)).labels
+    return clustering_error(km_from_spectra(spectra, n_clusters), truth), clustering_error(nnpc_labels, truth)
 
 
 def run_synth_bench(config: dict) -> list[dict]:
     """Monte Carlo benchmark over all (M, sigma2) combinations in the config.
 
-    Both algorithms see the same datasets and spectra trial by trial.
-    Trial t of combination c draws from stream 2 (c trials + t) of the seed
-    (and its nnpc from the next stream), so the trials are independent. They
-    run on one thread per CPU this process may use (_map_trials), and each
-    trial holds only its spectra array and one chunk of samples. Results are
-    collected in task order, so the output does not depend on the thread
-    count, and a failure stops the run with the serial loop's first error.
+    Both algorithms see the same datasets and spectra trial by trial. Trial
+    t of combination c has index c trials + t (_synth_trial), so the
+    trials draw from disjoint streams of the seed. They run on one thread
+    per CPU this process may use (_map_trials), each holding only its
+    spectra array and one chunk of samples, and write their errors into one
+    (combinations, trials, 2) array, so the output does not depend on the
+    thread count. A trial count whose results cannot be held, or a failing
+    trial, stops the run with a ValueError (the serial loop's first error).
     Returns one row per (M, sigma2, algorithm) with the mean and population
-    std of the clustering error, sorted for stable output.
+    std of the clustering error, ordered by M, then sigma2, then algorithm;
+    repeated list entries collapse into one combination.
     """
     cfg = _parse_config(config)
     n_obs = len(cfg["models"]) * cfg["n_per_model"]
@@ -610,29 +614,13 @@ def run_synth_bench(config: dict) -> list[dict]:
     trials = cfg["trials"]
     # every window is built, and a bad one fails, before any trial runs
     windows = {m: make_window(cfg["window_kind"], m, cfg["window_std"]) for m in sorted(set(cfg["M_list"]))}
-    tasks = [
-        (obs_len, sigma2, 2 * (combo_index * trials + trial))
-        for combo_index, (obs_len, sigma2) in enumerate(combos)
-        for trial in range(trials)
+    errors = _map_trials(partial(_synth_trial, cfg, windows, combos), len(combos) * trials)
+    return [
+        {"M": obs_len, "sigma2": sigma2, "algorithm": algorithm, "mean_ce": float(ce.mean()), "std_ce": float(ce.std()),
+         "trials": trials}
+        for (obs_len, sigma2), combo_errors in zip(combos, errors.reshape(len(combos), trials, 2))
+        for algorithm, ce in zip(("km", "nnpc"), combo_errors.T)
     ]
-    errors = _map_trials(partial(_synth_trial, cfg, windows), tasks)
-    rows = []
-    for combo_index, (obs_len, sigma2) in enumerate(combos):
-        combo_errors = errors[combo_index * trials : (combo_index + 1) * trials]
-        for algorithm in ("km", "nnpc"):
-            ce = np.asarray([trial_errors[algorithm] for trial_errors in combo_errors])
-            rows.append(
-                {
-                    "M": obs_len,
-                    "sigma2": sigma2,
-                    "algorithm": algorithm,
-                    "mean_ce": float(ce.mean()),
-                    "std_ce": float(ce.std()),
-                    "trials": trials,
-                }
-            )
-    rows.sort(key=lambda row: (row["M"], row["sigma2"], row["algorithm"]))
-    return rows
 
 
 def cmd_synth_bench(args) -> int:

@@ -162,14 +162,21 @@ def estimate_psd_chunks(chunks, n_obs: int, window: WindowSpec, grid_size: int) 
     next rows of the output and can be dropped once the next is asked for,
     so the stage holds the output, one chunk and its temporaries. The
     estimates are batch-invariant, so a row has the same bits whichever
-    chunk carries it.
+    chunk carries it. Each chunk's shape is checked as it arrives; its
+    samples are not (_psd_rows checks a whole stack for finiteness first).
     """
     f = _check_grid(window.length, grid_size)
     values = np.empty((n_obs, f // 2 + 1))
     start = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for obs in chunks:
+            if obs.ndim != 2:
+                raise ValueError(f"a chunk must be a 2-D array, one observation per row, got shape {obs.shape}")
+            if obs.shape[1] != window.length:
+                raise ValueError(f"window was built for length {window.length}, observation has {obs.shape[1]}")
             rows = slice(start, start + obs.shape[0])
+            if rows.stop > n_obs:
+                raise ValueError(f"at least {rows.stop} observations arrived, {n_obs} were announced")
             acf = _acf_rows(obs)
             acf *= window.values
             if not np.isfinite(_even_half_spectrum(acf, values[rows])).all():

@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -1219,20 +1220,19 @@ class TestSynthBench:
             assert run_synth_bench(config) == expected
 
     def failing_run(self, tmp_path, monkeypatch, capsys, failures):
-        """Exit code, stderr and the tasks that ran, of 6 trials on 2 threads where
-        failures maps a task's index to the seconds it waits before raising."""
+        """Exit code, stderr and the trials that ran, of 6 trials on 2 threads where
+        failures maps a trial's index to the seconds it waits before raising."""
         config = self.write_config(tmp_path, {"preset": "arma3", "M_list": [128, 256], "sigma2_list": [0.0],
                                               "trials": 3, "n_per_model": 4, "q": 3, "seed": 0})
         trial, ran = psdcluster.cli._synth_trial, []
 
-        def failing(cfg, windows, task):
-            index = task[2] // 2
+        def failing(cfg, windows, combos, index):
             ran.append(index)
             if index in failures:
                 time.sleep(failures[index])
                 raise ValueError(f"trial {index} failed")
             time.sleep(0.2 if index > 1 else 0.0)  # the queued trials are slow, so cancelling them shows
-            return trial(cfg, windows, task)
+            return trial(cfg, windows, combos, index)
 
         monkeypatch.setattr(psdcluster.cli, "_trial_workers", lambda tasks: 2)
         monkeypatch.setattr(psdcluster.cli, "_synth_trial", failing)
@@ -1269,6 +1269,31 @@ class TestSynthBench:
         first = run_synth_bench(config)
         assert run_synth_bench(config) == first
         assert len(built) == 3
+
+    def test_unsorted_repeated_lists_give_sorted_distinct_rows(self):
+        config = {"preset": "arma3", "trials": 2, "n_per_model": 4, "q": 3, "seed": 0}
+        rows = run_synth_bench({**config, "M_list": [1024, 256, 256], "sigma2_list": [0.25, 0, 0.0]})
+        assert [(row["M"], row["sigma2"], row["algorithm"]) for row in rows] == [
+            (m, sigma2, algorithm) for m in (256, 1024) for sigma2 in (0.0, 0.25) for algorithm in ("km", "nnpc")
+        ]
+        assert rows == run_synth_bench({**config, "M_list": [256, 1024], "sigma2_list": [0.0, 0.25]})
+
+    @pytest.mark.parametrize("trials", [10**21, 10**12])
+    def test_an_enormous_trial_count_exits_2_at_once(self, tmp_path, trials):
+        config = self.write_config(tmp_path, {"preset": "arma3", "M_list": [64], "trials": trials, "n_per_model": 4,
+                                              "q": 3})
+        out = tmp_path / "bench.csv"
+
+        def cap_address_space():  # in the child: a run that grows with the trial count fails there at 4 GiB
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        proc = subprocess.run([sys.executable, "-m", "psdcluster", "synth-bench", "--config", str(config), "--out",
+                               str(out)], env=checkout_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+                              capture_output=True, text=True, timeout=120, preexec_fn=cap_address_space)
+        assert proc.returncode == 2, proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: 'trials' is too large")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["synth-bench", "check-condition"])
     @pytest.mark.parametrize(

@@ -345,6 +345,20 @@ class TestChunkedEstimation:
         with pytest.raises(ValueError):
             estimate_psd_chunks([obs[:5], obs[5:]], n_obs, make_window("gaussian", self.OBS_LEN), 256)
 
+    @pytest.mark.parametrize(
+        "shape, n_obs, message",
+        [
+            ((3, 8), 3, "window was built for length 16, observation has 8"),
+            ((3, 16), 1, "at least 3 observations arrived, 1 were announced"),
+            ((16,), 1, r"a chunk must be a 2-D array, one observation per row, got shape \(16,\)"),
+        ],
+        ids=["narrow", "too-many-rows", "1-D"],
+    )
+    def test_a_misshapen_chunk_is_refused_before_it_is_estimated(self, shape, n_obs, message):
+        chunk = np.random.default_rng(9).standard_normal(shape)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            estimate_psd_chunks([chunk], n_obs, make_window("gaussian", 16), 64)
+
     def test_allocates_the_output_plus_a_few_chunks(self):
         # 48 x 16384 samples, F = 65536: a 12.6 MB output, and 4 rows per chunk
         obs = np.random.default_rng(7).standard_normal((48, 16384))
