@@ -342,12 +342,9 @@ def _input_spectra(args, uses_neighbors: bool, uses_max_clusters: bool, n_cluste
     return weighted_spectra(observations, window, grid, args.normalize_psd), truth, obs_len, grid
 
 
-def _write_labels_csv(path, labels) -> None:
+def _write_csv(path, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", "label"])
-        for index, label in enumerate(labels):
-            writer.writerow([index, int(label)])
+        csv.writer(handle, lineterminator="\n").writerows(rows)
 
 
 def _dump_json(payload, path=None) -> None:
@@ -398,7 +395,7 @@ def cmd_cluster(args) -> int:
         report["clustering_error"] = clustering_error(labels, truth)
         report["confusion_entropy"] = confusion_entropy(labels, truth)
 
-    _write_labels_csv(args.labels_out, labels)
+    _write_csv(args.labels_out, [["id", "label"], *enumerate(map(int, labels))])
     _dump_json(report, args.report_out)
     return 0
 
@@ -625,13 +622,11 @@ def run_synth_bench(config: dict) -> list[dict]:
 
 def cmd_synth_bench(args) -> int:
     rows = run_synth_bench(_load_config(args.config))
-    with open(args.out, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["M", "sigma2", "algorithm", "mean_ce", "std_ce", "trials"])
-        for row in rows:
-            writer.writerow(
-                [row["M"], repr(row["sigma2"]), row["algorithm"], repr(row["mean_ce"]), repr(row["std_ce"]), row["trials"]]
-            )
+    _write_csv(args.out, [
+        ["M", "sigma2", "algorithm", "mean_ce", "std_ce", "trials"],
+        *([row["M"], repr(row["sigma2"]), row["algorithm"], repr(row["mean_ce"]), repr(row["std_ce"]), row["trials"]]
+          for row in rows),
+    ])
     sys.stdout.write(f"wrote {args.out} ({len(rows)} rows)\n")
     return 0
 
@@ -735,17 +730,16 @@ def _load_label_map(path) -> dict[str, str]:
 
 def cmd_convert_mocap(args) -> int:
     label_map = _load_label_map(args.labels_csv) if args.labels_csv else None
-    with open(args.out, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        for path in args.sequences:
-            sequence = _extract_column(path, args.column)
-            row = [repr(float(v)) for v in sequence]
-            if label_map is not None:
-                name = Path(path).name
-                if name not in label_map:
-                    raise ValueError(f"{args.labels_csv}: no label for sequence file {name!r}")
-                row = [label_map[name]] + row
-            writer.writerow(row)
+    rows = []  # every row is built before the output is opened, so a failure writes nothing
+    for path in args.sequences:
+        row = [repr(float(v)) for v in _extract_column(path, args.column)]
+        if label_map is not None:
+            name = Path(path).name
+            if name not in label_map:
+                raise ValueError(f"{args.labels_csv}: no label for sequence file {name!r}")
+            row = [label_map[name]] + row
+        rows.append(row)
+    _write_csv(args.out, rows)
     sys.stdout.write(f"wrote {args.out} ({len(args.sequences)} sequences)\n")
     return 0
 

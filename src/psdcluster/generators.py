@@ -6,11 +6,13 @@ power normalization, autocorrelations, and inter-model distances cheap and
 free of estimation error. Simulation runs the filter recursion past a burn-in
 and optionally adds white Gaussian measurement noise.
 
-A benchmark dataset is drawn model by model in chunks of rows of about
-SAMPLE_CHUNK_BYTES of normal draws (`benchmark_rows`), in the same RNG order
-as one draw per model, and then shuffled in place. A caller can turn each
-chunk into its PSD estimates as it arrives, as synth-bench does, and so never
-hold the samples; `make_benchmark_dataset` stacks the chunks into one array.
+Independent observations are drawn in chunks of rows of about
+SAMPLE_CHUNK_BYTES of normal draws, in the same RNG order as one draw of all
+the rows; `simulate` stacks the chunks into one array. A benchmark dataset is
+drawn that way model by model (`benchmark_rows`) and then shuffled in place. A
+caller can turn each chunk into its PSD estimates as it arrives, as
+synth-bench does, and so never hold the samples; `make_benchmark_dataset`
+stacks the chunks into one array.
 """
 
 from __future__ import annotations
@@ -123,10 +125,9 @@ def _independent_chunks(
     length: int,
     count: int,
     gen: np.random.Generator,
-    chunk_bytes: int | None,
 ):
     """count independent observations of the model in RNG order, in chunks of rows
-    of about chunk_bytes of draws each, or in one chunk if chunk_bytes is None.
+    of about SAMPLE_CHUNK_BYTES of draws each.
 
     Each row consumes the stream as innovations, then noise; normal draws
     carry no state between calls, so the chunks yield exactly the numbers
@@ -140,7 +141,7 @@ def _independent_chunks(
     noise_std = float(np.sqrt(noise_variance))
     burn = _burn_in(model)
     width = burn + length + (length if noise_std > 0.0 else 0)
-    chunk_rows = count if chunk_bytes is None else max(1, chunk_bytes // (8 * width))
+    chunk_rows = max(1, SAMPLE_CHUNK_BYTES // (8 * width))
     for start in range(0, count, chunk_rows):
         draws = gen.standard_normal((min(chunk_rows, count - start), width))
         out = lfilter(model.ma, model.ar, draws[:, : burn + length], axis=1)[:, burn:]
@@ -176,7 +177,7 @@ def simulate(
     _check_stable(model.ar)
     gen = rng.generator()
     if mode == "independent":
-        return next(_independent_chunks(model, noise_variance, length, count, gen, None))
+        return _stacked_rows(_independent_chunks(model, noise_variance, length, count, gen), count, length)
     if mode == "segments":
         from scipy.signal import lfilter  # at first use, as in _independent_chunks
 
@@ -253,7 +254,7 @@ def benchmark_rows(models, n_per_model: int, length: int, noise_variance: float,
 
     def chunks():
         for model in models:
-            yield from _independent_chunks(model, noise_variance, length, n_per_model, gen, SAMPLE_CHUNK_BYTES)
+            yield from _independent_chunks(model, noise_variance, length, n_per_model, gen)
 
     n_obs = len(models) * n_per_model
     values = collect(chunks(), n_obs)

@@ -7,16 +7,17 @@ autocorrelation tapered by an even lag window,
 
 evaluated on a uniform grid f = j/F with F a power of two and F >= 2M.
 r_hat divides by M (not M - |m|), which keeps the implied autocorrelation
-sequence positive semidefinite. A stack of observations goes through a
-zero-padded real FFT pair for the autocorrelations and a DCT-I for the
-spectra, in chunks of rows written into one preallocated output, so the
-stage holds the output plus one chunk of temporaries. The chunks may also
-arrive one by one from a generator of samples (`estimate_psd_chunks`), and
-then the samples are never held at once. Every step works row by row on
-real arrays, so a row's estimate has the same bits whichever rows share its
-chunk or its call. The sum is even in f, so an estimate keeps only
-bins j = 0..F/2, the DCT-I output; bins F/2+1..F-1 would repeat bins
-F/2-1..1.
+sequence positive semidefinite. Every estimate comes from one kernel,
+`estimate_psd_chunks`: it takes observations as consecutive chunks of rows
+and puts each through a zero-padded real FFT pair for the autocorrelations
+and a DCT-I for the spectra, written into one preallocated output, so the
+stage holds the output plus one chunk of temporaries. `estimate_dataset_psds`
+slices a stack in memory into such chunks; a generator of samples can yield
+them one by one, and then the samples are never held at once. Every step
+works row by row on real arrays, so a row's estimate has the same bits
+whichever rows share its chunk or its call. The sum is even in f, so an
+estimate keeps only bins j = 0..F/2, the DCT-I output; bins F/2+1..F-1
+would repeat bins F/2-1..1.
 """
 
 from __future__ import annotations
@@ -147,14 +148,6 @@ def _acf_rows(obs: np.ndarray) -> np.ndarray:
     return acf
 
 
-def _check_grid(m: int, grid_size: int) -> int:
-    """grid_size as an int, checked to be a power of two of at least 2M."""
-    f = int(grid_size)
-    if f < 2 * m or f & (f - 1):
-        raise ValueError(f"grid size must be a power of two >= {2 * m}, got {grid_size}")
-    return f
-
-
 def estimate_psd_chunks(chunks, n_obs: int, window: WindowSpec, grid_size: int) -> np.ndarray:
     """PSD estimates of n_obs observations that arrive as consecutive chunks of rows, as one (n_obs, F/2 + 1) array.
 
@@ -162,10 +155,13 @@ def estimate_psd_chunks(chunks, n_obs: int, window: WindowSpec, grid_size: int) 
     next rows of the output and can be dropped once the next is asked for,
     so the stage holds the output, one chunk and its temporaries. The
     estimates are batch-invariant, so a row has the same bits whichever
-    chunk carries it. Each chunk's shape is checked as it arrives; its
-    samples are not (_psd_rows checks a whole stack for finiteness first).
+    chunk carries it. The grid must be a power of two of at least twice the
+    window's length. Each chunk's shape is checked as it arrives; its
+    samples are not checked for finiteness.
     """
-    f = _check_grid(window.length, grid_size)
+    f = int(grid_size)
+    if f < 2 * window.length or f & (f - 1):
+        raise ValueError(f"grid size must be a power of two >= {2 * window.length}, got {grid_size}")
     values = np.empty((n_obs, f // 2 + 1))
     start = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -189,25 +185,6 @@ def estimate_psd_chunks(chunks, n_obs: int, window: WindowSpec, grid_size: int) 
     return values
 
 
-def _psd_rows(obs: np.ndarray, window: WindowSpec, grid_size: int) -> np.ndarray:
-    """PSD estimates of every row of obs at bins 0..F/2, as one (N, F/2 + 1) array.
-
-    Checks the window, the grid and finiteness for the whole stack, then
-    estimates it in chunks of rows (PSD_CHUNK_BYTES) through estimate_psd_chunks.
-    """
-    n, m = obs.shape
-    if m < 2:
-        raise ValueError("observations need at least 2 samples")
-    if window.length != m:
-        raise ValueError(f"window was built for length {window.length}, observation has {m}")
-    _check_grid(m, grid_size)
-    step = max(1, PSD_CHUNK_BYTES // (8 * next_pow2(2 * m)))
-    chunks = [obs[start : start + step] for start in range(0, n, step)]
-    if not all(np.isfinite(chunk).all() for chunk in chunks):
-        raise ValueError("observation samples must be finite")
-    return estimate_psd_chunks(chunks, n, window, grid_size)
-
-
 def estimate_acf(samples) -> np.ndarray:
     """Biased sample autocorrelation r[m] = (1/M) sum_n x[n+m] x[n], m = 0..M-1."""
     x = np.asarray(samples, dtype=float)
@@ -223,12 +200,12 @@ def bt_psd(samples, window: WindowSpec, grid_size: int) -> np.ndarray:
 
     grid_size must be a power of two and at least twice the observation
     length so the symmetric lag sequence embeds without aliasing. The
-    estimate is the observation's row of estimate_dataset_psds.
+    estimate is the one row of estimate_dataset_psds on this observation.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
         raise ValueError("observation must be a 1-D vector")
-    return _psd_rows(x[None, :], window, grid_size)[0]
+    return estimate_dataset_psds(x, window, grid_size)[0]
 
 
 def _unit_power_rows(values: np.ndarray) -> None:
@@ -257,20 +234,29 @@ def estimate_dataset_psds(
     """PSD estimates for a stack of equal-length observations, as one (N, grid_size/2 + 1) array.
 
     Row i holds bins 0..F/2 of observation i's estimate. Defaults: gaussian
-    window with std 50 and a grid of next_pow2(4 M) points. unit_power
-    rescales the rows in place.
+    window with std 50 and a grid of next_pow2(4 M) points. Every sample is
+    checked to be finite before any row is estimated; then the stack goes
+    through estimate_psd_chunks in chunks of rows (PSD_CHUNK_BYTES), which
+    checks the grid and the window's length. unit_power rescales the rows
+    in place.
     """
     obs = np.asarray(observations, dtype=float)
     if obs.ndim == 1:
         obs = obs[None, :]
     if obs.ndim != 2:
         raise ValueError("observations must be a 2-D array, one observation per row")
-    m = obs.shape[1]
+    n, m = obs.shape
     if window is None:
         window = make_window("gaussian", m, std=DEFAULT_GAUSSIAN_STD)
     if grid_size is None:
         grid_size = next_pow2(DEFAULT_GRID_FACTOR * m)
-    values = _psd_rows(obs, window, grid_size)
+    if m < 2:
+        raise ValueError("observations need at least 2 samples")
+    step = max(1, PSD_CHUNK_BYTES // (8 * next_pow2(2 * m)))
+    chunks = [obs[start : start + step] for start in range(0, n, step)]
+    if not all(np.isfinite(chunk).all() for chunk in chunks):
+        raise ValueError("observation samples must be finite")
+    values = estimate_psd_chunks(chunks, n, window, grid_size)
     if unit_power:
         _unit_power_rows(values)
     return values

@@ -48,9 +48,10 @@ def h_sequence(window: WindowSpec, max_lag: int) -> np.ndarray:
     return h
 
 
-def _acf_truncation(model: GenerativeModel) -> int:
+def _acf_truncation(model: GenerativeModel, acf: np.ndarray) -> int:
     """Lag horizon past which the remaining |r| mass is below ACF_TAIL_TOL.
 
+    acf is the model's true autocorrelation at lags 0..FINE_GRID/2 - 1.
     MA-only models have finitely supported autocorrelation; AR tails are
     bounded geometrically through the largest pole radius.
     """
@@ -59,8 +60,7 @@ def _acf_truncation(model: GenerativeModel) -> int:
     rho = float(np.abs(np.roots(model.ar)).max())
     lag = 4096
     while True:
-        acf = true_acf(model, lag)
-        recent = float(np.abs(acf[-8:]).max())
+        recent = float(np.abs(acf[lag - 7 : lag + 1]).max())
         if recent * rho / (1.0 - rho) < ACF_TAIL_TOL or 2 * lag >= FINE_GRID // 2:
             return lag
         lag *= 2
@@ -71,10 +71,14 @@ def acf_moment(model: GenerativeModel, window: WindowSpec) -> float:
 
     The sum runs over positive and negative lags; both sequences are even, so
     the positive side is doubled. Truncation is chosen so the neglected tail
-    is below ACF_TAIL_TOL.
+    is below ACF_TAIL_TOL. The true autocorrelation is computed once, and
+    the truncation test and the sum read slices of it.
     """
-    lag = _acf_truncation(model)
-    acf = true_acf(model, lag)
+    acf = true_acf(model, FINE_GRID // 2 - 1)
+    lag = _acf_truncation(model, acf)
+    if lag >= acf.size:
+        raise ValueError(f"max_lag must be in 0..{acf.size - 1}")
+    acf = acf[: lag + 1]
     h = h_sequence(window, lag)
     return float(np.abs(h[0] * acf[0]) + 2.0 * np.sum(np.abs(h[1:] * acf[1:])))
 

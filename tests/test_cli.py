@@ -1510,6 +1510,7 @@ class TestConvertMocap:
                      "--out", str(tmp_path / "o.csv"), "--labels-csv", str(labels_csv)])
         assert code == 2
         capsys.readouterr()
+        assert not (tmp_path / "o.csv").exists()
 
     def test_unknown_column_rejected(self, tmp_path, capsys):
         path = tmp_path / "seq.csv"
@@ -1519,6 +1520,29 @@ class TestConvertMocap:
         code = main(["convert-mocap", str(path), "--column", "9", "--out", str(tmp_path / "o.csv")])
         assert code == 2
         capsys.readouterr()
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "second, labels, code, message",
+        [
+            ("x\n", None, 2, "b.csv: sequence needs at least 2 frames"),
+            ("0,3.5\n1,4.5\n", "a.csv,walk\n", 2, "no label for sequence file 'b.csv'"),
+            (None, None, 1, "b.csv"),
+        ],
+        ids=["short-sequence", "missing-label", "missing-file"],
+    )
+    def test_a_bad_later_sequence_writes_nothing(self, tmp_path, capsys, second, labels, code, message):
+        (tmp_path / "a.csv").write_text("0,1.5\n1,2.5\n")
+        if second is not None:
+            (tmp_path / "b.csv").write_text(second)
+        argv = ["convert-mocap", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"), "--column", "1",
+                "--out", str(tmp_path / "out.csv")]
+        if labels is not None:
+            (tmp_path / "labels.csv").write_text(labels)
+            argv += ["--labels-csv", str(tmp_path / "labels.csv")]
+        assert main(argv) == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestParser:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import full_grid, reference_make_benchmark_dataset
+from oracles import full_grid, reference_make_benchmark_dataset, reference_simulate
 from scipy.signal import lfilter
 
 import psdcluster.generators
@@ -282,7 +282,8 @@ class TestBenchmarkDataset:
     @pytest.mark.parametrize("noise_variance", [0.0, 0.25])
     @pytest.mark.parametrize("chunk_rows", [1, 7, 10])
     def test_chunks_match_the_unchunked_dataset(self, monkeypatch, chunk_rows, noise_variance):
-        """Chunks of 1 row, 7 rows (10 = 7 + 3) and a whole model give the bits of one draw per model."""
+        """Chunks of 1 row, 7 rows (10 = 7 + 3) and a whole model give the bits of one draw per model,
+        in a dataset and in simulate."""
         models, n_per_model, length = benchmark_models(), 10, 96
         width = 1000 + length + (length if noise_variance > 0.0 else 0)  # arma3's burn-in is 1000
         monkeypatch.setattr(psdcluster.generators, "SAMPLE_CHUNK_BYTES", chunk_rows * 8 * width)
@@ -302,6 +303,10 @@ class TestBenchmarkDataset:
         for got in (labels, data.labels):
             np.testing.assert_array_equal(got, truth)
             assert got.dtype == truth.dtype
+        for model in models:
+            got = simulate(model, noise_variance, length, n_per_model, RngStream(9))
+            oracle = reference_simulate(model, noise_variance, length, n_per_model, RngStream(9).generator())
+            np.testing.assert_array_equal(got.view(np.uint64), oracle.view(np.uint64))
 
     @settings(max_examples=25, deadline=None, database=None, derandomize=True)
     @given(
