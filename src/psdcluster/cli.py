@@ -241,6 +241,17 @@ def _decoded_lines(path, batches, line_no: int = 0):
             yield text
 
 
+def _text_lines(path):
+    """The lines of a file as text: the one decoding route (_line_batches, then _decoded_lines)."""
+    with open(path, "rb") as handle:
+        yield from _decoded_lines(path, _line_batches(handle))
+
+
+def _records(path):
+    """The csv.reader records of a file that hold a nonblank cell."""
+    return (cells for cells in _csv_rows(path, _text_lines(path)) if any(cell.strip() for cell in cells))
+
+
 def _observation_rows(path, handle, with_truth: bool):
     """(line number, label or None, samples) of each nonblank record in a binary CSV handle.
 
@@ -312,29 +323,27 @@ def _read_observation_csv(path, with_truth: bool, pad_zeros: bool, subtract_mean
     return observations, truth
 
 
-def _input_spectra(args, uses_neighbors: bool, uses_max_clusters: bool, n_clusters: int | None = None,
-                   single_needs_no_neighbors: bool = False):
+def _input_spectra(args, single_needs_no_neighbors: bool = False):
     """The front end of cluster and estimate-l: the weighted spectra of the input, (rows, truth, M, F).
 
-    Option values that are bad for any input are rejected before the input
-    is parsed, and the counts before the PSD stage, with the usual messages.
-    The samples are dropped once estimated, so clustering runs beside the
-    spectra alone.
+    Options are checked as args.algorithm and args.clusters use them. Those
+    bad for any input are rejected before the input is parsed, and the
+    counts before the PSD stage, with the usual messages. The samples are
+    dropped once estimated, so clustering runs beside the spectra alone.
     """
+    uses_neighbors, auto = args.algorithm == "nnpc", args.clusters == "auto"
     if uses_neighbors and args.neighbors < 1:
-        with open(args.input, "rb") as handle:  # the reader's row count, no sample parsed
-            records = _csv_rows(args.input, _decoded_lines(args.input, _line_batches(handle)))
-            n_obs = sum(any(cell.strip() for cell in cells) for cells in records)
+        n_obs = sum(1 for _ in _records(args.input))  # the reader's row count, no sample parsed
         raise ValueError(f"neighbor count must be in 1..{n_obs - 1}, got {args.neighbors}")
-    if uses_max_clusters and args.max_clusters < 1:
+    if auto and args.max_clusters < 1:
         raise ValueError(f"the cluster-count cap must be positive, got {args.max_clusters}")
     make_window(args.window, 2, args.std)  # the window options, checked on the shortest observation's window
     if args.grid_factor < 2:
         raise ValueError("grid factor must be >= 2")
     observations, truth = _read_observation_csv(args.input, args.truth, args.pad_zeros, args.subtract_mean)
     n_obs, obs_len = observations.shape
-    if n_clusters is not None and n_clusters > n_obs:
-        raise ValueError(f"cluster count {n_clusters} exceeds the {n_obs} observations")
+    if not auto and args.clusters > n_obs:
+        raise ValueError(f"cluster count {args.clusters} exceeds the {n_obs} observations")
     if uses_neighbors and args.neighbors > n_obs - 1 and not (single_needs_no_neighbors and n_obs == 1):
         raise ValueError(f"neighbor count must be in 1..{n_obs - 1}, got {args.neighbors}")
     grid = next_pow2(args.grid_factor * obs_len)
@@ -364,9 +373,8 @@ def cmd_cluster(args) -> int:
     auto = args.clusters == "auto"
     if args.algorithm == "km" and auto:
         raise ValueError("the km algorithm needs an explicit cluster count")
-    requested = None if auto else int(args.clusters)
-    rows, truth, obs_len, grid = _input_spectra(args, uses_neighbors=args.algorithm == "nnpc", uses_max_clusters=auto,
-                                                n_clusters=requested)
+    requested = None if auto else args.clusters
+    rows, truth, obs_len, grid = _input_spectra(args)
 
     report = {
         "input": str(args.input),
@@ -405,11 +413,12 @@ def cmd_cluster(args) -> int:
 
 
 def _load_config(path) -> dict:
-    with open(path, encoding="utf-8-sig") as handle:
-        try:
-            config = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    # \r\n and \r read as \n, as in text mode, so a JSON error gives the same line, column and char
+    text = "".join(_text_lines(path)).replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        config = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     unknown = set(config) - _CONFIG_KEYS
@@ -491,7 +500,8 @@ def _int_option(config, key, default, minimum):
 
 
 def _parse_config(config) -> dict:
-    """Validate the shared benchmark config schema and fill in defaults."""
+    """Validate the shared benchmark config schema and fill in defaults: the sorted distinct (M, sigma2)
+    combinations, and one window per M, built (and a bad one failing) once every key has been checked."""
     models = _build_models(config)
     window_cfg = config.get("window", {"kind": "gaussian", "std": DEFAULT_GAUSSIAN_STD})
     if not isinstance(window_cfg, dict) or "kind" not in window_cfg:
@@ -502,17 +512,16 @@ def _parse_config(config) -> dict:
     std = _finite_float(raw_std)
     if std is None or std <= 0:
         raise ValueError(f"'window' std must be a positive finite number, got {raw_std!r}")
+    lengths = _int_list(config, "M_list", minimum=2)
     return {
         "models": models,
-        "M_list": _int_list(config, "M_list", minimum=2),
-        "sigma2_list": _float_list(config, "sigma2_list", default=[0.0]),
+        "combos": sorted(set(product(lengths, _float_list(config, "sigma2_list", default=[0.0])))),
         "trials": _int_option(config, "trials", DEFAULT_TRIALS, minimum=1),
         "n_per_model": _int_option(config, "n_per_model", DEFAULT_N_PER_MODEL, minimum=1),
         "q": _int_option(config, "q", DEFAULT_NEIGHBORS, minimum=1),
-        "window_kind": window_cfg["kind"],
-        "window_std": std,
         "grid_factor": _int_option(config, "grid_factor", DEFAULT_GRID_FACTOR, minimum=2),
         "seed": _int_option(config, "seed", 0, minimum=0),
+        "windows": {m: make_window(window_cfg["kind"], m, std) for m in sorted(set(lengths))},
     }
 
 
@@ -607,11 +616,8 @@ def run_synth_bench(config: dict) -> list[dict]:
     if not 1 <= cfg["q"] <= n_obs - 1:
         raise ValueError(f"'q' must be in 1..{n_obs - 1} for {n_obs} observations, got {cfg['q']}")
 
-    combos = sorted(set(product(cfg["M_list"], cfg["sigma2_list"])))
-    trials = cfg["trials"]
-    # every window is built, and a bad one fails, before any trial runs
-    windows = {m: make_window(cfg["window_kind"], m, cfg["window_std"]) for m in sorted(set(cfg["M_list"]))}
-    errors = _map_trials(partial(_synth_trial, cfg, windows, combos), len(combos) * trials)
+    combos, trials = cfg["combos"], cfg["trials"]
+    errors = _map_trials(partial(_synth_trial, cfg, cfg["windows"], combos), len(combos) * trials)
     return [
         {"M": obs_len, "sigma2": sigma2, "algorithm": algorithm, "mean_ce": float(ce.mean()), "std_ce": float(ce.std()),
          "trials": trials}
@@ -642,11 +648,8 @@ def run_check_condition(config: dict) -> list[dict]:
     if len(models) < 2:
         raise ValueError("the clustering condition needs at least two models")
     n_obs = len(models) * cfg["n_per_model"]
-    reports = []
-    for obs_len, sigma2 in sorted(set(product(cfg["M_list"], cfg["sigma2_list"]))):
-        window = make_window(cfg["window_kind"], obs_len, cfg["window_std"])
-        reports.append(asdict(check_condition(models, window, n_obs, sigma2)))
-    return reports
+    return [asdict(check_condition(models, cfg["windows"][obs_len], n_obs, sigma2))
+            for obs_len, sigma2 in cfg["combos"]]
 
 
 def cmd_check_condition(args) -> int:
@@ -661,7 +664,7 @@ def cmd_check_condition(args) -> int:
 
 
 def cmd_estimate_l(args) -> int:
-    rows = _input_spectra(args, uses_neighbors=True, uses_max_clusters=True, single_needs_no_neighbors=True)[0]
+    rows = _input_spectra(args, single_needs_no_neighbors=True)[0]
     if len(rows) == 1:
         _dump_json({"estimate": 1, "eigenvalues": [0.0]})
         return 0
@@ -680,8 +683,7 @@ def _extract_column(path, column: str) -> np.ndarray:
     `column` is either a zero-based index or a header name; a header row is
     detected automatically in index mode and required in name mode.
     """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        records = [record for record in _csv_rows(path, handle) if any(cell.strip() for cell in record)]
+    records = list(_records(path))
     if not records:
         raise ValueError(f"{path}: empty sequence file")
     try:
@@ -710,19 +712,16 @@ def _extract_column(path, column: str) -> np.ndarray:
             values.append(float(record[index]))
         except ValueError as exc:
             raise ValueError(f"{path}: row {line_no}: non-numeric value in column {index}") from exc
+        if not math.isfinite(values[-1]):
+            raise ValueError(f"{path}: row {line_no}: non-finite value in column {index}")
     if len(values) < 2:
         raise ValueError(f"{path}: sequence needs at least 2 frames")
     return np.asarray(values)
 
 
 def _load_label_map(path) -> dict[str, str]:
-    labels: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        for record in _csv_rows(path, handle):
-            record = [cell.strip() for cell in record]
-            if len(record) < 2 or not record[0]:
-                continue
-            labels[record[0]] = record[1]
+    records = ([cell.strip() for cell in record] for record in _records(path))
+    labels = {record[0]: record[1] for record in records if len(record) >= 2 and record[0]}
     if not labels:
         raise ValueError(f"{path}: no (filename, label) pairs found")
     return labels
@@ -816,7 +815,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     estimate = sub.add_parser("estimate-l", help="eigengap estimate of the cluster count")
     _add_observation_options(estimate)
-    estimate.set_defaults(func=cmd_estimate_l)
+    estimate.set_defaults(func=cmd_estimate_l, algorithm="nnpc", clusters="auto")  # what _input_spectra checks
 
     convert = sub.add_parser("convert-mocap", help="collect one marker column per sequence file into a dataset CSV")
     convert.add_argument("sequences", nargs="+", help="per-sequence CSV files of marker trajectories")

@@ -26,6 +26,9 @@ from .generators import FINE_GRID, GenerativeModel, _check_noise_variance, true_
 from .spectra import WindowSpec
 
 ACF_TAIL_TOL = 1e-9
+# The longest MA part whose autocorrelation (lags 0..length - 1) the window-bias moment reads in
+# full off true_acf's lags, with no aliasing from the FINE_GRID-point transform.
+MAX_MA_COEFFICIENTS = FINE_GRID // 2 - 2
 
 
 def h_sequence(window: WindowSpec, max_lag: int) -> np.ndarray:
@@ -72,12 +75,14 @@ def acf_moment(model: GenerativeModel, window: WindowSpec) -> float:
     The sum runs over positive and negative lags; both sequences are even, so
     the positive side is doubled. Truncation is chosen so the neglected tail
     is below ACF_TAIL_TOL. The true autocorrelation is computed once, and
-    the truncation test and the sum read slices of it.
+    the truncation test and the sum read slices of it. An MA part longer
+    than MAX_MA_COEFFICIENTS is refused before any of it is computed.
     """
+    if model.ma.size > MAX_MA_COEFFICIENTS:
+        raise ValueError(f"the model's MA part has {model.ma.size} coefficients; "
+                         f"the window-bias moment takes at most {MAX_MA_COEFFICIENTS}")
     acf = true_acf(model, FINE_GRID // 2 - 1)
     lag = _acf_truncation(model, acf)
-    if lag >= acf.size:
-        raise ValueError(f"max_lag must be in 0..{acf.size - 1}")
     acf = acf[: lag + 1]
     h = h_sequence(window, lag)
     return float(np.abs(h[0] * acf[0]) + 2.0 * np.sum(np.abs(h[1:] * acf[1:])))

@@ -833,6 +833,34 @@ class TestInvalidUtf8:
         assert code == 2
         assert capsys.readouterr().err == f"error: {path}: line 2501: invalid UTF-8 byte 0xff\n"
 
+    def test_sequence_file(self, tmp_path, capsys):
+        sequence = tmp_path / "seq.csv"
+        sequence.write_bytes(b"\xef\xbb\xbftime,foot_r\r\n0,1.5\r\n1,2.5\xfe\r\n")
+        out = tmp_path / "o.csv"
+        assert main(["convert-mocap", str(sequence), "--column", "foot_r", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {sequence}: line 3: invalid UTF-8 byte 0xfe\n"
+        assert not out.exists()
+
+    def test_label_map(self, tmp_path, capsys):
+        sequence = tmp_path / "walk1.csv"
+        sequence.write_text("0,1.5\n1,2.5\n")
+        labels_csv = tmp_path / "labels.csv"
+        labels_csv.write_bytes(b"walk1.csv,walk\nrun1.csv,r\xffun\n")
+        out = tmp_path / "o.csv"
+        assert main(["convert-mocap", str(sequence), "--column", "1", "--out", str(out),
+                     "--labels-csv", str(labels_csv)]) == 2
+        assert capsys.readouterr().err == f"error: {labels_csv}: line 2: invalid UTF-8 byte 0xff\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["check-condition", "synth-bench"])
+    def test_config(self, tmp_path, capsys, command):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"preset": "arma3",\r\n "M_list": [64],\r "trials": 1, "n_per_model": 3, "q": 2}\xc3\n')
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {config}: line 3: invalid UTF-8 byte 0xc3\n"
+        assert not out.exists()
+
 
 class TestStrayQuote:
     """An unmatched quote in a file over csv's 128 KiB field limit is a
@@ -1400,6 +1428,24 @@ class TestSynthBench:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["synth-bench", "check-condition"])
+    @pytest.mark.parametrize("final_newline", [True, False])
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("lines", [
+        ['{"preset": "arma3",', '  "M_list": [64,],', '  "trials": 1}'],  # a fault inside the document
+        ['{"preset": "arma3",', '  "M_list": [64]'],  # a fault at its end
+        ['\ufeff{"preset": "arma3",', '  "M_list": [64]}'],  # a second byte order mark
+    ])
+    def test_json_errors_give_the_line_and_column_of_text_mode(self, tmp_path, capsys, command, final_newline,
+                                                               line_end, lines):
+        config = tmp_path / "config.json"
+        config.write_bytes(b"\xef\xbb\xbf" + (line_end.join(lines) + line_end * final_newline).encode())
+        with open(config, encoding="utf-8-sig") as handle:  # text mode translates every line end to \n
+            with pytest.raises(json.JSONDecodeError) as info:
+                json.load(handle)
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {config}: invalid JSON: {info.value}\n"
+
     def test_q_must_fit_dataset(self, tmp_path, capsys):
         config = self.write_config(
             tmp_path,
@@ -1441,6 +1487,18 @@ class TestCheckCondition:
         assert isinstance(payload, list)
         assert len(payload) == 4
         assert [r["obs_len"] for r in payload] == [512, 512, 1024, 1024]
+
+
+    def test_a_model_with_a_long_ma_part_is_refused(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"models": [{"a": [1.0], "b": [1.0] * 40000}, {"a": [1.0, -0.5], "b": [1.0]}],
+                                      "M_list": [64]}))
+        out = tmp_path / "out.json"
+        assert main(["check-condition", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the model's MA part has 40000 coefficients; the window-bias moment takes at most 32766\n"
+        )
+        assert not out.exists()
 
 
 class TestConvertMocap:
@@ -1521,6 +1579,15 @@ class TestConvertMocap:
         assert code == 2
         capsys.readouterr()
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
+    def test_a_non_finite_value_is_refused(self, tmp_path, capsys, value):
+        path = tmp_path / "seq.csv"
+        path.write_text(f"0,1.5\n1,{value}\n2,2.5\n")
+        out = tmp_path / "o.csv"
+        assert main(["convert-mocap", str(path), "--column", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: row 2: non-finite value in column 1\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "second, labels, code, message",
@@ -1694,6 +1761,48 @@ class TestErrorContract:
                 for name in first[3]:
                     (base / name).unlink()
                 assert self.run(command, path, options, base) == first
+
+
+class TestFileOrder:
+    """The first bad line in file order is the one reported, over later lines and later stages."""
+
+    @staticmethod
+    def write(path, quoted, faults):
+        """Eight labelled rows of 16 samples with the faults named in faults; a quoted first label sends
+        every line to csv.reader, and otherwise each batch on the byte route's grammar is read there."""
+        rows = [[f"m{index % 2}", *(repr(float(v)) for v in row)]
+                for index, row in enumerate(np.random.default_rng(21).standard_normal((8, 16)))]
+        if quoted:
+            rows[0][0] = '"m0"'
+        edits = {"overflow": (1, "1e200"), "nan": (2, "nan"), "ragged": (3, None), "text": (5, "abc")}
+        for fault in faults:
+            line, cell = edits[fault]
+            rows[line][4:5] = [cell] if cell else []
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+
+    @pytest.mark.parametrize("batch_bytes", [None, 1])
+    @pytest.mark.parametrize("quoted", [False, True])
+    @pytest.mark.parametrize("command", ["cluster", "estimate-l"])
+    def test_the_first_bad_line_wins(self, tmp_path, capsys, monkeypatch, command, quoted, batch_bytes):
+        if batch_bytes is not None:  # every line its own batch
+            monkeypatch.setattr(psdcluster.cli, "CSV_BATCH_BYTES", batch_bytes)
+        path = tmp_path / "obs.csv"
+        argv = [command, str(path), "--truth", "--neighbors", "2"]
+        if command == "cluster":
+            argv += ["--labels-out", str(tmp_path / "labels.csv"), "--report-out", str(tmp_path / "report.json")]
+        cases = [
+            (["overflow", "ragged", "text"], f"{path}: line 6: non-numeric sample value"),
+            (["overflow", "nan", "ragged", "text"], f"{path}: line 3: samples must be finite"),
+            # each fault is live once the ones before it in this list are gone
+            (["overflow", "ragged"], f"{path}: rows have different lengths; pass --pad-zeros to zero-pad them"),
+            (["overflow"], "PSD estimation overflowed"),
+        ]
+        for faults, message in cases:
+            self.write(path, quoted, faults)
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {message}") and err.count("\n") == 1, (faults, err)
+        assert not (tmp_path / "labels.csv").exists()
 
 
 # Runs in a fresh interpreter: argv[1] is a JSON list of (stage, argv) pairs.

@@ -7,15 +7,17 @@ the probability bound, and the frozen noise-floor value 5.27.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from psdcluster.generators import benchmark_models, make_model
+from psdcluster.generators import benchmark_models, make_model, normalize_model
 from psdcluster.nnpc import build_adjacency, nearest_neighbor_sets
 from psdcluster.spectra import WindowSpec, make_window
 from psdcluster.theory import (
+    MAX_MA_COEFFICIENTS,
     acf_moment,
     check_condition,
     check_nfc,
@@ -188,6 +190,24 @@ class TestCheckCondition:
         )
         assert report.prob_bound == nfc_probability_bound(30, 1024)
         assert report.noise_variance == 0.25
+
+    def test_the_longest_ma_part_gives_its_exact_moment(self):
+        # MA(ones) of n coefficients at unit power: r[k] = (n - k) / n, every lag but 0 counted twice
+        n, window = 32766, make_window("gaussian", 256)
+        assert MAX_MA_COEFFICIENTS == n
+        lags = np.arange(1, n)
+        h = np.where(lags < 256, 1.0 - window.values[np.minimum(lags, 255)] * (1.0 - lags / 256.0), 1.0)
+        oracle = 2.0 * np.sum(h * (n - lags) / n)
+        report = check_condition([normalize_model(make_model([1.0], np.ones(n))), benchmark_models()[0]],
+                                 window, 10, 0.0)
+        assert report.mu_max == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("length", [32767, 40000])
+    def test_a_longer_ma_part_is_refused_by_its_length(self, length):
+        models = [normalize_model(make_model([1.0], np.ones(length))), benchmark_models()[0]]
+        message = f"the model's MA part has {length} coefficients; the window-bias moment takes at most 32766"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_condition(models, make_window("gaussian", 256), 10, 0.0)
 
     def test_condition_holds_for_enormous_observations(self):
         # distance 0.55 vs noise ~0.19 + bias ~0.02 at M = 10^10
