@@ -10,7 +10,6 @@ runs.
 from __future__ import annotations
 
 import argparse
-import codecs
 import csv
 import json
 import math
@@ -19,12 +18,12 @@ import sys
 import threading
 from dataclasses import asdict
 from functools import partial
-from itertools import chain, product
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, reader
 from .distances import weighted_chunk_spectra, weighted_spectra
 from .generators import benchmark_models, benchmark_rows, make_model, normalize_model
 from .km import km_from_spectra
@@ -47,12 +46,6 @@ DEFAULT_NEIGHBORS = 10
 DEFAULT_N_PER_MODEL = 25
 DEFAULT_TRIALS = 200
 
-# The CSV reader takes whole lines in batches of about this many bytes.
-CSV_BATCH_BYTES = 1 << 17
-_EXACT_POWER = 27  # the largest k with 10**k exact in the x87 significand
-_EXACT_MANTISSA = 10**18  # mantissas below this are exact there, and np.fromstring reads them unsaturated
-_TOKEN_BYTES = bytes.maketrans(b"e\n", b",,")
-
 _CONFIG_KEYS = {
     "models",
     "preset",
@@ -71,258 +64,6 @@ _CONFIG_KEYS = {
 # input handling
 
 
-def _csv_rows(path, lines, start: int = 0):
-    """Records of csv.reader(lines), numbered from start + 1.
-
-    A csv.Error (say, a stray quote that swallows the rest of a large file)
-    becomes a ValueError naming the file and the record.
-    """
-    record_no = start
-    try:
-        for record_no, record in enumerate(csv.reader(lines), start=start + 1):
-            yield record
-    except csv.Error as exc:
-        raise ValueError(f"{path}: line {record_no + 1}: {exc}") from exc
-
-
-def _record_samples(path, line_no: int, cells: list[str], with_truth: bool):
-    """(truth cell or None, samples) of one record, or None if every cell is blank.
-
-    Blank and whitespace-only cells are dropped and the rest are stripped;
-    with_truth takes the first remaining cell as the label.
-    """
-    cells = [cell for cell in map(str.strip, cells) if cell]
-    if not cells:
-        return None
-    label = cells.pop(0) if with_truth else None
-    try:
-        values = np.array(cells, dtype=float)
-    except ValueError as exc:
-        raise ValueError(f"{path}: line {line_no}: non-numeric sample value") from exc
-    return label, values
-
-
-def _exact_scaling_powers():
-    """10**0 .. 10**27 as np.longdouble where that is the x87 format, else None.
-
-    Each power is exact in the x87 64-bit significand (5**27 < 2**63), so a
-    mantissa below 10**18 times or over one of them is rounded once. The
-    significand is the low 8 bytes of each 16-byte item.
-    """
-    if np.finfo(np.longdouble).nmant != 63 or np.dtype(np.longdouble).itemsize != 16:
-        return None
-    return np.cumprod(np.r_[1, np.full(_EXACT_POWER, 10)].astype(np.longdouble))
-
-
-def _parse_sample_lines(region: bytes, powers):
-    """The samples of each line of a region of sample cells whose lines all
-    end in \\n, or None if a cell is outside the byte route's grammar.
-
-    A cell is an optional minus sign, digits with at most one dot among them
-    and at least one digit, and an optional exponent e[-|+]digits (repr
-    writes e+16 and up); its value has the bits float() gives. The dots and
-    plus signs go, the exponent markers and newlines become commas, and one
-    np.fromstring reads every mantissa and exponent as an integer. A region
-    without a plus sign skips the plus-sign scan. Each mantissa is scaled by a power of ten in
-    np.longdouble and cast to float64. float() reads the cells where that
-    could round twice: a mantissa of 10**18 or more (fromstring saturates at
-    2**63 - 1), a power beyond 10**27, or an extended result that lies
-    exactly halfway between two doubles.
-    """
-    if region.translate(None, b"0123456789.-+e,\n"):
-        return None
-    data = np.frombuffer(region, np.uint8)
-    ends = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    if (ends - starts).max() > csv.field_size_limit():  # csv.reader refuses such a cell
-        return None
-    negative = data[starts] == ord("-")
-    dots = np.flatnonzero(data == ord("."))
-    marks = np.flatnonzero(data == ord("e"))
-    dot_cells, mark_cells = np.searchsorted(ends, dots), np.searchsorted(ends, marks)
-    negative_exponent = data[marks + 1] == ord("-")
-    if region.count(b"-") != np.count_nonzero(negative) + np.count_nonzero(negative_exponent):
-        return None  # a minus sign neither first in a cell nor right after its e
-    exponent_sign = negative_exponent
-    if b"+" in region:
-        positive_exponent = data[marks + 1] == ord("+")
-        if region.count(b"+") != np.count_nonzero(positive_exponent):
-            return None  # a plus sign anywhere but right after an e
-        exponent_sign = negative_exponent | positive_exponent
-    if np.any(np.diff(dot_cells) < 1) or np.any(np.diff(mark_cells) < 1):
-        return None  # two dots or two exponents in one cell
-    mantissa_ends = ends.copy()
-    mantissa_ends[mark_cells] = marks
-    if np.any(dots > mantissa_ends[dot_cells]):
-        return None  # a dot in the exponent
-    digits = mantissa_ends - starts - negative
-    digits[dot_cells] -= 1
-    if digits.min() < 1 or np.any(ends[mark_cells] - marks - exponent_sign < 2):
-        return None  # a mantissa or an exponent without digits
-    scale = np.zeros(len(ends), dtype=np.int64)
-    scale[dot_cells] = dots + 1 - mantissa_ends[dot_cells]
-    tokens = np.fromstring(region.translate(_TOKEN_BYTES, b".+"), dtype=np.int64, sep=",")
-    if len(marks):
-        exponents = mark_cells + np.arange(1, len(marks) + 1)
-        scale[mark_cells] += tokens[exponents]
-        tokens = np.delete(tokens, exponents)
-    inexact = (scale > _EXACT_POWER) | (scale < -_EXACT_POWER)
-    inexact |= (tokens >= _EXACT_MANTISSA) | (tokens <= -_EXACT_MANTISSA)
-    np.clip(scale, -_EXACT_POWER, _EXACT_POWER, out=scale)
-    extended = np.abs(tokens).astype(np.longdouble) * powers[np.maximum(scale, 0)] / powers[np.maximum(-scale, 0)]
-    inexact |= (extended.view(np.uint64)[::2] & 0x7FF) == 0x400  # a tie in the cast that the decimal may not be
-    samples = extended.astype(np.float64)
-    np.negative(samples, out=samples, where=negative)  # the sign of -0.0 too
-    for cell in np.flatnonzero(inexact):
-        samples[cell] = float(region[starts[cell]:ends[cell]])
-    return np.split(samples, np.flatnonzero(data[ends[:-1]] == ord("\n")) + 1)
-
-
-def _parse_batch(batch: bytes, with_truth: bool, powers):
-    """(label or None, samples) of each line of a batch on the byte route, or
-    None if the batch is outside its grammar.
-
-    With with_truth each line's first cell is its label: stripped, nonblank,
-    free of double quotes and carriage returns, and valid UTF-8.
-    """
-    if not batch.endswith(b"\n"):
-        batch += b"\n"  # the last line of a file without a final newline
-    if not with_truth:
-        rows = _parse_sample_lines(batch, powers)
-        return None if rows is None else [(None, row) for row in rows]
-    labels, pieces, start = [], [], 0
-    while start < len(batch):
-        end = batch.index(b"\n", start) + 1
-        comma = batch.find(b",", start, end)
-        label = batch[start:comma]
-        if comma < 0 or len(label) > csv.field_size_limit() or b'"' in label or b"\r" in label:
-            return None
-        try:
-            label = label.decode("utf-8").strip()
-        except UnicodeDecodeError:
-            return None
-        if not label:
-            return None
-        labels.append(label)
-        pieces.append(memoryview(batch)[comma + 1 : end])
-        start = end
-    rows = _parse_sample_lines(b"".join(pieces), powers)
-    return None if rows is None else list(zip(labels, rows))
-
-
-def _line_batches(handle):
-    """Whole lines of a binary file in batches of about CSV_BATCH_BYTES, a leading UTF-8 BOM dropped.
-
-    A line longer than a batch is a batch of its own, read once.
-    """
-    lines = handle.readlines(CSV_BATCH_BYTES)
-    if lines and lines[0].startswith(codecs.BOM_UTF8):
-        lines[0] = lines[0][len(codecs.BOM_UTF8):]
-    while lines:
-        batch = b"".join(lines)
-        if batch:
-            yield batch
-        lines = handle.readlines(CSV_BATCH_BYTES)
-
-
-def _decoded_lines(path, batches, line_no: int = 0):
-    """The lines of byte batches as UTF-8 text, split where csv.reader splits
-    them (\\n, \\r\\n or \\r); the first is physical line line_no + 1.
-
-    An invalid byte is a ValueError naming the file and its line.
-    """
-    for batch in batches:
-        for line in batch.splitlines(keepends=True):
-            line_no += 1
-            try:
-                text = line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"{path}: line {line_no}: invalid UTF-8 byte 0x{line[exc.start]:02x}") from exc
-            yield text
-
-
-def _text_lines(path):
-    """The lines of a file as text: the one decoding route (_line_batches, then _decoded_lines)."""
-    with open(path, "rb") as handle:
-        yield from _decoded_lines(path, _line_batches(handle))
-
-
-def _records(path):
-    """The csv.reader records of a file that hold a nonblank cell."""
-    return (cells for cells in _csv_rows(path, _text_lines(path)) if any(cell.strip() for cell in cells))
-
-
-def _observation_rows(path, handle, with_truth: bool):
-    """(line number, label or None, samples) of each nonblank record in a binary CSV handle.
-
-    A batch of lines on the byte route's grammar is parsed there; csv.reader
-    reads any other batch, and the rest of the file too if the batch holds a
-    double quote. Both give the same samples, labels, errors and line numbers.
-    """
-    powers = _exact_scaling_powers()
-    batches = _line_batches(handle)
-    line_no = 0
-    for batch in batches:
-        rows = None if powers is None else _parse_batch(batch, with_truth, powers)
-        if rows is not None:
-            for line_no, (label, values) in enumerate(rows, start=line_no + 1):
-                yield line_no, label, values
-            continue
-        lines = _decoded_lines(path, chain([batch], batches) if b'"' in batch else [batch], line_no)
-        for line_no, cells in enumerate(_csv_rows(path, lines, start=line_no), start=line_no + 1):
-            record = _record_samples(path, line_no, cells, with_truth)
-            if record is not None:
-                yield line_no, *record
-
-
-def _read_observation_csv(path, with_truth: bool, pad_zeros: bool, subtract_mean: bool):
-    """Load observations (one per row); optionally a leading truth-label column.
-
-    Returns (observations, truth) with truth None unless requested. Ragged
-    rows are zero-padded to the longest row when pad_zeros is set and are an
-    error otherwise. Mean subtraction happens before padding. The file is
-    read in batches of whole lines (_observation_rows), and each row goes
-    straight into one (rows, longest row) buffer that grows in place.
-    """
-    observations = np.zeros((0, 0))
-    count, ragged = 0, False
-    truth_cells: list[str] = []
-    with open(path, "rb") as handle:
-        for line_no, label, values in _observation_rows(path, handle, with_truth):
-            if values.size < 2:
-                raise ValueError(f"{path}: line {line_no}: observations need at least 2 samples")
-            if not np.all(np.isfinite(values)):
-                raise ValueError(f"{path}: line {line_no}: samples must be finite")
-            if subtract_mean:
-                with np.errstate(over="ignore"):
-                    mean = values.mean()
-                    values -= mean if np.isfinite(mean) else np.sum(values / values.size)  # a sum that cannot overflow
-                if not np.all(np.isfinite(values)):
-                    raise ValueError(f"{path}: line {line_no}: samples overflow when the mean is subtracted")
-            if with_truth:
-                truth_cells.append(label)
-            ragged = ragged or (count > 0 and values.size != observations.shape[1])
-            if ragged and not pad_zeros:
-                continue  # an error, once every line has had its own checks
-            if values.size > observations.shape[1]:  # the first row, or a longer one to pad the rest to
-                observations = np.pad(observations, ((0, 0), (0, values.size - observations.shape[1])))
-            if count == len(observations):
-                # no view of the buffer is alive, so it can grow in place; new rows are zero
-                observations.resize((count + count // 4 + 16, observations.shape[1]), refcheck=False)
-            observations[count, : values.size] = values
-            count += 1
-    if not count:
-        raise ValueError(f"{path}: no observations found")
-    if ragged and not pad_zeros:
-        raise ValueError(f"{path}: rows have different lengths; pass --pad-zeros to zero-pad them")
-    observations.resize((count, observations.shape[1]), refcheck=False)
-    truth = None
-    if with_truth:
-        seen: dict[str, int] = {}
-        truth = np.array([seen.setdefault(cell, len(seen)) for cell in truth_cells])
-    return observations, truth
-
-
 def _input_spectra(args, single_needs_no_neighbors: bool = False):
     """The front end of cluster and estimate-l: the weighted spectra of the input, (rows, truth, M, F).
 
@@ -333,14 +74,14 @@ def _input_spectra(args, single_needs_no_neighbors: bool = False):
     """
     uses_neighbors, auto = args.algorithm == "nnpc", args.clusters == "auto"
     if uses_neighbors and args.neighbors < 1:
-        n_obs = sum(1 for _ in _records(args.input))  # the reader's row count, no sample parsed
+        n_obs = sum(1 for _ in reader.records(args.input))  # the reader's row count, no sample parsed
         raise ValueError(f"neighbor count must be in 1..{n_obs - 1}, got {args.neighbors}")
     if auto and args.max_clusters < 1:
         raise ValueError(f"the cluster-count cap must be positive, got {args.max_clusters}")
     make_window(args.window, 2, args.std)  # the window options, checked on the shortest observation's window
     if args.grid_factor < 2:
         raise ValueError("grid factor must be >= 2")
-    observations, truth = _read_observation_csv(args.input, args.truth, args.pad_zeros, args.subtract_mean)
+    observations, truth = reader.read_observation_csv(args.input, args.truth, args.pad_zeros, args.subtract_mean)
     n_obs, obs_len = observations.shape
     if not auto and args.clusters > n_obs:
         raise ValueError(f"cluster count {args.clusters} exceeds the {n_obs} observations")
@@ -414,7 +155,7 @@ def cmd_cluster(args) -> int:
 
 def _load_config(path) -> dict:
     # \r\n and \r read as \n, as in text mode, so a JSON error gives the same line, column and char
-    text = "".join(_text_lines(path)).replace("\r\n", "\n").replace("\r", "\n")
+    text = "".join(reader.text_lines(path)).replace("\r\n", "\n").replace("\r", "\n")
     try:
         config = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -501,7 +242,8 @@ def _int_option(config, key, default, minimum):
 
 def _parse_config(config) -> dict:
     """Validate the shared benchmark config schema and fill in defaults: the sorted distinct (M, sigma2)
-    combinations, and one window per M, built (and a bad one failing) once every key has been checked."""
+    combinations, and one window per M, built (and a bad one failing) once every key has been checked; an M
+    whose window cannot be allocated is a ValueError naming its 'M_list' entry."""
     models = _build_models(config)
     window_cfg = config.get("window", {"kind": "gaussian", "std": DEFAULT_GAUSSIAN_STD})
     if not isinstance(window_cfg, dict) or "kind" not in window_cfg:
@@ -513,7 +255,7 @@ def _parse_config(config) -> dict:
     if std is None or std <= 0:
         raise ValueError(f"'window' std must be a positive finite number, got {raw_std!r}")
     lengths = _int_list(config, "M_list", minimum=2)
-    return {
+    cfg = {
         "models": models,
         "combos": sorted(set(product(lengths, _float_list(config, "sigma2_list", default=[0.0])))),
         "trials": _int_option(config, "trials", DEFAULT_TRIALS, minimum=1),
@@ -521,8 +263,15 @@ def _parse_config(config) -> dict:
         "q": _int_option(config, "q", DEFAULT_NEIGHBORS, minimum=1),
         "grid_factor": _int_option(config, "grid_factor", DEFAULT_GRID_FACTOR, minimum=2),
         "seed": _int_option(config, "seed", 0, minimum=0),
-        "windows": {m: make_window(window_cfg["kind"], m, std) for m in sorted(set(lengths))},
+        "windows": {},
     }
+    make_window(window_cfg["kind"], 2, std)  # the window options first, so a failure below is the length's
+    for length in sorted(set(lengths)):
+        try:
+            cfg["windows"][length] = make_window(window_cfg["kind"], length, std)
+        except (ValueError, MemoryError) as exc:
+            raise ValueError(f"'M_list' entry {length}: its window cannot be built ({exc})") from exc
+    return cfg
 
 
 def _trial_workers(count: int) -> int:
@@ -683,7 +432,7 @@ def _extract_column(path, column: str) -> np.ndarray:
     `column` is either a zero-based index or a header name; a header row is
     detected automatically in index mode and required in name mode.
     """
-    records = list(_records(path))
+    records = list(reader.records(path))
     if not records:
         raise ValueError(f"{path}: empty sequence file")
     try:
@@ -692,7 +441,7 @@ def _extract_column(path, column: str) -> np.ndarray:
     except ValueError:
         named = True
     if named:
-        header = [cell.strip() for cell in records[0]]
+        header = [cell.strip() for cell in records[0][1]]
         if column not in header:
             raise ValueError(f"{path}: no column named {column!r} in the header")
         index = header.index(column)
@@ -701,27 +450,33 @@ def _extract_column(path, column: str) -> np.ndarray:
         if index < 0:
             raise ValueError("column index must be nonnegative")
         try:
-            float(records[0][index])
+            float(records[0][1][index])
         except (ValueError, IndexError):
             records = records[1:]  # header row in index mode
     values = []
-    for line_no, record in enumerate(records, start=1):
+    for line_no, record in records:
         if index >= len(record):
-            raise ValueError(f"{path}: row {line_no} has no column {index}")
+            raise ValueError(f"{path}: line {line_no} has no column {index}")
         try:
             values.append(float(record[index]))
         except ValueError as exc:
-            raise ValueError(f"{path}: row {line_no}: non-numeric value in column {index}") from exc
+            raise ValueError(f"{path}: line {line_no}: non-numeric value in column {index}") from exc
         if not math.isfinite(values[-1]):
-            raise ValueError(f"{path}: row {line_no}: non-finite value in column {index}")
+            raise ValueError(f"{path}: line {line_no}: non-finite value in column {index}")
     if len(values) < 2:
         raise ValueError(f"{path}: sequence needs at least 2 frames")
     return np.asarray(values)
 
 
 def _load_label_map(path) -> dict[str, str]:
-    records = ([cell.strip() for cell in record] for record in _records(path))
-    labels = {record[0]: record[1] for record in records if len(record) >= 2 and record[0]}
+    labels = {}
+    for line_no, record in reader.records(path):
+        record = [cell.strip() for cell in record]
+        if len(record) < 2 or not record[0]:
+            continue
+        if not record[1]:
+            raise ValueError(f"{path}: line {line_no}: blank label for sequence file {record[0]!r}")
+        labels[record[0]] = record[1]
     if not labels:
         raise ValueError(f"{path}: no (filename, label) pairs found")
     return labels

@@ -22,7 +22,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from psdcluster.cli import _read_observation_csv, run_synth_bench
+from psdcluster.cli import run_synth_bench
 from psdcluster.distances import distance_matrix, l1_distance
 from psdcluster.generators import benchmark_models, make_benchmark_dataset, make_model, normalize_model
 from psdcluster.km import km_from_distances
@@ -35,6 +35,7 @@ from psdcluster.nnpc import (
     spectral_cluster,
 )
 from psdcluster.numerics import RngStream
+from psdcluster.reader import read_observation_csv
 from psdcluster.spectra import bt_psd, estimate_dataset_psds, make_window, next_pow2
 from psdcluster.theory import check_nfc, check_separation, nfc_probability_bound, noise_term, true_model_distance
 
@@ -262,7 +263,7 @@ def test_criterion_9_motion_capture_replication():
     problems = []
     for name, expected in targets.items():
         path = os.path.join(MOCAP_DIR, name)
-        observations, truth = _read_observation_csv(path, with_truth=True, pad_zeros=True, subtract_mean=False)
+        observations, truth = read_observation_csv(path, with_truth=True, pad_zeros=True, subtract_mean=False)
         psds = estimate_dataset_psds(observations, unit_power=True)
         dist = distance_matrix(psds)
         adjacency = build_adjacency(dist, nearest_neighbor_sets(dist, 6))

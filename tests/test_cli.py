@@ -27,7 +27,8 @@ import psdcluster.cli
 import psdcluster.distances
 import psdcluster.generators
 import psdcluster.nnpc
-from psdcluster.cli import _exact_scaling_powers, _parse_sample_lines, _read_observation_csv, main, run_synth_bench
+import psdcluster.reader
+from psdcluster.cli import main, run_synth_bench
 from psdcluster.distances import distance_matrix, weighted_spectra
 from psdcluster.generators import benchmark_models, make_benchmark_dataset
 from psdcluster.km import km_from_distances, km_from_spectra
@@ -41,6 +42,7 @@ from psdcluster.nnpc import (
     normalized_laplacian,
 )
 from psdcluster.numerics import RngStream, eig_symmetric
+from psdcluster.reader import _exact_scaling_powers, _parse_sample_lines, read_observation_csv
 from psdcluster.spectra import PSD_CHUNK_BYTES, WINDOW_KINDS, make_window
 
 
@@ -225,7 +227,7 @@ class TestCluster:
 
     def test_observations_are_freed_before_clustering(self, dataset_csv, tmp_path, monkeypatch):
         refs, alive = [], []
-        read = psdcluster.cli._read_observation_csv
+        read = psdcluster.reader.read_observation_csv
 
         def recording_read(*args, **kwargs):
             observations, truth = read(*args, **kwargs)
@@ -239,7 +241,7 @@ class TestCluster:
             alive.extend(ref for ref in refs if ref() is not None)
             return cluster(*args, **kwargs)
 
-        monkeypatch.setattr(psdcluster.cli, "_read_observation_csv", recording_read)
+        monkeypatch.setattr(psdcluster.reader, "read_observation_csv", recording_read)
         monkeypatch.setattr(psdcluster.cli, "nnpc_from_spectra", checking_cluster)
         code = main(["cluster", str(dataset_csv), "--truth", "--clusters", "2",
                      "--labels-out", str(tmp_path / "labels.csv"), "--report-out", str(tmp_path / "report.json")])
@@ -486,7 +488,7 @@ class TestObservationReader:
         path = tmp_path_factory.getbasetemp() / "reader-property.csv"
         path.write_bytes(text.encode("utf-8"))
         flags = (with_truth, pad_zeros, subtract_mean)
-        assert read_outcome(_read_observation_csv, path, flags) == read_outcome(
+        assert read_outcome(read_observation_csv, path, flags) == read_outcome(
             reference_read_observation_csv, path, flags
         )
 
@@ -513,7 +515,7 @@ class TestObservationReader:
         path = tmp_path_factory.getbasetemp() / "reader-buffer-property.csv"
         path.write_text("".join(",".join(line) + "\n" for line in lines), encoding="utf-8")
         flags = (with_truth, pad_zeros, subtract_mean)
-        assert read_outcome(_read_observation_csv, path, flags) == read_outcome(
+        assert read_outcome(read_observation_csv, path, flags) == read_outcome(
             reference_read_observation_csv, path, flags
         )
 
@@ -523,7 +525,7 @@ class TestObservationReader:
         lines = dataset_csv.read_text().splitlines()
         ragged.write_text("\r\n".join(line.rsplit(",", k)[0] for k, line in enumerate(lines)) + "\r\n")
         for path in (dataset_csv, ragged):
-            outcome = read_outcome(_read_observation_csv, path, flags)
+            outcome = read_outcome(read_observation_csv, path, flags)
             assert outcome == read_outcome(reference_read_observation_csv, path, flags)
         # the ragged file needs --pad-zeros, and its label column needs --truth
         assert outcome[0] == ("ok" if flags[:2] == (True, True) else "error")
@@ -622,8 +624,8 @@ class TestByteRoute:
         def unreachable(*args, **kwargs):
             raise AssertionError("a record went through the per-record code")
 
-        monkeypatch.setattr(psdcluster.cli, "_record_samples", unreachable)
-        monkeypatch.setattr(psdcluster.cli, "_csv_rows", unreachable)
+        monkeypatch.setattr(psdcluster.reader, "_record_samples", unreachable)
+        monkeypatch.setattr(psdcluster.reader, "_csv_rows", unreachable)
 
     @pytest.mark.parametrize("final_newline", [True, False])
     @pytest.mark.parametrize("ragged", [False, True])
@@ -638,7 +640,7 @@ class TestByteRoute:
         path = write_repr_csv(tmp_path / "repr.csv", rows, labels)
         if not final_newline:
             path.write_bytes(path.read_bytes()[:-1])
-        outcome = read_outcome(_read_observation_csv, path, flags)
+        outcome = read_outcome(read_observation_csv, path, flags)
         assert outcome == read_outcome(reference_read_observation_csv, path, flags)
         assert outcome[0] == ("error" if ragged and not flags[1] else "ok")
 
@@ -647,14 +649,14 @@ class TestByteRoute:
         rows = np.random.default_rng(15).standard_normal((20, 64)) * 10.0 ** np.arange(-20, 300, 16)[:, None]
         path = write_repr_csv(tmp_path / "large.csv", rows, ["m0"] * 20 if flags[0] else None)
         assert path.read_bytes().count(b"e+") > 64 * 15
-        outcome = read_outcome(_read_observation_csv, path, flags)
+        outcome = read_outcome(read_observation_csv, path, flags)
         assert outcome == read_outcome(reference_read_observation_csv, path, flags)
         assert outcome[0] == "ok"
 
     @pytest.mark.parametrize("batch_bytes", [1, 7, 4096])
     @pytest.mark.parametrize("flags", [(True, True, True), (False, False, False)])
     def test_lines_straddle_small_batches(self, dataset_csv, tmp_path, monkeypatch, batch_bytes, flags):
-        monkeypatch.setattr(psdcluster.cli, "CSV_BATCH_BYTES", batch_bytes)
+        monkeypatch.setattr(psdcluster.reader, "CSV_BATCH_BYTES", batch_bytes)
         ragged = tmp_path / "ragged.csv"
         lines = dataset_csv.read_text().splitlines()
         ragged.write_text("\n".join(line.rsplit(",", k)[0] for k, line in enumerate(lines)))  # no final newline
@@ -664,27 +666,27 @@ class TestByteRoute:
         quoted.write_text("".join(f'"{line[:2]}\n",{line.split(",", 1)[1]}\n' if k == 2 else line + "\n"
                                   for k, line in enumerate(lines)))
         for path in (dataset_csv, ragged, unlabeled, quoted):
-            assert read_outcome(_read_observation_csv, path, flags) == read_outcome(
+            assert read_outcome(read_observation_csv, path, flags) == read_outcome(
                 reference_read_observation_csv, path, flags
             )
 
     def test_only_batches_outside_the_grammar_take_the_per_record_code(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(psdcluster.cli, "CSV_BATCH_BYTES", 1024)
+        monkeypatch.setattr(psdcluster.reader, "CSV_BATCH_BYTES", 1024)
         rows = np.random.default_rng(12).standard_normal((200, 8))
         path = write_repr_csv(tmp_path / "obs.csv", rows, ["m0"] * 200)
         lines = path.read_text().splitlines(keepends=True)
         lines[150] = lines[150].replace(",", ", ", 1)  # a space before a sample: outside the grammar, same value
         path.write_text("".join(lines))
         records = []
-        record_samples = psdcluster.cli._record_samples
+        record_samples = psdcluster.reader._record_samples
 
         def recording(path, line_no, *rest):
             records.append(line_no)
             return record_samples(path, line_no, *rest)
 
-        monkeypatch.setattr(psdcluster.cli, "_record_samples", recording)
+        monkeypatch.setattr(psdcluster.reader, "_record_samples", recording)
         flags = (True, False, True)
-        assert read_outcome(_read_observation_csv, path, flags) == read_outcome(
+        assert read_outcome(read_observation_csv, path, flags) == read_outcome(
             reference_read_observation_csv, path, flags
         )
         assert 151 in records and len(records) <= 1024 // 100  # one batch of lines over 100 bytes long
@@ -697,7 +699,7 @@ class TestByteRoute:
         lines[899] = lines[899].replace(",", ",x", 1)  # line 900: a non-numeric cell
         path.write_text("".join(lines))
         for flags in [(True, False, False), (True, True, True)]:
-            outcome = read_outcome(_read_observation_csv, path, flags)
+            outcome = read_outcome(read_observation_csv, path, flags)
             assert outcome == read_outcome(reference_read_observation_csv, path, flags)
             assert outcome == ("error", f"{path}: line 900: non-numeric sample value")
 
@@ -708,7 +710,7 @@ class TestByteRoute:
                                  (False, "1.0," + long_sample)]:
             path.write_text(("m0," * with_truth) + "1.0,2.0\n" + line + "\n")
             with pytest.raises(ValueError, match=f"^{path}: line 2: field larger than field limit"):
-                _read_observation_csv(path, with_truth, False, False)
+                read_observation_csv(path, with_truth, False, False)
 
     @settings(max_examples=100, deadline=None, database=None, derandomize=True)
     @given(data=st.data(), with_truth=st.booleans(), pad_zeros=st.booleans(), subtract_mean=st.booleans())
@@ -719,8 +721,8 @@ class TestByteRoute:
         path.write_bytes(text.encode("utf-8"))
         flags = (with_truth, pad_zeros, subtract_mean)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(psdcluster.cli, "_exact_scaling_powers", lambda: None)
-            outcome = read_outcome(_read_observation_csv, path, flags)
+            patch.setattr(psdcluster.reader, "_EXACT_POWERS", None)
+            outcome = read_outcome(read_observation_csv, path, flags)
         assert outcome == read_outcome(reference_read_observation_csv, path, flags)
 
     def test_traced_peak_is_the_buffer_and_one_line(self, tmp_path):
@@ -729,10 +731,10 @@ class TestByteRoute:
         path = write_repr_csv(tmp_path / "long.csv", np.random.default_rng(14).standard_normal((48, 16384)),
                               [f"m{index % 3}" for index in range(48)])
         flags = (True, True, True)
-        _read_observation_csv(path, *flags)
+        read_observation_csv(path, *flags)
         tracemalloc.start()
         try:
-            observations, _ = _read_observation_csv(path, *flags)
+            observations, _ = read_observation_csv(path, *flags)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -747,16 +749,16 @@ class TestByteOrderMark:
     @pytest.mark.parametrize("exact", [True, False])
     def test_observation_reader(self, tmp_path, monkeypatch, exact):
         if not exact:
-            monkeypatch.setattr(psdcluster.cli, "_exact_scaling_powers", lambda: None)
+            monkeypatch.setattr(psdcluster.reader, "_EXACT_POWERS", None)
         rows = np.random.default_rng(15).standard_normal((4, 16))
         labeled = write_repr_csv(tmp_path / "labeled.csv", rows, ["m0", "m0", "m1", "m1"])
         labeled.write_bytes(b"\xef\xbb\xbf" + labeled.read_bytes())
-        observations, truth = _read_observation_csv(labeled, True, False, False)
+        observations, truth = read_observation_csv(labeled, True, False, False)
         assert truth.tolist() == [0, 0, 1, 1]
         np.testing.assert_array_equal(observations, rows)
         unlabeled = write_repr_csv(tmp_path / "unlabeled.csv", rows)
         unlabeled.write_bytes(b"\xef\xbb\xbf" + unlabeled.read_bytes())
-        np.testing.assert_array_equal(_read_observation_csv(unlabeled, False, False, False)[0], rows)
+        np.testing.assert_array_equal(read_observation_csv(unlabeled, False, False, False)[0], rows)
 
     def test_sequence_header(self, tmp_path, capsys):
         sequence = tmp_path / "seq.csv"
@@ -932,7 +934,7 @@ class TestBoundaryValidation:
         path.write_text("1.7e308,1.7e308,1.7e308,1.6e308\n1.0,2.0,3.0,5.0\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            observations, _ = _read_observation_csv(path, False, False, True)
+            observations, _ = read_observation_csv(path, False, False, True)
         # the plain mean overflows; the mean of the samples over their count does not
         np.testing.assert_allclose(observations[0], [2.5e306, 2.5e306, 2.5e306, -7.5e306], rtol=1e-12)
         np.testing.assert_array_equal(observations[1], [-1.75, -0.75, 0.25, 2.25])
@@ -942,7 +944,7 @@ class TestBoundaryValidation:
         assert "PSD estimation overflowed" in capsys.readouterr().err
         path.write_text("1.0,2.0\n-1.7e308,1.7e308,1.7e308\n")  # a finite mean, a difference that overflows
         with pytest.raises(ValueError, match=r"line 2: samples overflow when the mean is subtracted"):
-            _read_observation_csv(path, False, True, True)
+            read_observation_csv(path, False, True, True)
 
     def test_oversized_grid_is_an_out_of_memory_error(self, dataset_csv, tmp_path, capsys):
         # 12 rows x 2^50 grid bins is about 1e17 bytes, beyond any address
@@ -1018,7 +1020,7 @@ class TestEstimateL:
 
         monkeypatch.setattr("psdcluster.nnpc.eig_symmetric", partial_eigensolve)
         refs, alive, estimates, scanned = [], [], [], []
-        read, estimate_psds = psdcluster.cli._read_observation_csv, psdcluster.distances.estimate_dataset_psds
+        read, estimate_psds = psdcluster.reader.read_observation_csv, psdcluster.distances.estimate_dataset_psds
 
         def recording_read(*args, **kwargs):
             observations, truth = read(*args, **kwargs)
@@ -1037,7 +1039,7 @@ class TestEstimateL:
             scanned.append(rows)
             return scan(rows, *args, **kwargs)
 
-        monkeypatch.setattr(psdcluster.cli, "_read_observation_csv", recording_read)
+        monkeypatch.setattr(psdcluster.reader, "read_observation_csv", recording_read)
         monkeypatch.setattr(psdcluster.distances, "estimate_dataset_psds", recording_estimate)
         monkeypatch.setattr(psdcluster.nnpc, "nearest_neighbors", checking_scan)
         assert main(["estimate-l", str(path), "--truth"]) == 0
@@ -1365,6 +1367,17 @@ class TestSynthBench:
         assert capsys.readouterr().err.startswith(f"error: 'models'[1]: {message}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["synth-bench", "check-condition"])
+    def test_an_m_list_entry_without_a_window_is_refused(self, tmp_path, capsys, command):
+        # 2**60 samples fail numpy's size check before anything is allocated
+        config = self.write_config(tmp_path, {"preset": "arma3", "M_list": [64, 2**60], "trials": 1,
+                                              "n_per_model": 3, "q": 2})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: 'M_list' entry {2**60}: its window cannot be built (") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_explicit_models(self, tmp_path, capsys):
         config = self.write_config(
             tmp_path,
@@ -1586,7 +1599,32 @@ class TestConvertMocap:
         path.write_text(f"0,1.5\n1,{value}\n2,2.5\n")
         out = tmp_path / "o.csv"
         assert main(["convert-mocap", str(path), "--column", "1", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {path}: row 2: non-finite value in column 1\n"
+        assert capsys.readouterr().err == f"error: {path}: line 2: non-finite value in column 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label", ["", " "])
+    def test_a_blank_label_is_refused(self, tmp_path, capsys, label):
+        path = tmp_path / "run1.csv"
+        self.write_sequence(path, [1.0, 2.0])
+        labels_csv = tmp_path / "labels.csv"
+        labels_csv.write_text(f"walk1.csv,walk\nrun1.csv,{label}\n")
+        out = tmp_path / "o.csv"
+        assert main(["convert-mocap", str(path), "--column", "foot_r", "--out", str(out),
+                     "--labels-csv", str(labels_csv)]) == 2
+        assert capsys.readouterr().err == f"error: {labels_csv}: line 2: blank label for sequence file 'run1.csv'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "last, message",
+        [("3.0,abc", "line 5: non-numeric value in column 1"), ("3.0", "line 5 has no column 1"),
+         ("3.0,inf", "line 5: non-finite value in column 1")],
+    )
+    def test_a_fault_names_its_line_of_the_file(self, tmp_path, capsys, last, message):
+        path = tmp_path / "s.csv"
+        path.write_text(f"x,y\n\n1.0,2.0\n\n{last}\n")
+        out = tmp_path / "o.csv"
+        assert main(["convert-mocap", str(path), "--column", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -1642,7 +1680,7 @@ class TestParser:
         def unreachable(*args, **kwargs):
             raise AssertionError("the input was parsed before the options were checked")
 
-        monkeypatch.setattr(psdcluster.cli, "_read_observation_csv", unreachable)
+        monkeypatch.setattr(psdcluster.reader, "read_observation_csv", unreachable)
         assert main([command, str(dataset_csv), "--truth", *options]) == 2
         assert f"error: {message}" in capsys.readouterr().err
 
@@ -1652,7 +1690,7 @@ class TestParser:
         def unreachable(*args, **kwargs):
             raise AssertionError("the input was read before --seed was checked")
 
-        monkeypatch.setattr(psdcluster.cli, "_read_observation_csv", unreachable)
+        monkeypatch.setattr(psdcluster.reader, "read_observation_csv", unreachable)
         with pytest.raises(SystemExit) as info:
             main(["cluster", str(dataset_csv), "--truth", "--algorithm", algorithm, "--clusters", "2", "--seed", "-1",
                   "--labels-out", str(tmp_path / "labels.csv"), "--report-out", str(tmp_path / "report.json")])
@@ -1785,7 +1823,7 @@ class TestFileOrder:
     @pytest.mark.parametrize("command", ["cluster", "estimate-l"])
     def test_the_first_bad_line_wins(self, tmp_path, capsys, monkeypatch, command, quoted, batch_bytes):
         if batch_bytes is not None:  # every line its own batch
-            monkeypatch.setattr(psdcluster.cli, "CSV_BATCH_BYTES", batch_bytes)
+            monkeypatch.setattr(psdcluster.reader, "CSV_BATCH_BYTES", batch_bytes)
         path = tmp_path / "obs.csv"
         argv = [command, str(path), "--truth", "--neighbors", "2"]
         if command == "cluster":
