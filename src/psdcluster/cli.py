@@ -327,19 +327,19 @@ def _map_trials(trial, count: int) -> np.ndarray:
     return results
 
 
-def _synth_trial(cfg: dict, windows: dict, combos: list, index: int) -> tuple[float, float]:
-    """The (km, nnpc) clustering errors of synth-bench trial index, one of combination combos[index // trials].
+def _synth_trial(cfg: dict, index: int) -> tuple[float, float]:
+    """The (km, nnpc) clustering errors of synth-bench trial index, of combination cfg["combos"][index // trials].
 
     Its dataset draws from stream 2 index of the seed and its nnpc from
     stream 2 index + 1. The samples go chunk by chunk from the generator
     into the trial's one weighted spectra array, which both algorithms read.
     """
-    obs_len, sigma2 = combos[index // cfg["trials"]]
+    obs_len, sigma2 = cfg["combos"][index // cfg["trials"]]
     n_clusters = len(cfg["models"])
     grid_size = next_pow2(cfg["grid_factor"] * obs_len)
     spectra, truth = benchmark_rows(
         cfg["models"], cfg["n_per_model"], obs_len, sigma2, RngStream(cfg["seed"], 2 * index),
-        partial(weighted_chunk_spectra, window=windows[obs_len], grid_size=grid_size),
+        partial(weighted_chunk_spectra, window=cfg["windows"][obs_len], grid_size=grid_size),
     )
     nnpc_labels = nnpc_from_spectra(spectra, cfg["q"], n_clusters, rng=RngStream(cfg["seed"], 2 * index + 1)).labels
     return clustering_error(km_from_spectra(spectra, n_clusters), truth), clustering_error(nnpc_labels, truth)
@@ -366,7 +366,7 @@ def run_synth_bench(config: dict) -> list[dict]:
         raise ValueError(f"'q' must be in 1..{n_obs - 1} for {n_obs} observations, got {cfg['q']}")
 
     combos, trials = cfg["combos"], cfg["trials"]
-    errors = _map_trials(partial(_synth_trial, cfg, cfg["windows"], combos), len(combos) * trials)
+    errors = _map_trials(partial(_synth_trial, cfg), len(combos) * trials)
     return [
         {"M": obs_len, "sigma2": sigma2, "algorithm": algorithm, "mean_ce": float(ce.mean()), "std_ce": float(ce.std()),
          "trials": trials}

@@ -115,10 +115,6 @@ def _check_noise_variance(noise_variance: float) -> None:
         raise ValueError(f"noise variance must be a finite nonnegative number, got {noise_variance!r}")
 
 
-def _burn_in(model: GenerativeModel) -> int:
-    return max(1000, 50 * (model.ar.size + model.ma.size))
-
-
 def _independent_chunks(
     model: GenerativeModel,
     noise_variance: float,
@@ -139,7 +135,7 @@ def _independent_chunks(
     from scipy.signal import lfilter
 
     noise_std = float(np.sqrt(noise_variance))
-    burn = _burn_in(model)
+    burn = max(1000, 50 * (model.ar.size + model.ma.size))
     width = burn + length + (length if noise_std > 0.0 else 0)
     chunk_rows = max(1, SAMPLE_CHUNK_BYTES // (8 * width))
     for start in range(0, count, chunk_rows):
@@ -159,15 +155,10 @@ def simulate(
     length: int,
     count: int,
     rng: RngStream,
-    mode: str = "independent",
-    stride: int | None = None,
 ) -> np.ndarray:
-    """Observations of the model process, one per row of the result.
-
-    Independent mode draws a fresh realization per observation; segment mode
-    slices `count` windows (offset by `stride`) out of one long realization,
-    so consecutive observations may overlap. White Gaussian measurement noise
-    of the given variance is added samplewise in both modes.
+    """count independent observations of the model process, one per row of the
+    result, each with white Gaussian measurement noise of the given variance
+    added samplewise.
     """
     if length < 2:
         raise ValueError("observation length must be >= 2")
@@ -175,24 +166,7 @@ def simulate(
         raise ValueError("count must be positive")
     _check_noise_variance(noise_variance)
     _check_stable(model.ar)
-    gen = rng.generator()
-    if mode == "independent":
-        return _stacked_rows(_independent_chunks(model, noise_variance, length, count, gen), count, length)
-    if mode == "segments":
-        from scipy.signal import lfilter  # at first use, as in _independent_chunks
-
-        if stride is None or stride < 1:
-            raise ValueError("segment mode needs a stride >= 1")
-        noise_std = float(np.sqrt(noise_variance))
-        burn = _burn_in(model)
-        total = burn + length + (count - 1) * stride
-        innovations = gen.standard_normal(total)
-        path = lfilter(model.ma, model.ar, innovations)
-        if noise_std > 0.0:
-            path = path + noise_std * gen.standard_normal(total)
-        starts = burn + stride * np.arange(count)
-        return np.stack([path[s : s + length] for s in starts])
-    raise ValueError(f"unknown simulation mode {mode!r}; expected 'independent' or 'segments'")
+    return _stacked_rows(_independent_chunks(model, noise_variance, length, count, rng.generator()), count, length)
 
 
 @dataclass(frozen=True)

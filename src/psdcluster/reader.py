@@ -6,12 +6,13 @@ sequence file, label map) comes through here, and each entry takes a path:
 - read_observation_csv: the observations of a CSV file, one per row, and
   optionally their truth labels;
 - text_lines: the lines of a file as text;
-- records: the numbered csv.reader records of a file that hold a nonblank cell.
+- records: the csv.reader records of a file that hold a nonblank cell, each
+  with the line it starts on.
 
 A file is read in batches of whole lines, a leading UTF-8 byte order mark
-dropped, and an invalid UTF-8 byte is an error naming the file and its
-physical line. Every other message names a record as line N, the file's Nth
-CSV record, which is its Nth line unless a quoted cell holds a line break.
+dropped. Every message that names a line names a physical line, split where
+csv.reader splits lines (\n, \r\n or \r): the line an invalid UTF-8 byte is
+on, or the line on which the faulty record starts.
 """
 
 from __future__ import annotations
@@ -46,17 +47,20 @@ _EXACT_POWERS = _exact_scaling_powers()
 
 
 def _csv_rows(path, lines, start: int = 0):
-    """(record number, record) of each record of csv.reader(lines), numbered from start + 1.
+    """(line number, record) of each record of csv.reader(lines): the physical
+    line the record starts on, counting the first of lines as start + 1.
 
     A csv.Error (say, a stray quote that swallows the rest of a large file)
-    becomes a ValueError naming the file and the record.
+    becomes a ValueError naming the file and the line its record starts on.
     """
-    record_no = start
+    reader = csv.reader(lines)
+    line_no = start + 1
     try:
-        for record_no, record in enumerate(csv.reader(lines), start=start + 1):
-            yield record_no, record
+        for record in reader:
+            yield line_no, record
+            line_no = start + reader.line_num + 1
     except csv.Error as exc:
-        raise ValueError(f"{path}: line {record_no + 1}: {exc}") from exc
+        raise ValueError(f"{path}: line {line_no}: {exc}") from exc
 
 
 def _record_samples(path, line_no: int, cells: list[str], with_truth: bool):
@@ -210,7 +214,7 @@ def text_lines(path):
 
 
 def records(path):
-    """(line number, cells) of each csv.reader record of a file that holds a nonblank cell."""
+    """(line it starts on, cells) of each csv.reader record of a file that holds a nonblank cell."""
     return ((line_no, cells) for line_no, cells in _csv_rows(path, text_lines(path))
             if any(cell.strip() for cell in cells))
 
@@ -230,6 +234,7 @@ def _observation_rows(path, with_truth: bool):
             for line_no, (label, values) in enumerate(rows, start=line_no + 1):
                 yield line_no, label, values
             continue
+        # Without a double quote every record is one line, so line_no ends as the count of lines read.
         lines = _decoded_lines(path, chain([batch], batches) if b'"' in batch else [batch], line_no)
         for line_no, cells in _csv_rows(path, lines, start=line_no):
             record = _record_samples(path, line_no, cells, with_truth)

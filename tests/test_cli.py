@@ -401,7 +401,9 @@ def reference_read_observation_csv(path, with_truth, pad_zeros, subtract_mean):
     rows = []
     truth_cells = []
     with open(path, newline="", encoding="utf-8") as handle:
-        for line_no, record in enumerate(csv.reader(handle), start=1):
+        reader, next_line = csv.reader(handle), 1
+        for record in reader:
+            line_no, next_line = next_line, reader.line_num + 1  # the physical line the record starts on
             record = [cell.strip() for cell in record if cell.strip() != ""]
             if not record:
                 continue
@@ -864,9 +866,51 @@ class TestInvalidUtf8:
         assert not out.exists()
 
 
+class TestPhysicalLineNumbers:
+    """After a quoted cell that holds a line break, every message names the
+    physical line on which the faulty record starts, as an invalid byte's does."""
+
+    def test_observation_file(self, tmp_path, capsys):
+        path = tmp_path / "obs.csv"
+        path.write_text('"m\n0",1,2,3,4\nm1,1,2,x,4\n')
+        code = main(["cluster", str(path), "--truth", "--neighbors", "1", "--clusters", "1",
+                     "--labels-out", str(tmp_path / "labels.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: line 3: non-numeric sample value\n"
+        path.write_text('"m\n0",1,2,3,4\nm1,1,2,3,4\n\nm2,1,\n')
+        for reader in (read_observation_csv, reference_read_observation_csv):
+            assert read_outcome(reader, path, (True, False, False)) == (
+                "error", f"{path}: line 5: observations need at least 2 samples")
+
+    def test_a_csv_error(self, tmp_path, capsys):
+        path = tmp_path / "stray.csv"
+        rows = np.random.default_rng(4).standard_normal((40, 512))
+        lines = ["m0," + ",".join(repr(float(v)) for v in row) + "\n" for row in rows]
+        lines[0] = '"m\n0"' + lines[0][2:]
+        lines[3] = '"' + lines[3]  # an unmatched quote on physical line 5 swallows the rest of the file
+        path.write_text("".join(lines))
+        assert main(["estimate-l", str(path), "--truth"]) == 2
+        assert f"error: {path}: line 5: field larger than field limit" in capsys.readouterr().err
+
+    def test_sequence_file(self, tmp_path, capsys):
+        sequence = tmp_path / "seq.csv"
+        sequence.write_text('x,y\n"a\nb",1.0\n2.0,abc\n')
+        assert main(["convert-mocap", str(sequence), "--column", "1", "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {sequence}: line 4: non-numeric value in column 1\n"
+
+    def test_label_map(self, tmp_path, capsys):
+        sequence = tmp_path / "run1.csv"
+        sequence.write_text("0,1.5\n1,2.5\n")
+        labels_csv = tmp_path / "labels.csv"
+        labels_csv.write_text('"walk\n1.csv",walk\nrun1.csv,\n')
+        assert main(["convert-mocap", str(sequence), "--column", "1", "--out", str(tmp_path / "o.csv"),
+                     "--labels-csv", str(labels_csv)]) == 2
+        assert capsys.readouterr().err == f"error: {labels_csv}: line 3: blank label for sequence file 'run1.csv'\n"
+
+
 class TestStrayQuote:
     """An unmatched quote in a file over csv's 128 KiB field limit is a
-    validation error naming the file and the record, not a traceback."""
+    validation error naming the file and the line its record starts on, not a traceback."""
 
     def write_stray_quote_csv(self, path, first_cell):
         rows = np.random.default_rng(4).standard_normal((40, 512))
@@ -1256,13 +1300,13 @@ class TestSynthBench:
                                               "trials": 3, "n_per_model": 4, "q": 3, "seed": 0})
         trial, ran = psdcluster.cli._synth_trial, []
 
-        def failing(cfg, windows, combos, index):
+        def failing(cfg, index):
             ran.append(index)
             if index in failures:
                 time.sleep(failures[index])
                 raise ValueError(f"trial {index} failed")
             time.sleep(0.2 if index > 1 else 0.0)  # the queued trials are slow, so cancelling them shows
-            return trial(cfg, windows, combos, index)
+            return trial(cfg, index)
 
         monkeypatch.setattr(psdcluster.cli, "_trial_workers", lambda tasks: 2)
         monkeypatch.setattr(psdcluster.cli, "_synth_trial", failing)

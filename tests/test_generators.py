@@ -193,20 +193,6 @@ class TestSimulate:
         out = simulate(model, 0.0, 64, 2, RngStream(0))
         assert not np.array_equal(out[0], out[1])
 
-    def test_segment_mode_overlaps(self):
-        # consecutive segments at stride s share length - s samples
-        model = benchmark_models()[2]
-        out = simulate(model, 0.1, 64, 3, RngStream(4), mode="segments", stride=16)
-        np.testing.assert_array_equal(out[1][:48], out[0][16:])
-        np.testing.assert_array_equal(out[2][:48], out[1][16:])
-
-    def test_segment_mode_needs_stride(self):
-        model = benchmark_models()[0]
-        with pytest.raises(ValueError):
-            simulate(model, 0.0, 64, 2, RngStream(0), mode="segments")
-        with pytest.raises(ValueError):
-            simulate(model, 0.0, 64, 2, RngStream(0), mode="segments", stride=0)
-
     def test_rejects_bad_arguments(self):
         model = benchmark_models()[0]
         with pytest.raises(ValueError):
@@ -215,8 +201,6 @@ class TestSimulate:
             simulate(model, 0.0, 1, 1, RngStream(0))
         with pytest.raises(ValueError):
             simulate(model, 0.0, 64, 0, RngStream(0))
-        with pytest.raises(ValueError):
-            simulate(model, 0.0, 64, 1, RngStream(0), mode="bogus")
 
     @pytest.mark.parametrize("variance", [math.nan, math.inf])
     def test_rejects_non_finite_noise_variance(self, variance):
