@@ -394,8 +394,6 @@ def run_check_condition(config: dict) -> list[dict]:
     """ConditionReport dicts for every (M, sigma2) combination in the config."""
     cfg = _parse_config(config)
     models = cfg["models"]
-    if len(models) < 2:
-        raise ValueError("the clustering condition needs at least two models")
     n_obs = len(models) * cfg["n_per_model"]
     return [asdict(check_condition(models, cfg["windows"][obs_len], n_obs, sigma2))
             for obs_len, sigma2 in cfg["combos"]]

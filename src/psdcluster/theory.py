@@ -10,6 +10,9 @@ autocorrelation. When the comparison holds, with probability at least
 than to any other's; the nearest-neighbor graph then connects only same-model
 observations (for q below the smallest group size), and single-pass k-means
 recovers the exact partition.
+
+The empirical checks read what a clustering run holds, the weighted spectra
+(separation) and the (N, q) q-NN index sets T_i (NFC), and hold no N x N array.
 """
 
 from __future__ import annotations
@@ -19,13 +22,12 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.sparse import coo_array
+from scipy.spatial.distance import cdist
 
-from .distances import validate_distance_matrix
+from .distances import NEIGHBOR_BLOCK_ROWS, check_distance_entries
 from .generators import FINE_GRID, GenerativeModel, _check_noise_variance, true_acf
 from .spectra import WindowSpec
 
-ACF_TAIL_TOL = 1e-9
 # The longest MA part whose autocorrelation (lags 0..length - 1) the window-bias moment reads in
 # full off true_acf's lags, with no aliasing from the FINE_GRID-point transform.
 MAX_MA_COEFFICIENTS = FINE_GRID // 2 - 2
@@ -51,40 +53,19 @@ def h_sequence(window: WindowSpec, max_lag: int) -> np.ndarray:
     return h
 
 
-def _acf_truncation(model: GenerativeModel, acf: np.ndarray) -> int:
-    """Lag horizon past which the remaining |r| mass is below ACF_TAIL_TOL.
-
-    acf is the model's true autocorrelation at lags 0..FINE_GRID/2 - 1.
-    MA-only models have finitely supported autocorrelation; AR tails are
-    bounded geometrically through the largest pole radius.
-    """
-    if model.ar.size == 1:
-        return max(model.ma.size + 1, 8)
-    rho = float(np.abs(np.roots(model.ar)).max())
-    lag = 4096
-    while True:
-        recent = float(np.abs(acf[lag - 7 : lag + 1]).max())
-        if recent * rho / (1.0 - rho) < ACF_TAIL_TOL or 2 * lag >= FINE_GRID // 2:
-            return lag
-        lag *= 2
-
-
 def acf_moment(model: GenerativeModel, window: WindowSpec) -> float:
     """Window-bias moment of one model: sum over all lags of |h[m]| |r[m]|.
 
     The sum runs over positive and negative lags; both sequences are even, so
-    the positive side is doubled. Truncation is chosen so the neglected tail
-    is below ACF_TAIL_TOL. The true autocorrelation is computed once, and
-    the truncation test and the sum read slices of it. An MA part longer
-    than MAX_MA_COEFFICIENTS is refused before any of it is computed.
+    the positive side is doubled. It reads every lag true_acf tabulates,
+    0..FINE_GRID/2 - 1. An MA part longer than MAX_MA_COEFFICIENTS is
+    refused before any of it is computed.
     """
     if model.ma.size > MAX_MA_COEFFICIENTS:
         raise ValueError(f"the model's MA part has {model.ma.size} coefficients; "
                          f"the window-bias moment takes at most {MAX_MA_COEFFICIENTS}")
     acf = true_acf(model, FINE_GRID // 2 - 1)
-    lag = _acf_truncation(model, acf)
-    acf = acf[: lag + 1]
-    h = h_sequence(window, lag)
+    h = h_sequence(window, acf.size - 1)
     return float(np.abs(h[0] * acf[0]) + 2.0 * np.sum(np.abs(h[1:] * acf[1:])))
 
 
@@ -147,7 +128,7 @@ def check_condition(models, window: WindowSpec, n_obs: int, noise_variance: floa
     """
     models = list(models)
     if len(models) < 2:
-        raise ValueError("need at least two models")
+        raise ValueError("the clustering condition needs at least two models")
     if n_obs < 1:
         raise ValueError("n_obs must be positive")
     _check_noise_variance(noise_variance)
@@ -181,21 +162,27 @@ class SeparationReport:
     min_inter: float
 
 
-def check_separation(dist, labels) -> SeparationReport:
+def check_separation(rows, labels) -> SeparationReport:
     """Whether every cross-label distance exceeds every same-label distance.
 
+    `rows` are weighted spectra (distances.weighted_spectra). Each block of
+    NEIGHBOR_BLOCK_ROWS rows meets itself and the later rows in one `cdist`
+    call, so each pair is computed once, with its distance matrix bits.
     Singleton label classes contribute no intra pairs; the max over an empty
     set is taken as -inf, so a dataset of singletons is trivially separated.
     """
-    d = validate_distance_matrix(dist)
+    x = np.asarray(rows, dtype=float)
     y = np.asarray(labels).ravel()
-    if y.shape[0] != d.shape[0]:
-        raise ValueError("labels do not match the distance matrix")
-    upper = np.triu_indices(d.shape[0], k=1)
-    same = y[upper[0]] == y[upper[1]]
-    values = d[upper]
-    max_intra = float(values[same].max()) if same.any() else float("-inf")
-    min_inter = float(values[~same].min()) if (~same).any() else float("inf")
+    if x.ndim != 2 or y.shape[0] != x.shape[0]:
+        raise ValueError("labels do not match the rows")
+    max_intra, min_inter = float("-inf"), float("inf")
+    for start in range(0, x.shape[0], NEIGHBOR_BLOCK_ROWS):
+        block = np.arange(start, min(start + NEIGHBOR_BLOCK_ROWS, x.shape[0]))
+        d = check_distance_entries(cdist(x[block], x[start:], "cityblock"))
+        later = np.arange(start, x.shape[0]) > block[:, None]
+        same = y[block, None] == y[start:]
+        max_intra = max(max_intra, float(d[later & same].max(initial=-np.inf)))
+        min_inter = min(min_inter, float(d[later & ~same].min(initial=np.inf)))
     return SeparationReport(
         separated=bool(min_inter > max_intra),
         margin=min_inter - max_intra,
@@ -204,17 +191,14 @@ def check_separation(dist, labels) -> SeparationReport:
     )
 
 
-def check_nfc(adjacency, labels) -> bool:
-    """True iff every graph edge joins observations with the same label.
+def check_nfc(neighbor_sets, labels) -> bool:
+    """True iff no q-NN set T_i holds an observation whose label differs from i's.
 
-    The adjacency may be a dense array or a scipy sparse array; a stored
-    zero is no edge.
+    `neighbor_sets` is the (N, q) index array of distances.nearest_neighbors
+    or nnpc.nearest_neighbor_sets, row i holding T_i.
     """
-    a = coo_array(adjacency)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("adjacency matrix must be square")
+    t = np.asarray(neighbor_sets, dtype=int)
     y = np.asarray(labels).ravel()
-    if y.shape[0] != a.shape[0]:
-        raise ValueError("labels do not match the adjacency matrix")
-    edges = a.data != 0.0
-    return not bool(np.any(y[a.row[edges]] != y[a.col[edges]]))
+    if t.ndim != 2 or t.shape[0] != y.shape[0] or t.min(initial=0) < 0 or t.max(initial=0) >= y.shape[0]:
+        raise ValueError("labels do not match the neighbor sets")
+    return not bool(np.any(y[t] != y[:, None]))

@@ -2,6 +2,9 @@
 
 import numpy as np
 
+from psdcluster.distances import validate_distance_matrix
+from psdcluster.theory import SeparationReport
+
 
 def full_grid(half):
     """Mirror bins 0..F/2 of an even spectrum (the last axis) onto the whole grid j = 0..F-1."""
@@ -39,3 +42,18 @@ def reference_make_benchmark_dataset(models, n_per_model, length, noise_variance
     truth = np.concatenate(labels)
     perm = gen.permutation(observations.shape[0])
     return observations[perm], truth[perm]
+
+
+def reference_check_separation(dist, labels):
+    """theory.check_separation on a full distance matrix: the max same-label
+    and min cross-label entry over its upper triangle.
+    """
+    d = validate_distance_matrix(dist)
+    y = np.asarray(labels).ravel()
+    upper = np.triu_indices(d.shape[0], k=1)
+    same = y[upper[0]] == y[upper[1]]
+    values = d[upper]
+    max_intra = float(values[same].max()) if same.any() else float("-inf")
+    min_inter = float(values[~same].min()) if (~same).any() else float("inf")
+    return SeparationReport(separated=bool(min_inter > max_intra), margin=min_inter - max_intra,
+                            max_intra=max_intra, min_inter=min_inter)

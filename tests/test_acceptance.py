@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from psdcluster.cli import run_synth_bench
-from psdcluster.distances import distance_matrix, l1_distance
+from psdcluster.distances import distance_matrix, l1_distance, nearest_neighbors, weighted_spectra
 from psdcluster.generators import benchmark_models, make_benchmark_dataset, make_model, normalize_model
 from psdcluster.km import km_from_distances
 from psdcluster.metrics import clustering_error, confusion_entropy
@@ -128,11 +128,12 @@ def test_criterion_3_separated_blocks_cluster_exactly():
         d, truth = separated_block_matrix(gen, sizes)
         blocks = [np.flatnonzero(truth == b) for b in range(n_blocks)]
         for q in range(1, int(sizes.min())):
-            adjacency = build_adjacency(d, nearest_neighbor_sets(d, q))
+            neighbor_sets = nearest_neighbor_sets(d, q)
             nfc_checks += 1
-            if not check_nfc(adjacency, truth):
+            if not check_nfc(neighbor_sets, truth):
                 failures += 1
                 continue
+            adjacency = build_adjacency(d, neighbor_sets)
             if all(subgraph_connected(adjacency, block) for block in blocks):
                 nnpc_checks += 1
                 labels = spectral_cluster(laplacian_spectrum(adjacency, n_blocks), n_blocks, rng=RngStream(0))
@@ -160,9 +161,9 @@ def test_criterion_4_narrowband_separation_and_neighborhoods():
     hits = 0
     for trial in range(100):
         data = make_benchmark_dataset(models, 10, m, 0.0, RngStream(404, trial))
-        dist = distance_matrix(estimate_dataset_psds(data.observations, window=window, grid_size=grid))
-        separated = check_separation(dist, data.labels).separated
-        nfc = check_nfc(build_adjacency(dist, nearest_neighbor_sets(dist, 4)), data.labels)
+        rows = weighted_spectra(data.observations, window=window, grid_size=grid)
+        separated = check_separation(rows, data.labels).separated
+        nfc = check_nfc(nearest_neighbors(rows, 4)[0], data.labels)
         hits += separated and nfc
     elapsed = time.perf_counter() - start
     _report(4, hits >= 95 and elapsed < 120.0, f"{hits}/100 trials, model gap {gap:.3f}, {elapsed:.1f}s")

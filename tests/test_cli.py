@@ -1545,6 +1545,13 @@ class TestCheckCondition:
         assert len(payload) == 4
         assert [r["obs_len"] for r in payload] == [512, 512, 1024, 1024]
 
+    def test_a_single_model_is_refused(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"models": [{"a": [1.0, -0.5], "b": [1.0]}], "M_list": [64]}))
+        out = tmp_path / "out.json"
+        assert main(["check-condition", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: the clustering condition needs at least two models\n"
+        assert not out.exists()
 
     def test_a_model_with_a_long_ma_part_is_refused(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -1,9 +1,11 @@
 """Guarantee-arithmetic tests.
 
 Oracles: hand-evaluated bias weights for the length-4 Bartlett window, an
-exact MA moment (0.875), trapezoid quadrature on a non-power-of-two grid for
-the AR moment and the inter-model distance, exact rational arithmetic for
-the probability bound, and the frozen noise-floor value 5.27.
+exact MA moment (0.875), the geometric moment of a slow AR(1) summed to lag
+200 000, trapezoid quadrature on a non-power-of-two grid for the AR moment
+and the inter-model distance, exact rational arithmetic for the probability
+bound, the frozen noise-floor value 5.27, the separation check on a full
+distance matrix, and the q-NN adjacency's edges for NFC.
 """
 
 import math
@@ -12,8 +14,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import reference_check_separation
 
-from psdcluster.generators import benchmark_models, make_model, normalize_model
+from psdcluster.distances import NEIGHBOR_BLOCK_ROWS, distance_matrix, half_spectrum_rows
+from psdcluster.generators import FINE_GRID, benchmark_models, make_model, normalize_model
 from psdcluster.nnpc import build_adjacency, nearest_neighbor_sets
 from psdcluster.spectra import WindowSpec, make_window
 from psdcluster.theory import (
@@ -37,12 +43,12 @@ def psd_by_polynomial(model, freqs):
     return num / den
 
 
-def huge_gaussian_window(length=10**10, tabulated=8192):
+def huge_gaussian_window(length=10**10, tabulated=FINE_GRID // 2):
     """Gaussian window spec for an enormous observation length.
 
-    Only the first `tabulated` lag values are ever read by the bias
-    computation because every model autocorrelation is truncated far below
-    that; the peak of the transform is the closed-form 50 sqrt(2 pi).
+    The bias moment reads the window at every lag true_acf tabulates,
+    0..FINE_GRID/2 - 1, all inside the window; the peak of the transform is
+    the closed-form 50 sqrt(2 pi).
     """
     lags = np.arange(tabulated, dtype=float)
     return WindowSpec(
@@ -107,6 +113,16 @@ class TestAcfMoment:
         h = 1.0 - window.values[:257] * (1.0 - lags / 4096.0)
         oracle = abs(h[0] * r[0]) + 2.0 * np.sum(np.abs(h[1:] * r[1:]))
         assert acf_moment(model, window) == pytest.approx(oracle, abs=1e-10)
+
+    @pytest.mark.parametrize("length", [256, 4096])
+    def test_a_slow_ar1_moment_reads_its_whole_tail(self, length):
+        # unit-power AR(1): r[m] = rho^m; bartlett g[m] = 1 - m/M, so h[m] = 1 - (1 - m/M)^2 below M
+        rho = 0.999
+        lags = np.arange(1, 200001)
+        h = np.where(lags < length, 1.0 - (1.0 - lags / length) ** 2, 1.0)
+        oracle = 2.0 * math.fsum(h * rho**lags)
+        model = normalize_model(make_model([1.0, -rho], [1.0]))
+        assert acf_moment(model, make_window("bartlett", length)) == pytest.approx(oracle, rel=1e-12)
 
     def test_mu_max_is_the_largest_moment(self):
         models = benchmark_models()
@@ -222,7 +238,7 @@ class TestCheckCondition:
     def test_rejects_bad_arguments(self):
         models = benchmark_models()
         window = make_window("gaussian", 256)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^the clustering condition needs at least two models$"):
             check_condition(models[:1], window, 10, 0.0)
         with pytest.raises(ValueError):
             check_condition(models, window, 0, 0.0)
@@ -239,69 +255,89 @@ class TestCheckCondition:
 
 
 class TestCheckSeparation:
+    # one-column rows: the distance of two rows is the gap between their values
     def test_separated_blocks(self):
-        d = np.array(
-            [
-                [0.0, 0.1, 0.8, 0.9],
-                [0.1, 0.0, 0.7, 0.8],
-                [0.8, 0.7, 0.0, 0.2],
-                [0.9, 0.8, 0.2, 0.0],
-            ]
-        )
-        report = check_separation(d, [0, 0, 1, 1])
+        report = check_separation([[0.0], [0.125], [0.875], [1.125]], [0, 0, 1, 1])
         assert report.separated
-        assert report.max_intra == 0.2
-        assert report.min_inter == 0.7
-        assert report.margin == pytest.approx(0.5)
+        assert report.max_intra == 0.25
+        assert report.min_inter == 0.75
+        assert report.margin == 0.5
 
     def test_violated_separation(self):
-        d = np.array(
-            [
-                [0.0, 0.6, 0.3],
-                [0.6, 0.0, 0.9],
-                [0.3, 0.9, 0.0],
-            ]
-        )
-        report = check_separation(d, [0, 0, 1])
+        report = check_separation([[0.0], [0.6], [-0.3]], [0, 0, 1])
         assert not report.separated
 
     def test_singletons_are_trivially_separated(self):
-        d = np.array([[0.0, 0.5], [0.5, 0.0]])
-        report = check_separation(d, [0, 1])
+        report = check_separation([[0.0], [0.5]], [0, 1])
         assert report.separated
         assert report.max_intra == float("-inf")
 
     def test_single_label_has_no_inter_pairs(self):
-        d = np.array([[0.0, 0.5], [0.5, 0.0]])
-        report = check_separation(d, [0, 0])
+        report = check_separation([[0.0], [0.5]], [0, 0])
         assert report.separated
         assert report.min_inter == float("inf")
 
     def test_rejects_label_mismatch(self):
         with pytest.raises(ValueError):
-            check_separation(np.zeros((2, 2)), [0, 0, 1])
+            check_separation(np.zeros((2, 3)), [0, 0, 1])
+
+    def test_rejects_non_finite_rows(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            check_separation([[0.0], [np.inf], [1.0]], [0, 0, 1])
+
+    @settings(max_examples=8, deadline=None, database=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2 * NEIGHBOR_BLOCK_ROWS + 1, 700),
+           n_labels=st.integers(1, 4), spread=st.sampled_from([0.0, 0.5, 50.0]))
+    def test_block_scan_equals_the_matrix(self, seed, n, n_labels, spread):
+        # spread 50 separates the labels, 0 mixes them; either way the scan gives the matrix bits
+        gen = np.random.default_rng(seed)
+        labels = gen.integers(0, n_labels, size=n)
+        psds = gen.random((n, 33)) + spread * labels[:, None]
+        assert check_separation(half_spectrum_rows(psds), labels) == reference_check_separation(
+            distance_matrix(psds), labels)
+
+
+def block_distances(gen, labels):
+    n = labels.size
+    d = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            low, high = (0.01, 0.2) if labels[i] == labels[j] else (0.5, 1.0)
+            d[i, j] = d[j, i] = gen.uniform(low, high)
+    return d
 
 
 class TestCheckNfc:
     def test_block_graph_passes(self):
-        gen = np.random.default_rng(3)
-        d = np.zeros((6, 6))
         labels = np.array([0, 0, 0, 1, 1, 1])
-        for i in range(6):
-            for j in range(i + 1, 6):
-                low, high = (0.01, 0.2) if labels[i] == labels[j] else (0.5, 1.0)
-                d[i, j] = d[j, i] = gen.uniform(low, high)
-        a = build_adjacency(d, nearest_neighbor_sets(d, 2))
-        assert check_nfc(a, labels)
-        assert check_nfc(a.toarray(), labels)
-        assert not check_nfc(a, [0, 0, 1, 1, 1, 1])
+        sets = nearest_neighbor_sets(block_distances(np.random.default_rng(3), labels), 2)
+        assert check_nfc(sets, labels)
+        assert not check_nfc(sets, [0, 0, 1, 1, 1, 1])
 
     def test_cross_edge_fails(self):
-        a = np.zeros((3, 3))
-        a[0, 2] = a[2, 0] = 1.0
-        assert not check_nfc(a, [0, 0, 1])
-        assert check_nfc(a, [0, 1, 0])
+        sets = [[2], [0], [0]]
+        assert not check_nfc(sets, [0, 0, 1])
+        assert check_nfc(sets, [1, 1, 1])
+
+    def test_equals_the_adjacency_edges_where_no_weight_underflows(self):
+        gen = np.random.default_rng(5)
+        for _ in range(50):
+            truth = gen.integers(0, 2, size=9)
+            d = block_distances(gen, truth)
+            labels = np.where(gen.random(9) < 0.2, 1 - truth, truth)  # some sets turn conflicting
+            sets = nearest_neighbor_sets(d, int(gen.integers(1, 5)))
+            rows, cols = build_adjacency(d, sets).nonzero()
+            assert check_nfc(sets, labels) == bool(np.all(labels[rows] == labels[cols]))
+
+    def test_a_neighbor_with_an_underflowed_weight_still_conflicts(self):
+        # exp(-2 * 400) underflows, so the adjacency drops the cross edges of T_1 = {0, 2} and T_2 = {3, 1}
+        d = np.array([[0, 1, 500, 500], [1, 0, 400, 600], [500, 400, 0, 1], [500, 600, 1, 0]], dtype=float)
+        sets = nearest_neighbor_sets(d, 2)
+        assert build_adjacency(d, sets).nnz == 4
+        assert not check_nfc(sets, [0, 0, 1, 1])
 
     def test_rejects_label_mismatch(self):
         with pytest.raises(ValueError):
             check_nfc(np.zeros((2, 2)), [0])
+        with pytest.raises(ValueError):
+            check_nfc([[1], [2]], [0, 1])
