@@ -13,9 +13,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-import threading
 from dataclasses import asdict
 from functools import partial
 from itertools import product
@@ -29,7 +27,7 @@ from .generators import benchmark_models, benchmark_rows, make_model, normalize_
 from .km import km_from_spectra
 from .metrics import clustering_error, confusion_entropy
 from .nnpc import estimate_count_from_spectra, nnpc_from_spectra
-from .numerics import RngStream
+from .numerics import RngStream, ordered_map
 from .spectra import DEFAULT_GAUSSIAN_STD, DEFAULT_GRID_FACTOR, WINDOW_KINDS, make_window, next_pow2
 from .theory import check_condition
 
@@ -274,56 +272,22 @@ def _parse_config(config) -> dict:
     return cfg
 
 
-def _trial_workers(count: int) -> int:
-    """Threads for synth-bench trials: one per CPU this process may run on, at most one per trial."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, count))
-
-
 def _map_trials(trial, count: int) -> np.ndarray:
-    """The (count, 2) array whose row i is trial(i), run by this thread and _trial_workers - 1 more.
+    """The (count, 2) array whose row i is trial(i), run on one thread per CPU (numerics.ordered_map).
 
     The array is allocated before any trial runs, so a count whose results
-    cannot be held is a ValueError naming 'trials' at once. Each thread
-    takes the next index in order until none is left. Once a trial raises,
-    no thread takes another; the running ones finish, and the failure of the
-    earliest index is raised, the one a serial loop would meet first.
-    Working on this thread, rather than waiting on a pool, keeps one malloc
-    arena fewer, about 6 MB of peak RSS on a synth-mc job.
+    cannot be held is a ValueError naming 'trials' at once. The calling
+    thread runs trials too, which keeps one malloc arena fewer, about 6 MB
+    of peak RSS on a synth-mc job. Once a trial raises, no trial starts, and
+    the failure of the earliest index is raised, the one a serial loop would
+    meet first.
     """
     try:
         results = np.empty((count, 2))
     except (ValueError, MemoryError) as exc:
         raise ValueError(f"'trials' is too large: the results of {count} trials cannot be held ({exc})") from exc
-    failures = {}
-    indices = iter(range(count))
-    lock = threading.Lock()
-
-    def next_index():
-        with lock:
-            return None if failures else next(indices, None)
-
-    def work():
-        while (index := next_index()) is not None:
-            try:
-                results[index] = trial(index)
-            except BaseException as exc:
-                with lock:
-                    failures[index] = exc
-
-    helpers = [threading.Thread(target=work) for _ in range(_trial_workers(count) - 1)]
-    for helper in helpers:
-        helper.start()
-    try:
-        work()
-    finally:
-        for helper in helpers:
-            helper.join()
-    if failures:
-        raise failures[min(failures)]
+    for index, errors in enumerate(ordered_map(trial, range(count))):
+        results[index] = errors
     return results
 
 

@@ -188,9 +188,10 @@ def laplacian_spectrum(adjacency, count: int) -> LaplacianSpectrum:
     vectors = zero_space[:, :n_zero].toarray()
     if count > n_components:
         lap = _laplacian(a)
+        zero_space_t = zero_space.T.tocsr()  # built once, not on every ARPACK matvec
 
         def shifted(x):
-            return lap @ x + ZERO_SPACE_SHIFT * (zero_space @ (zero_space.T @ x))
+            return lap @ x + ZERO_SPACE_SHIFT * (zero_space @ (zero_space_t @ x))
 
         rest = eig_symmetric(LinearOperator((m, m), matvec=shifted, matmat=shifted, dtype=float), count - n_components)
         values = np.concatenate([values, rest.eigenvalues])

@@ -1,7 +1,11 @@
-"""Low-level numerical kernels: seeded random streams, symmetric
-eigendecomposition, k-means, and minimum-cost assignment.
+"""Low-level numerical kernels: seeded random streams, an ordered map on one
+thread per CPU, symmetric eigendecomposition, k-means, and minimum-cost
+assignment.
 
-The eigendecomposition delegates to numpy's LAPACK backend, or to ARPACK when
+`ordered_map` runs per-item work (CSV line batches, PSD chunks, q-NN row
+blocks, synth-bench trials) on the calling thread and one helper thread per
+further CPU, and hands the results back in item order, so what a caller
+builds from them does not depend on the thread count. The eigendecomposition delegates to numpy's LAPACK backend, or to ARPACK when
 only a few eigenpairs of a large matrix are wanted. k-means and the
 assignment wrapper add the guarantees the clustering pipeline relies on:
 explicit seeding, canonical point ordering, and fixed tie-breaking, so
@@ -10,6 +14,10 @@ identical inputs always produce identical output.
 
 from __future__ import annotations
 
+import os
+import threading
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +28,87 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 LLOYD_MAX_ITER = 300
 # Below this order a full LAPACK eigh is faster than ARPACK for a few pairs.
 DENSE_EIGH_MAX_N = 200
+
+
+# Set on a thread while it runs an ordered_map item, so a map started there runs serially.
+_MAPPING = threading.local()
+
+
+def worker_count() -> int:
+    """Threads an ordered_map runs on: one per CPU this process may run on
+    (its affinity mask, or the CPU count where there is none)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def ordered_map(func, items):
+    """func(item) of each item, yielded in item order, computed on this thread
+    and worker_count() - 1 helper threads.
+
+    Items are taken in order: by a helper whenever one is free, and by this
+    thread when every helper is busy and the oldest result is not ready. At
+    most worker_count() items are taken and not yet yielded, so each thread
+    has at most one in flight. Once an item (or taking one) has failed, no
+    item is taken; the results before it are yielded and then its exception
+    is raised, the failure a serial loop would meet first. Closing the
+    generator early waits for the running items. A map started from one of
+    the items runs serially, on the thread that runs that item.
+    """
+    helpers = 0 if getattr(_MAPPING, "inside", False) else worker_count() - 1
+    if helpers < 1:
+        yield from map(func, items)
+        return
+    items = iter(items)
+    pending = deque()  # futures of the items taken and not yet yielded, oldest first
+    taking = True
+    with ThreadPoolExecutor(helpers, initializer=_enter_map) as pool:
+        try:
+            while taking or pending:
+                if taking and any(future.done() and future.exception() is not None for future in pending):
+                    taking = False
+                running = sum(not future.done() for future in pending)
+                if taking and len(pending) <= helpers and (running < helpers or not pending[0].done()):
+                    try:
+                        item = next(items)
+                    except StopIteration:
+                        taking = False
+                    except BaseException as exc:
+                        pending.append(_settled(exception=exc))
+                        taking = False
+                    else:
+                        pending.append(pool.submit(func, item) if running < helpers else _run_here(func, item))
+                        del item  # a batch or chunk lives only as long as its item runs
+                    continue
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
+
+
+def _enter_map() -> None:
+    _MAPPING.inside = True
+
+
+def _run_here(func, item) -> Future:
+    """A finished future of func(item), run on this thread."""
+    _MAPPING.inside = True
+    try:
+        return _settled(func(item))
+    except BaseException as exc:
+        return _settled(exception=exc)  # built in another frame, so the traceback holds no cycle
+    finally:
+        _MAPPING.inside = False
+
+
+def _settled(result=None, exception: BaseException | None = None) -> Future:
+    future = Future()
+    if exception is None:
+        future.set_result(result)
+    else:
+        future.set_exception(exception)
+    return future
 
 
 @dataclass(frozen=True)

@@ -10,24 +10,31 @@ sequence file, label map) comes through here, and each entry takes a path:
   with the line it starts on.
 
 A file is read in batches of whole lines, a leading UTF-8 byte order mark
-dropped. Every message that names a line names a physical line, split where
-csv.reader splits lines (\n, \r\n or \r): the line an invalid UTF-8 byte is
-on, or the line on which the faulty record starts.
+dropped. The observation reader parses its batches on one thread per CPU
+(numerics.ordered_map) and reads their rows in file order, so its rows and
+its first error are those of one thread. Every message that names a line
+names a physical line, split where csv.reader splits lines (\n, \r\n or
+\r): the line an invalid UTF-8 byte is on, or the line on which the faulty
+record starts.
 """
 
 from __future__ import annotations
 
 import codecs
 import csv
+from functools import partial
 from itertools import chain
 
 import numpy as np
+
+from .numerics import ordered_map
 
 # The reader takes whole lines in batches of about this many bytes.
 CSV_BATCH_BYTES = 1 << 17
 _EXACT_POWER = 27  # the largest k with 10**k exact in the x87 significand
 _EXACT_MANTISSA = 10**18  # mantissas below this are exact there, and np.fromstring reads them unsaturated
 _TOKEN_BYTES = bytes.maketrans(b"e\n", b",,")
+_SCALE_CELLS = 2048  # cells scaled at once in np.longdouble, so the extended values of a batch are never all held
 
 
 def _exact_scaling_powers():
@@ -89,44 +96,67 @@ def _parse_sample_lines(region: bytes, powers):
     writes e+16 and up); its value has the bits float() gives. The dots and
     plus signs go, the exponent markers and newlines become commas, and one
     np.fromstring reads every mantissa and exponent as an integer. A region
-    without a plus sign skips the plus-sign scan. Each mantissa is scaled by a power of ten in
-    np.longdouble and cast to float64. float() reads the cells where that
-    could round twice: a mantissa of 10**18 or more (fromstring saturates at
-    2**63 - 1), a power beyond 10**27, or an extended result that lies
-    exactly halfway between two doubles.
+    without a plus sign skips the plus-sign scan. Each mantissa is scaled by
+    a power of ten in np.longdouble, _SCALE_CELLS cells at a time, and cast
+    to float64. float() reads the cells where that could round twice: a
+    mantissa of 10**18 or more (fromstring saturates at 2**63 - 1), a power
+    beyond 10**27, or an extended result that lies exactly halfway between
+    two doubles. Every CPU may be parsing a region at once, so each array
+    goes once used, and those as long as the region are made while little
+    else is held: one line of 16384 cells peaks at about 0.75 MB beside it.
     """
     if region.translate(None, b"0123456789.-+e,\n"):
         return None
     data = np.frombuffer(region, np.uint8)
-    ends = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    if (ends - starts).max() > csv.field_size_limit():  # csv.reader refuses such a cell
-        return None
-    negative = data[starts] == ord("-")
-    dots = np.flatnonzero(data == ord("."))
+    # numpy counts without the GIL, bytes.count holds it
+    plus_signs = np.count_nonzero(data == ord("+")) if b"+" in region else 0
+    minus_signs = np.count_nonzero(data == ord("-"))
+    cut = data <= ord(",")  # the grammar's bytes up to "," are "\n", "+" and ","
+    if plus_signs:
+        cut &= data != ord("+")
+    ends = np.flatnonzero(cut)
+    del cut
     marks = np.flatnonzero(data == ord("e"))
+    dots = np.flatnonzero(data == ord("."))
     dot_cells, mark_cells = np.searchsorted(ends, dots), np.searchsorted(ends, marks)
-    negative_exponent = data[marks + 1] == ord("-")
-    if region.count(b"-") != np.count_nonzero(negative) + np.count_nonzero(negative_exponent):
-        return None  # a minus sign neither first in a cell nor right after its e
-    exponent_sign = negative_exponent
-    if b"+" in region:
-        positive_exponent = data[marks + 1] == ord("+")
-        if region.count(b"+") != np.count_nonzero(positive_exponent):
-            return None  # a plus sign anywhere but right after an e
-        exponent_sign = negative_exponent | positive_exponent
     if np.any(np.diff(dot_cells) < 1) or np.any(np.diff(mark_cells) < 1):
         return None  # two dots or two exponents in one cell
-    mantissa_ends = ends.copy()
-    mantissa_ends[mark_cells] = marks
-    if np.any(dots > mantissa_ends[dot_cells]):
-        return None  # a dot in the exponent
-    digits = mantissa_ends - starts - negative
-    digits[dot_cells] -= 1
-    if digits.min() < 1 or np.any(ends[mark_cells] - marks - exponent_sign < 2):
-        return None  # a mantissa or an exponent without digits
+    dots -= ends[dot_cells]
+    dots += 1
     scale = np.zeros(len(ends), dtype=np.int64)
-    scale[dot_cells] = dots + 1 - mantissa_ends[dot_cells]
+    scale[dot_cells] = dots  # minus the count of bytes after the dot
+    del dots
+    negative = np.empty(len(ends), dtype=bool)
+    negative[0] = data[0] == ord("-")
+    negative[1:] = data[ends[:-1] + 1] == ord("-")
+    digits = np.empty_like(ends)  # each cell's width, then the digits of its mantissa
+    digits[0] = ends[0]
+    np.subtract(ends[1:], ends[:-1], out=digits[1:])
+    digits[1:] -= 1
+    if digits.max() > csv.field_size_limit():  # csv.reader refuses such a cell
+        return None
+    negative_exponent = data[marks + 1] == ord("-")
+    if minus_signs != np.count_nonzero(negative) + np.count_nonzero(negative_exponent):
+        return None  # a minus sign neither first in a cell nor right after its e
+    exponent_sign = negative_exponent
+    if plus_signs:
+        positive_exponent = data[marks + 1] == ord("+")
+        if plus_signs != np.count_nonzero(positive_exponent):
+            return None  # a plus sign anywhere but right after an e
+        exponent_sign = negative_exponent | positive_exponent
+    exponent_width = ends[mark_cells] - marks  # the e and the bytes after it
+    dotted = np.zeros(len(ends), dtype=bool)
+    dotted[dot_cells] = True
+    dotted = dotted[mark_cells]
+    scale[mark_cells[dotted]] += exponent_width[dotted]  # a dot's scale counts the mantissa's bytes alone
+    if np.any(scale[mark_cells] > 0):
+        return None  # a dot in the exponent
+    digits -= negative
+    digits[dot_cells] -= 1
+    digits[mark_cells] -= exponent_width
+    if digits.min() < 1 or np.any(exponent_width - exponent_sign < 2):
+        return None  # a mantissa or an exponent without digits
+    del digits, dot_cells
     tokens = np.fromstring(region.translate(_TOKEN_BYTES, b".+"), dtype=np.int64, sep=",")
     if len(marks):
         exponents = mark_cells + np.arange(1, len(marks) + 1)
@@ -135,12 +165,17 @@ def _parse_sample_lines(region: bytes, powers):
     inexact = (scale > _EXACT_POWER) | (scale < -_EXACT_POWER)
     inexact |= (tokens >= _EXACT_MANTISSA) | (tokens <= -_EXACT_MANTISSA)
     np.clip(scale, -_EXACT_POWER, _EXACT_POWER, out=scale)
-    extended = np.abs(tokens).astype(np.longdouble) * powers[np.maximum(scale, 0)] / powers[np.maximum(-scale, 0)]
-    inexact |= (extended.view(np.uint64)[::2] & 0x7FF) == 0x400  # a tie in the cast that the decimal may not be
-    samples = extended.astype(np.float64)
+    samples = np.empty(len(ends))
+    for start in range(0, len(ends), _SCALE_CELLS):
+        part = slice(start, start + _SCALE_CELLS)
+        extended = np.abs(tokens[part]).astype(np.longdouble)
+        extended *= powers[np.maximum(scale[part], 0)]
+        extended /= powers[np.maximum(-scale[part], 0)]
+        inexact[part] |= (extended.view(np.uint64)[::2] & 0x7FF) == 0x400  # a tie in the cast that the decimal may not be
+        samples[part] = extended
     np.negative(samples, out=samples, where=negative)  # the sign of -0.0 too
     for cell in np.flatnonzero(inexact):
-        samples[cell] = float(region[starts[cell]:ends[cell]])
+        samples[cell] = float(region[ends[cell - 1] + 1 if cell else 0 : ends[cell]])
     return np.split(samples, np.flatnonzero(data[ends[:-1]] == ord("\n")) + 1)
 
 
@@ -222,14 +257,15 @@ def records(path):
 def _observation_rows(path, with_truth: bool):
     """(line number, label or None, samples) of each nonblank record of a CSV file.
 
-    A batch of lines on the byte route's grammar is parsed there; csv.reader
-    reads any other batch, and the rest of the file too if the batch holds a
-    double quote. Both give the same samples, labels, errors and line numbers.
+    A batch of lines on the byte route's grammar is parsed there, on one
+    thread per CPU (numerics.ordered_map), and its rows come back in file
+    order; csv.reader reads any other batch, and the rest of the file too if
+    the batch holds a double quote. Both give the same samples, labels,
+    errors and line numbers.
     """
     batches = _line_batches(path)
     line_no = 0
-    for batch in batches:
-        rows = None if _EXACT_POWERS is None else _parse_batch(batch, with_truth, _EXACT_POWERS)
+    for batch, rows in ordered_map(partial(_parsed_batch, with_truth=with_truth), _to_first_quote(batches)):
         if rows is not None:
             for line_no, (label, values) in enumerate(rows, start=line_no + 1):
                 yield line_no, label, values
@@ -240,6 +276,20 @@ def _observation_rows(path, with_truth: bool):
             record = _record_samples(path, line_no, cells, with_truth)
             if record is not None:
                 yield line_no, *record
+
+
+def _to_first_quote(batches):
+    """The batches up to the first that holds a double quote, which ends the byte route's part of a file."""
+    for batch in batches:
+        yield batch
+        if b'"' in batch:
+            return
+
+
+def _parsed_batch(batch: bytes, with_truth: bool):
+    """(None, rows) of a batch on the byte route (_parse_batch), else (batch, None)."""
+    rows = None if _EXACT_POWERS is None else _parse_batch(batch, with_truth, _EXACT_POWERS)
+    return (batch, None) if rows is None else (None, rows)
 
 
 def read_observation_csv(path, with_truth: bool, pad_zeros: bool, subtract_mean: bool):

@@ -11,11 +11,13 @@ sequence positive semidefinite. Every estimate comes from one kernel,
 `estimate_psd_chunks`: it takes observations as consecutive chunks of rows
 and puts each through a zero-padded real FFT pair for the autocorrelations
 and a DCT-I for the spectra, written into one preallocated output, so the
-stage holds the output plus one chunk of temporaries. `estimate_dataset_psds`
-slices a stack in memory into such chunks; a generator of samples can yield
-them one by one, and then the samples are never held at once. Every step
-works row by row on real arrays, so a row's estimate has the same bits
-whichever rows share its chunk or its call. The sum is even in f, so an
+stage holds the output plus one chunk of temporaries per thread.
+`estimate_dataset_psds` slices a stack in memory into a list of such
+chunks, estimated on one thread per CPU (numerics.ordered_map); a generator
+of samples can yield them one by one, estimated in turn, and then the
+samples are never held at once. Every step works row by row on real arrays,
+so a row's estimate has the same bits whichever rows share its chunk, its
+call or its thread. The sum is even in f, so an
 estimate keeps only bins j = 0..F/2, the DCT-I output; bins F/2+1..F-1
 would repeat bins F/2-1..1.
 """
@@ -24,9 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.fft import dct
+
+from .numerics import ordered_map
 
 WINDOW_SCAN_POINTS = 4096
 # A truncated gaussian (M=256, std 50) rings to -2e-7 of its peak; the
@@ -151,38 +156,51 @@ def _acf_rows(obs: np.ndarray) -> np.ndarray:
 def estimate_psd_chunks(chunks, n_obs: int, window: WindowSpec, grid_size: int) -> np.ndarray:
     """PSD estimates of n_obs observations that arrive as consecutive chunks of rows, as one (n_obs, F/2 + 1) array.
 
-    Each (rows, M) chunk of finite samples is estimated straight into the
-    next rows of the output and can be dropped once the next is asked for,
-    so the stage holds the output, one chunk and its temporaries. The
+    Each (rows, M) chunk of finite samples is estimated straight into its
+    rows of the output. The chunks of a list, all in memory already, are
+    estimated on one thread per CPU (numerics.ordered_map); those of any
+    other iterable one after another, each dropped once the next is asked
+    for, so the stage holds the output, one chunk and its temporaries. The
     estimates are batch-invariant, so a row has the same bits whichever
-    chunk carries it. The grid must be a power of two of at least twice the
-    window's length. Each chunk's shape is checked as it arrives; its
-    samples are not checked for finiteness.
+    chunk or thread carries it. The grid must be a power of two of at least
+    twice the window's length. Each chunk's shape is checked as it is taken;
+    its samples are not checked for finiteness. Of several failing chunks,
+    the first one's error is raised.
     """
     f = int(grid_size)
     if f < 2 * window.length or f & (f - 1):
         raise ValueError(f"grid size must be a power of two >= {2 * window.length}, got {grid_size}")
     values = np.empty((n_obs, f // 2 + 1))
-    start = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for obs in chunks:
-            if obs.ndim != 2:
-                raise ValueError(f"a chunk must be a 2-D array, one observation per row, got shape {obs.shape}")
-            if obs.shape[1] != window.length:
-                raise ValueError(f"window was built for length {window.length}, observation has {obs.shape[1]}")
-            rows = slice(start, start + obs.shape[0])
-            if rows.stop > n_obs:
-                raise ValueError(f"at least {rows.stop} observations arrived, {n_obs} were announced")
-            acf = _acf_rows(obs)
-            acf *= window.values
-            if not np.isfinite(_even_half_spectrum(acf, values[rows])).all():
-                raise ValueError(
-                    "PSD estimation overflowed: sample magnitudes are too large for the autocorrelation FFT"
-                )
-            start = rows.stop
+    estimate = partial(_estimate_chunk, window=window)
+    for _ in (ordered_map if isinstance(chunks, list) else map)(estimate, _placed_chunks(chunks, values, window)):
+        pass
+    return values
+
+
+def _placed_chunks(chunks, values: np.ndarray, window: WindowSpec):
+    """(chunk, its rows of values) of each chunk, its shape checked, and then a check that every row arrived."""
+    n_obs, start = values.shape[0], 0
+    for obs in chunks:
+        if obs.ndim != 2:
+            raise ValueError(f"a chunk must be a 2-D array, one observation per row, got shape {obs.shape}")
+        if obs.shape[1] != window.length:
+            raise ValueError(f"window was built for length {window.length}, observation has {obs.shape[1]}")
+        if start + obs.shape[0] > n_obs:
+            raise ValueError(f"at least {start + obs.shape[0]} observations arrived, {n_obs} were announced")
+        yield obs, values[start : start + obs.shape[0]]
+        start += obs.shape[0]
     if start != n_obs:
         raise ValueError(f"{start} observations arrived, {n_obs} were announced")
-    return values
+
+
+def _estimate_chunk(placed, window: WindowSpec) -> None:
+    """Estimate a chunk of observations into its rows of the output: placed is (chunk, rows)."""
+    obs, out = placed
+    with np.errstate(over="ignore", invalid="ignore"):
+        acf = _acf_rows(obs)
+        acf *= window.values
+        if not np.isfinite(_even_half_spectrum(acf, out)).all():
+            raise ValueError("PSD estimation overflowed: sample magnitudes are too large for the autocorrelation FFT")
 
 
 def estimate_acf(samples) -> np.ndarray:

@@ -27,7 +27,9 @@ import psdcluster.cli
 import psdcluster.distances
 import psdcluster.generators
 import psdcluster.nnpc
+import psdcluster.numerics
 import psdcluster.reader
+import psdcluster.spectra
 from psdcluster.cli import main, run_synth_bench
 from psdcluster.distances import distance_matrix, weighted_spectra
 from psdcluster.generators import benchmark_models, make_benchmark_dataset
@@ -727,9 +729,11 @@ class TestByteRoute:
             outcome = read_outcome(read_observation_csv, path, flags)
         assert outcome == read_outcome(reference_read_observation_csv, path, flags)
 
-    def test_traced_peak_is_the_buffer_and_one_line(self, tmp_path):
+    def test_traced_peak_is_the_buffer_and_one_line(self, tmp_path, monkeypatch):
         """48 rows of 16384 samples peak at the sample buffer's capacity plus
-        the transient arrays of one line's parse, not at every parsed row."""
+        the transient arrays of one line's parse on each of two threads, not
+        at every parsed row."""
+        monkeypatch.setattr(psdcluster.numerics, "worker_count", lambda: 2)
         path = write_repr_csv(tmp_path / "long.csv", np.random.default_rng(14).standard_normal((48, 16384)),
                               [f"m{index % 3}" for index in range(48)])
         flags = (True, True, True)
@@ -1253,16 +1257,16 @@ class TestSynthBench:
         and PSD temporaries; each trial's array is freed before the next
         trial estimates its own.
         """
-        monkeypatch.setattr(psdcluster.cli, "_trial_workers", lambda tasks: 1)
+        monkeypatch.setattr(psdcluster.numerics, "worker_count", lambda: 1)
         alone = self.traced_peak([4096], 1)
         assert alone <= 75 * (4096 + 8193) * 8 + 6 * PSD_CHUNK_BYTES
         assert self.traced_peak([1024, 4096], 2) <= alone + 64 * 1024
 
     def test_two_workers_hold_two_trials(self, monkeypatch):
         """With two threads, at most two trials hold their arrays at once."""
-        monkeypatch.setattr(psdcluster.cli, "_trial_workers", lambda tasks: 1)
+        monkeypatch.setattr(psdcluster.numerics, "worker_count", lambda: 1)
         alone = self.traced_peak([4096], 1)
-        monkeypatch.setattr(psdcluster.cli, "_trial_workers", lambda tasks: 2)
+        monkeypatch.setattr(psdcluster.numerics, "worker_count", lambda: 2)
         assert self.traced_peak([1024, 4096], 2) <= 2 * alone + 64 * 1024
 
     def test_rows_do_not_depend_on_the_worker_count(self, monkeypatch):
@@ -1290,7 +1294,7 @@ class TestSynthBench:
                 expected.append({"M": 256, "sigma2": sigma2, "algorithm": algorithm, "mean_ce": float(ce.mean()),
                                  "std_ce": float(ce.std()), "trials": 3})
         for workers in (1, 2, 3):
-            monkeypatch.setattr(psdcluster.cli, "_trial_workers", lambda tasks: workers)
+            monkeypatch.setattr(psdcluster.numerics, "worker_count", lambda: workers)
             assert run_synth_bench(config) == expected
 
     def failing_run(self, tmp_path, monkeypatch, capsys, failures):
@@ -1308,7 +1312,7 @@ class TestSynthBench:
             time.sleep(0.2 if index > 1 else 0.0)  # the queued trials are slow, so cancelling them shows
             return trial(cfg, index)
 
-        monkeypatch.setattr(psdcluster.cli, "_trial_workers", lambda tasks: 2)
+        monkeypatch.setattr(psdcluster.numerics, "worker_count", lambda: 2)
         monkeypatch.setattr(psdcluster.cli, "_synth_trial", failing)
         code = main(["synth-bench", "--config", str(config), "--out", str(tmp_path / "bench.csv")])
         return code, capsys.readouterr().err, ran
@@ -1823,7 +1827,8 @@ class TestErrorContract:
             argv += ["--labels-out", str(outputs / "labels.csv"), "--report-out", str(outputs / "report.json")]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "isolated node", RuntimeWarning)  # any other warning is an error
+            # any other warning is an error; the pattern matches from the start of "<count> isolated node(s) ..."
+            warnings.filterwarnings("ignore", r"\d+ isolated node", RuntimeWarning)
             code = main(argv)
         files = {name: (outputs / name).read_bytes() for name in ("labels.csv", "report.json")
                  if (outputs / name).exists()}
@@ -1892,6 +1897,62 @@ class TestFileOrder:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {message}") and err.count("\n") == 1, (faults, err)
         assert not (tmp_path / "labels.csv").exists()
+
+
+class TestThreadCount:
+    """The reader's batches, the PSD chunks and the q-NN row blocks run on one thread per CPU; the
+    outputs and the first error are those of one thread."""
+
+    @staticmethod
+    def noisy_tones(n_rows, length, seed):
+        """Labelled rows of three noisy sinusoids."""
+        gen = np.random.default_rng(seed)
+        t = np.arange(length)
+        rows = [np.sin(2 * np.pi * (0.05, 0.2, 0.4)[i % 3] * t + gen.uniform(0, 6)) + 0.3 * gen.standard_normal(length)
+                for i in range(n_rows)]
+        return rows, [f"m{i % 3}" for i in range(n_rows)]
+
+    def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch, capsys):
+        # 700 rows of 256 samples: 27 reader batches, 3 PSD chunks of 256 rows and 3 q-NN blocks
+        path = write_repr_csv(tmp_path / "obs.csv", *self.noisy_tones(700, 256, 31))
+        assert path.stat().st_size // psdcluster.reader.CSV_BATCH_BYTES == 26
+        runs = {"nnpc": ["cluster", "--clusters", "auto"], "km": ["cluster", "--algorithm", "km", "--clusters", "3"],
+                "estimate": ["estimate-l"]}
+        outputs = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(psdcluster.numerics, "worker_count", lambda: workers)
+            for name, (command, *options) in runs.items():
+                files = [] if command == "estimate-l" else [
+                    "--labels-out", str(tmp_path / f"{name}-labels.csv"), "--report-out", str(tmp_path / "report.json")]
+                assert main([command, str(path), "--truth", *options, *files]) == 0
+                outputs[workers, name] = capsys.readouterr().out if not files else (
+                    (tmp_path / f"{name}-labels.csv").read_bytes(), (tmp_path / "report.json").read_bytes())
+        for name in runs:
+            assert outputs[1, name] == outputs[2, name] == outputs[3, name]
+
+    def test_the_first_bad_line_wins_on_two_threads(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(psdcluster.numerics, "worker_count", lambda: 2)
+        monkeypatch.setattr(psdcluster.reader, "CSV_BATCH_BYTES", 1)  # every line its own batch
+        rows, labels = self.noisy_tones(8, 16, 32)
+        lines = write_repr_csv(tmp_path / "obs.csv", rows, labels).read_text().splitlines(keepends=True)
+        lines[0] = lines[0].replace(",", ",x", 2)  # batch 1: csv.reader reads a non-numeric cell
+        lines[2] = lines[2].replace(",", ",1e400,", 1)  # batch 3: the byte route reads an infinite sample
+        (tmp_path / "obs.csv").write_text("".join(lines))
+        assert main(["estimate-l", str(tmp_path / "obs.csv"), "--truth"]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / 'obs.csv'}: line 1: non-numeric sample value\n"
+
+    def test_an_overflow_in_chunks_2_and_3_gives_the_serial_message(self, tmp_path, monkeypatch, capsys):
+        rows, labels = self.noisy_tones(12, 64, 33)
+        rows[5] = rows[5] * 1e300  # chunk 2 of 4 rows
+        rows[9] = rows[9] * 1e300  # chunk 3
+        path = write_repr_csv(tmp_path / "obs.csv", rows, labels)
+        monkeypatch.setattr(psdcluster.spectra, "PSD_CHUNK_BYTES", 4 * 8 * 128)
+        errors = []
+        for workers in (1, 2):
+            monkeypatch.setattr(psdcluster.numerics, "worker_count", lambda: workers)
+            assert main(["estimate-l", str(path), "--truth"]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] and errors[0].startswith("error: PSD estimation overflowed")
 
 
 # Runs in a fresh interpreter: argv[1] is a JSON list of (stage, argv) pairs.

@@ -1,10 +1,12 @@
 """Numerical kernel tests.
 
-Oracles: closed-form eigen cases evaluated by hand, exhaustive
-label-assignment search for k-means, and brute-force permutation search for
-the assignment problem.
+Oracles: the builtin map for the ordered thread map, closed-form eigen
+cases evaluated by hand, exhaustive label-assignment search for k-means,
+and brute-force permutation search for the assignment problem.
 """
 
+import threading
+import time
 from itertools import permutations, product
 
 import numpy as np
@@ -21,8 +23,80 @@ from psdcluster.numerics import (
     eig_symmetric,
     kmeans,
     min_cost_assignment,
+    ordered_map,
     relabel_first_seen,
 )
+
+
+class TestOrderedMap:
+    """ordered_map gives the builtin map's results, in item order, on any thread count."""
+
+    @pytest.fixture(params=[1, 2, 3])
+    def workers(self, request, monkeypatch):
+        monkeypatch.setattr(numerics, "worker_count", lambda: request.param)
+        return request.param
+
+    @staticmethod
+    def uneven(item):
+        time.sleep(0.002 * (item % 3))  # later items often finish first
+        return item * item
+
+    def test_results_come_in_item_order(self, workers):
+        assert list(ordered_map(self.uneven, range(20))) == list(map(self.uneven, range(20)))
+        assert list(ordered_map(self.uneven, iter([]))) == []
+
+    def test_each_thread_holds_at_most_one_item(self, workers):
+        taken, held = [], []
+
+        def items():
+            for item in range(12):
+                taken.append(item)
+                yield item
+
+        for result in ordered_map(self.uneven, items()):
+            held.append(len(taken) - result ** 0.5)  # taken and not yet yielded, this one included
+        assert max(held) <= workers
+
+    def test_the_first_failure_in_item_order_wins(self, workers):
+        ran, results = [], []
+
+        def failing(item):
+            ran.append(item)
+            if item in (3, 5):
+                time.sleep(0.02 if item == 3 else 0.0)  # item 5 fails first
+                raise ValueError(f"item {item} failed")
+            return item
+
+        with pytest.raises(ValueError, match="^item 3 failed$"):
+            for result in ordered_map(failing, range(40)):
+                results.append(result)
+        assert results == [0, 1, 2]
+        assert max(ran) < 3 + 2 * workers  # no item is taken once a failure is seen
+
+    def test_a_failure_to_take_an_item_comes_after_the_items_before_it(self, workers):
+        def items():
+            yield from range(4)
+            raise KeyError("no fifth item")
+
+        results = []
+        with pytest.raises(KeyError, match="no fifth item"):
+            for result in ordered_map(self.uneven, items()):
+                results.append(result)
+        assert results == [0, 1, 4, 9]
+
+    def test_a_nested_map_runs_on_its_items_thread(self, workers):
+        def outer(item):
+            here = threading.get_ident()
+            return all(ident == here for ident in ordered_map(lambda _: threading.get_ident(), range(4)))
+
+        assert all(ordered_map(outer, range(6)))
+
+    def test_closing_early_leaves_no_thread(self, workers):
+        before = threading.active_count()
+        results = ordered_map(self.uneven, range(20))
+        assert next(results) == 0
+        results.close()
+        assert threading.active_count() == before
 
 
 def wcss_of(points, labels, k):

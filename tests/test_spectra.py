@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import full_grid
 
+import psdcluster.numerics
 import psdcluster.spectra
 from psdcluster.km import km_cluster
 from psdcluster.nnpc import nnpc_cluster
@@ -332,6 +333,19 @@ class TestChunkedEstimation:
         with pytest.raises(ValueError, match="observation samples must be finite"):
             estimate_dataset_psds(obs)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_first_failing_chunk_wins_on_any_thread_count(self, monkeypatch, workers):
+        """Chunk 1 of a list overflows and chunk 2 is misshapen: every thread count raises chunk 1's error,
+        though a later chunk may be taken, or fail, first."""
+        monkeypatch.setattr(psdcluster.numerics, "worker_count", lambda: workers)
+        obs = np.random.default_rng(10).standard_normal((9, self.OBS_LEN))
+        obs[4] *= 1e307
+        window = make_window("gaussian", self.OBS_LEN)
+        with pytest.raises(ValueError, match="^PSD estimation overflowed"):
+            estimate_psd_chunks([obs[:3], obs[3:6], obs[6:, :8]], 9, window, 256)
+        with pytest.raises(ValueError, match="^window was built for length 64, observation has 8$"):
+            estimate_psd_chunks([obs[:3], obs[6:, :8], obs[3:6]], 9, window, 256)
+
     def test_chunk_stream_matches_the_stack(self):
         obs = np.random.default_rng(8).standard_normal((10, self.OBS_LEN))
         window = make_window("gaussian", self.OBS_LEN)
@@ -359,8 +373,9 @@ class TestChunkedEstimation:
         with pytest.raises(ValueError, match=f"^{message}$"):
             estimate_psd_chunks([chunk], n_obs, make_window("gaussian", 16), 64)
 
-    def test_allocates_the_output_plus_a_few_chunks(self):
-        # 48 x 16384 samples, F = 65536: a 12.6 MB output, and 4 rows per chunk
+    def test_allocates_the_output_plus_a_few_chunks(self, monkeypatch):
+        # 48 x 16384 samples, F = 65536: a 12.6 MB output, and 4 rows per chunk, estimated on two threads
+        monkeypatch.setattr(psdcluster.numerics, "worker_count", lambda: 2)
         obs = np.random.default_rng(7).standard_normal((48, 16384))
         estimate_dataset_psds(obs[:1])  # warm the FFT plan caches outside the trace
         tracemalloc.start()
@@ -376,9 +391,11 @@ class TestChunkedEstimation:
 
     @pytest.mark.parametrize("cluster", [lambda obs: km_cluster(obs, 3, unit_power=True),
                                          lambda obs: nnpc_cluster(obs, 5, 3, unit_power=True)], ids=["km", "nnpc"])
-    def test_clustering_reads_the_estimates_without_a_copy(self, cluster):
+    def test_clustering_reads_the_estimates_without_a_copy(self, monkeypatch, cluster):
         # the same stack: clustering reads the weighted estimates in place, so
-        # the peak is the one estimate array plus a few chunks, not two arrays
+        # the peak is the one estimate array plus a few chunks, not two arrays;
+        # each thread holds one chunk, so the count is pinned to two
+        monkeypatch.setattr(psdcluster.numerics, "worker_count", lambda: 2)
         obs = np.random.default_rng(7).standard_normal((48, 16384))
         cluster(obs[:6])  # warm the FFT plan caches outside the trace
         tracemalloc.start()
