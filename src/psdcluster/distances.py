@@ -16,21 +16,16 @@ hold them all; `half_spectrum_rows` weights a copy of given estimates.
 `distance_matrix` takes one `pdist` pass over the rows. `nearest_neighbors` and `distance_columns` read only what nnpc and km
 need, in row blocks or columns, and never hold an N x N array; above one
 block, `nearest_neighbors` skips the pairs that a lower bound on pooled
-bins rules out, scanning its row blocks on one thread per CPU
-(numerics.ordered_map); each block writes its own rows of the result.
-Every distance a kernel reports comes from the same
+bins rules out. Every distance a kernel reports comes from the same
 `pdist`/`cdist` cityblock sum, so an entry has the same bits whichever of
 them computed it.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from .numerics import ordered_map
 from .spectra import WindowSpec, estimate_dataset_psds, estimate_psd_chunks
 
 # Rows per block of the q-NN scan: a block holds NEIGHBOR_BLOCK_ROWS x N bounds.
@@ -149,49 +144,39 @@ def _pruned_neighbors(rows: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]
     huge = norms > np.finfo(float).max / 4
     reach = np.where(huge, 0.0, norms * (2 * eps * np.diff(starts, append=bins).max()))
     relative = 1e-9 + 4 * (bins + starts.size) * eps
+    n_candidates = min(2 * q, n - 1)
     index = np.empty((n, q), dtype=np.intp)
     best = np.empty((n, q))
     peak = np.zeros(n)  # the largest distance each row computed beyond its candidates
-    scan = partial(_scan_block, rows=rows, pooled=pooled, reach=reach, huge=huge, relative=relative,
-                   out=(index, best, peak))
-    for _ in ordered_map(scan, range(0, n, NEIGHBOR_BLOCK_ROWS)):
-        pass
+    for start in range(0, n, NEIGHBOR_BLOCK_ROWS):
+        block = np.arange(start, min(start + NEIGHBOR_BLOCK_ROWS, n))
+        # row i = block[r] computes j where bound[r, j] - reach[j] <= u_i * (1 + relative) + reach[i]
+        bound = cdist(pooled[block], pooled, "cityblock")
+        bound -= reach
+        if huge.any():
+            bound[:, huge] = -np.inf
+            bound[huge[block]] = -np.inf
+        bound[block - start, block] = np.inf
+        candidates = np.argpartition(bound, n_candidates - 1, axis=1)[:, :n_candidates]
+        exact = check_distance_entries(
+            np.vstack([cdist(rows[i : i + 1], rows[found], "cityblock") for i, found in zip(block, candidates)])
+        )
+        limit = np.partition(exact, q - 1, axis=1)[:, q - 1] * (1 + relative) + reach[block]
+        np.put_along_axis(bound, candidates, np.inf, axis=1)  # computed already
+        survivor_row, survivor = np.nonzero(bound <= limit[:, None])
+        first = np.searchsorted(survivor_row, np.arange(block.size + 1))
+        for r, i in enumerate(block):
+            found, dist = candidates[r], exact[r]
+            extra = survivor[first[r] : first[r + 1]]
+            if extra.size:
+                found = np.concatenate([found, extra])
+                dist = np.concatenate([dist, cdist(rows[i : i + 1], rows[extra], "cityblock")[0]])
+                peak[i] = dist.max()
+            order = np.lexsort((found, dist))[:q]
+            index[i] = found[order]
+            best[i] = dist[order]
     check_distance_entries(peak)
     return index, best
-
-
-def _scan_block(start: int, rows, pooled, reach, huge, relative: float, out) -> None:
-    """Scan the block of NEIGHBOR_BLOCK_ROWS rows from start for _pruned_neighbors: write the block's
-    rows of out = (index, best, peak), which no other block writes."""
-    index, best, peak = out
-    n, q = index.shape
-    block = np.arange(start, min(start + NEIGHBOR_BLOCK_ROWS, n))
-    # row i = block[r] computes j where bound[r, j] - reach[j] <= u_i * (1 + relative) + reach[i]
-    bound = cdist(pooled[block], pooled, "cityblock")
-    bound -= reach
-    if huge.any():
-        bound[:, huge] = -np.inf
-        bound[huge[block]] = -np.inf
-    bound[block - start, block] = np.inf
-    n_candidates = min(2 * q, n - 1)
-    candidates = np.argpartition(bound, n_candidates - 1, axis=1)[:, :n_candidates]
-    exact = check_distance_entries(
-        np.vstack([cdist(rows[i : i + 1], rows[found], "cityblock") for i, found in zip(block, candidates)])
-    )
-    limit = np.partition(exact, q - 1, axis=1)[:, q - 1] * (1 + relative) + reach[block]
-    np.put_along_axis(bound, candidates, np.inf, axis=1)  # computed already
-    survivor_row, survivor = np.nonzero(bound <= limit[:, None])
-    first = np.searchsorted(survivor_row, np.arange(block.size + 1))
-    for r, i in enumerate(block):
-        found, dist = candidates[r], exact[r]
-        extra = survivor[first[r] : first[r + 1]]
-        if extra.size:
-            found = np.concatenate([found, extra])
-            dist = np.concatenate([dist, cdist(rows[i : i + 1], rows[extra], "cityblock")[0]])
-            peak[i] = dist.max()
-        order = np.lexsort((found, dist))[:q]
-        index[i] = found[order]
-        best[i] = dist[order]
 
 
 def _pool_starts(bins: int) -> np.ndarray:

@@ -2,10 +2,11 @@
 thread per CPU, symmetric eigendecomposition, k-means, and minimum-cost
 assignment.
 
-`ordered_map` runs per-item work (CSV line batches, PSD chunks, q-NN row
-blocks, synth-bench trials) on the calling thread and one helper thread per
+`ordered_map` runs per-item work (CSV line batches, PSD chunks,
+synth-bench trials) on the calling thread and one helper thread per
 further CPU, and hands the results back in item order, so what a caller
-builds from them does not depend on the thread count. The eigendecomposition delegates to numpy's LAPACK backend, or to ARPACK when
+builds from them does not depend on the thread count. The
+eigendecomposition delegates to numpy's LAPACK backend, or to ARPACK when
 only a few eigenpairs of a large matrix are wanted. k-means and the
 assignment wrapper add the guarantees the clustering pipeline relies on:
 explicit seeding, canonical point ordering, and fixed tie-breaking, so

@@ -10,11 +10,12 @@ r_hat divides by M (not M - |m|), which keeps the implied autocorrelation
 sequence positive semidefinite. Every estimate comes from one kernel,
 `estimate_psd_chunks`: it takes observations as consecutive chunks of rows
 and puts each through a zero-padded real FFT pair for the autocorrelations
-and a DCT-I for the spectra, written into one preallocated output, so the
-stage holds the output plus one chunk of temporaries per thread.
-`estimate_dataset_psds` slices a stack in memory into a list of such
-chunks, estimated on one thread per CPU (numerics.ordered_map); a generator
-of samples can yield them one by one, estimated in turn, and then the
+and a DCT-I for the spectra, written into one preallocated output. The
+chunks are estimated on one thread per CPU (numerics.ordered_map), each
+thread holding one chunk of temporaries. `estimate_dataset_psds` slices a
+stack in memory into chunks of PSD_CHUNK_BYTES split among the threads, so
+the stage holds the output plus one budget of temporaries on any thread
+count; a generator of samples can yield chunks one by one, and then the
 samples are never held at once. Every step works row by row on real arrays,
 so a row's estimate has the same bits whichever rows share its chunk, its
 call or its thread. The sum is even in f, so an
@@ -31,7 +32,7 @@ from functools import partial
 import numpy as np
 from scipy.fft import dct
 
-from .numerics import ordered_map
+from . import numerics
 
 WINDOW_SCAN_POINTS = 4096
 # A truncated gaussian (M=256, std 50) rings to -2e-7 of its peak; the
@@ -41,8 +42,9 @@ DEFAULT_GAUSSIAN_STD = 50.0
 # The PSD grid is next_pow2(DEFAULT_GRID_FACTOR * M) unless a caller chooses one.
 DEFAULT_GRID_FACTOR = 4
 WINDOW_KINDS = ("gaussian", "bartlett", "rectangular")
-# Bytes of next_pow2(2M)-point FFT rows per chunk of the PSD stage; a chunk
-# holds max(1, PSD_CHUNK_BYTES // (8 next_pow2(2M))) observations.
+# Bytes of next_pow2(2M)-point FFT rows in the chunks of a stack's PSD stage
+# that run at once; on T threads a chunk holds
+# max(1, PSD_CHUNK_BYTES // (8 next_pow2(2M) T)) observations.
 PSD_CHUNK_BYTES = 1 << 20
 
 
@@ -157,12 +159,10 @@ def estimate_psd_chunks(chunks, n_obs: int, window: WindowSpec, grid_size: int) 
     """PSD estimates of n_obs observations that arrive as consecutive chunks of rows, as one (n_obs, F/2 + 1) array.
 
     Each (rows, M) chunk of finite samples is estimated straight into its
-    rows of the output. The chunks of a list, all in memory already, are
-    estimated on one thread per CPU (numerics.ordered_map); those of any
-    other iterable one after another, each dropped once the next is asked
-    for, so the stage holds the output, one chunk and its temporaries. The
-    estimates are batch-invariant, so a row has the same bits whichever
-    chunk or thread carries it. The grid must be a power of two of at least
+    rows of the output, on one thread per CPU (numerics.ordered_map), so the
+    stage holds the output and, on each thread, one chunk and its
+    temporaries. The estimates are batch-invariant, so a row has the same
+    bits whichever chunk or thread carries it. The grid must be a power of two of at least
     twice the window's length. Each chunk's shape is checked as it is taken;
     its samples are not checked for finiteness. Of several failing chunks,
     the first one's error is raised.
@@ -172,7 +172,7 @@ def estimate_psd_chunks(chunks, n_obs: int, window: WindowSpec, grid_size: int) 
         raise ValueError(f"grid size must be a power of two >= {2 * window.length}, got {grid_size}")
     values = np.empty((n_obs, f // 2 + 1))
     estimate = partial(_estimate_chunk, window=window)
-    for _ in (ordered_map if isinstance(chunks, list) else map)(estimate, _placed_chunks(chunks, values, window)):
+    for _ in numerics.ordered_map(estimate, _placed_chunks(chunks, values, window)):
         pass
     return values
 
@@ -254,9 +254,9 @@ def estimate_dataset_psds(
     Row i holds bins 0..F/2 of observation i's estimate. Defaults: gaussian
     window with std 50 and a grid of next_pow2(4 M) points. Every sample is
     checked to be finite before any row is estimated; then the stack goes
-    through estimate_psd_chunks in chunks of rows (PSD_CHUNK_BYTES), which
-    checks the grid and the window's length. unit_power rescales the rows
-    in place.
+    through estimate_psd_chunks, which checks the grid and the window's
+    length, in chunks of rows that split PSD_CHUNK_BYTES among the
+    numerics.worker_count() threads. unit_power rescales the rows in place.
     """
     obs = np.asarray(observations, dtype=float)
     if obs.ndim == 1:
@@ -270,7 +270,7 @@ def estimate_dataset_psds(
         grid_size = next_pow2(DEFAULT_GRID_FACTOR * m)
     if m < 2:
         raise ValueError("observations need at least 2 samples")
-    step = max(1, PSD_CHUNK_BYTES // (8 * next_pow2(2 * m)))
+    step = max(1, PSD_CHUNK_BYTES // (8 * next_pow2(2 * m) * numerics.worker_count()))
     chunks = [obs[start : start + step] for start in range(0, n, step)]
     if not all(np.isfinite(chunk).all() for chunk in chunks):
         raise ValueError("observation samples must be finite")

@@ -1779,6 +1779,8 @@ TONE_CSV = tone_csv_bytes()
 # Byte strings that the mutations splice into a valid CSV.
 DAMAGE = [b'"', b"\xef\xbb\xbf", b"\xff", b"\x00", b"\r", b"\r\n", b"\n", b",", b"nan", b"-inf", b"inf",
           b"1e308", b"-1e308", b"1e-320", b"e+16", b"e+150", b"x"]
+# TONE_CSV with its first sample times 1e150: nnpc's graph leaves that row an isolated node.
+HUGE_FIRST_SAMPLE = b"%s,%se+150,%s" % tuple(TONE_CSV.split(b",", 2))
 
 
 @st.composite
@@ -1838,6 +1840,7 @@ class TestErrorContract:
     @given(content=damaged_csv(), command=command_options())
     @example(content=TONE_CSV.replace(b"m1,", b"m1,1e200,", 1), command=("cluster", ["--truth", "--pad-zeros"]))
     @example(content=TONE_CSV.replace(b"m2,", b"m2,1e-320,", 1), command=("estimate-l", ["--truth", "--pad-zeros"]))
+    @example(content=HUGE_FIRST_SAMPLE, command=("cluster", ["--truth"]))  # warns of the isolated node, exit 0
     def test_damaged_input(self, tmp_path_factory, content, command):
         command, options = command
         base = tmp_path_factory.mktemp("contract")
@@ -1900,8 +1903,8 @@ class TestFileOrder:
 
 
 class TestThreadCount:
-    """The reader's batches, the PSD chunks and the q-NN row blocks run on one thread per CPU; the
-    outputs and the first error are those of one thread."""
+    """The reader's batches and the PSD chunks run on one thread per CPU; the outputs and the first
+    error are those of one thread."""
 
     @staticmethod
     def noisy_tones(n_rows, length, seed):
@@ -1913,7 +1916,8 @@ class TestThreadCount:
         return rows, [f"m{i % 3}" for i in range(n_rows)]
 
     def test_outputs_do_not_depend_on_the_worker_count(self, tmp_path, monkeypatch, capsys):
-        # 700 rows of 256 samples: 27 reader batches, 3 PSD chunks of 256 rows and 3 q-NN blocks
+        # 700 rows of 256 samples: 27 reader batches, PSD chunks of 256 rows on one thread (128 on two, 85 on
+        # three) and 3 q-NN blocks
         path = write_repr_csv(tmp_path / "obs.csv", *self.noisy_tones(700, 256, 31))
         assert path.stat().st_size // psdcluster.reader.CSV_BATCH_BYTES == 26
         runs = {"nnpc": ["cluster", "--clusters", "auto"], "km": ["cluster", "--algorithm", "km", "--clusters", "3"],
@@ -1943,8 +1947,8 @@ class TestThreadCount:
 
     def test_an_overflow_in_chunks_2_and_3_gives_the_serial_message(self, tmp_path, monkeypatch, capsys):
         rows, labels = self.noisy_tones(12, 64, 33)
-        rows[5] = rows[5] * 1e300  # chunk 2 of 4 rows
-        rows[9] = rows[9] * 1e300  # chunk 3
+        rows[5] = rows[5] * 1e300  # chunk 2 of 4 rows on one thread, chunk 3 of 2 rows on two
+        rows[9] = rows[9] * 1e300  # chunk 3 on one thread, chunk 5 on two
         path = write_repr_csv(tmp_path / "obs.csv", rows, labels)
         monkeypatch.setattr(psdcluster.spectra, "PSD_CHUNK_BYTES", 4 * 8 * 128)
         errors = []

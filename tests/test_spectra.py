@@ -373,9 +373,8 @@ class TestChunkedEstimation:
         with pytest.raises(ValueError, match=f"^{message}$"):
             estimate_psd_chunks([chunk], n_obs, make_window("gaussian", 16), 64)
 
-    def test_allocates_the_output_plus_a_few_chunks(self, monkeypatch):
-        # 48 x 16384 samples, F = 65536: a 12.6 MB output, and 4 rows per chunk, estimated on two threads
-        monkeypatch.setattr(psdcluster.numerics, "worker_count", lambda: 2)
+    def test_allocates_the_output_plus_a_few_chunks(self):
+        # 48 x 16384 samples, F = 65536: a 12.6 MB output, and 4 rows per budget of chunks
         obs = np.random.default_rng(7).standard_normal((48, 16384))
         estimate_dataset_psds(obs[:1])  # warm the FFT plan caches outside the trace
         tracemalloc.start()
@@ -389,13 +388,28 @@ class TestChunkedEstimation:
         assert output == 48 * 32769 * 8
         assert peak <= output + 6 * PSD_CHUNK_BYTES
 
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_the_threads_share_one_budget_of_chunks(self, monkeypatch, workers):
+        """The 4 rows of a budget are split among the threads, so the stage peaks
+        near 2.6 budgets above the output on 1, 2 and 4 threads; whole 4-row
+        chunks on each of 4 threads would peak near 10."""
+        monkeypatch.setattr(psdcluster.numerics, "worker_count", lambda: workers)
+        obs = np.random.default_rng(7).standard_normal((48, 16384))
+        estimate_dataset_psds(obs[:1])  # warm the FFT plan caches outside the trace
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            estimate_dataset_psds(obs, unit_power=True)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 32769 * 8 + 4 * PSD_CHUNK_BYTES
+
     @pytest.mark.parametrize("cluster", [lambda obs: km_cluster(obs, 3, unit_power=True),
                                          lambda obs: nnpc_cluster(obs, 5, 3, unit_power=True)], ids=["km", "nnpc"])
-    def test_clustering_reads_the_estimates_without_a_copy(self, monkeypatch, cluster):
+    def test_clustering_reads_the_estimates_without_a_copy(self, cluster):
         # the same stack: clustering reads the weighted estimates in place, so
-        # the peak is the one estimate array plus a few chunks, not two arrays;
-        # each thread holds one chunk, so the count is pinned to two
-        monkeypatch.setattr(psdcluster.numerics, "worker_count", lambda: 2)
+        # the peak is the one estimate array plus a few chunks, not two arrays
         obs = np.random.default_rng(7).standard_normal((48, 16384))
         cluster(obs[:6])  # warm the FFT plan caches outside the trace
         tracemalloc.start()
