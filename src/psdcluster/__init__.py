@@ -9,7 +9,7 @@ performance guarantees, and label-permutation-invariant quality metrics round
 out the toolkit.
 """
 
-from .distances import distance_matrix, l1_distance, weighted_spectra
+from .distances import distance_matrix, l1_distance
 from .generators import (
     FINE_GRID,
     GenerativeModel,
@@ -50,6 +50,7 @@ from .spectra import (
     make_window,
     next_pow2,
     normalize_unit_power,
+    weighted_spectra,
 )
 from .theory import (
     ConditionReport,

@@ -22,13 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, reader
-from .distances import weighted_chunk_spectra, weighted_spectra
 from .generators import benchmark_models, benchmark_rows, make_model, normalize_model
 from .km import km_from_spectra
 from .metrics import clustering_error, confusion_entropy
 from .nnpc import estimate_count_from_spectra, nnpc_from_spectra
 from .numerics import RngStream, ordered_map
 from .spectra import DEFAULT_GAUSSIAN_STD, DEFAULT_GRID_FACTOR, WINDOW_KINDS, make_window, next_pow2
+from .spectra import weighted_chunk_spectra, weighted_spectra
 from .theory import check_condition
 
 # benchmarks/tracer.py wraps these names on this module, though no command calls them

@@ -5,20 +5,14 @@ The distance is half the grid average of the absolute PSD difference, a
 Riemann sum for (1/2) integral over one period. For unit-power spectra it
 lies in [0, 1], with 1 reached by disjoint supports.
 
-An estimate holds bins 0..F/2 of an even spectrum, so on the F-point grid
-the interior bins count twice and the two endpoints once. The kernels read
-weighted rows: estimates scaled by 1/F with the two endpoint columns halved,
-whose cityblock distance is the L1 distance itself, so no kernel needs F.
-`weighted_spectra` estimates them from observations and weights them in
-place, the one array that clustering reads; `weighted_chunk_spectra` does
-the same for observations that arrive in chunks of rows, so no caller need
-hold them all; `half_spectrum_rows` weights a copy of given estimates.
-`distance_matrix` takes one `pdist` pass over the rows. `nearest_neighbors` and `distance_columns` read only what nnpc and km
-need, in row blocks or columns, and never hold an N x N array; above one
-block, `nearest_neighbors` skips the pairs that a lower bound on pooled
-bins rules out. Every distance a kernel reports comes from the same
-`pdist`/`cdist` cityblock sum, so an entry has the same bits whichever of
-them computed it.
+The kernels read weighted rows (spectra.weighted_spectra), whose cityblock
+distance is the L1 distance itself, so no kernel knows F or the grid's
+weights. `distance_matrix` takes one `pdist` pass over the rows.
+`nearest_neighbors` and `distance_columns` read only what nnpc and km need,
+in row blocks or columns, and never hold an N x N array; above one block,
+`nearest_neighbors` skips the pairs that a lower bound on pooled bins rules
+out. Every reported distance comes from the same `pdist`/`cdist` cityblock
+sum, so an entry has the same bits whichever kernel computed it.
 """
 
 from __future__ import annotations
@@ -26,44 +20,10 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from .spectra import WindowSpec, estimate_dataset_psds, estimate_psd_chunks
+from .spectra import half_spectrum_rows
 
 # Rows per block of the q-NN scan: a block holds NEIGHBOR_BLOCK_ROWS x N bounds.
 NEIGHBOR_BLOCK_ROWS = 256
-
-
-def _weight_rows(values: np.ndarray) -> np.ndarray:
-    """Scale a float (N, F/2 + 1) stack of estimates by 1/F in place and halve its two endpoint columns; return it."""
-    values *= 1.0 / (2 * (values.shape[1] - 1))
-    values[:, [0, -1]] *= 0.5
-    return values
-
-
-def weighted_spectra(observations, window: WindowSpec | None = None, grid_size: int | None = None,
-                     unit_power: bool = False) -> np.ndarray:
-    """spectra.estimate_dataset_psds (same arguments), weighted in place: the rows every distance kernel reads.
-
-    The estimates are never copied. F is a power of two, so the scaling is
-    exact and a distance has the bits of the unscaled sum times 1/F, except
-    where a bin lies below about F * 2**-1022 (1e-303 at F = 65536), which
-    only samples under about 1e-150 produce.
-    """
-    return _weight_rows(estimate_dataset_psds(observations, window, grid_size, unit_power))
-
-
-def weighted_chunk_spectra(chunks, n_obs: int, window: WindowSpec, grid_size: int) -> np.ndarray:
-    """weighted_spectra of n_obs observations that arrive as consecutive chunks of rows (spectra.estimate_psd_chunks)."""
-    return _weight_rows(estimate_psd_chunks(chunks, n_obs, window, grid_size))
-
-
-def half_spectrum_rows(psds) -> np.ndarray:
-    """Estimates (bins 0..F/2, one per row) as a weighted float copy."""
-    rows = np.array(psds, dtype=float)
-    if rows.ndim != 2 or rows.shape[0] == 0:
-        raise ValueError("need a non-empty stack of PSD estimates, one per row")
-    if rows.shape[1] < 2:
-        raise ValueError("PSD estimates need at least 2 bins (F >= 2)")
-    return _weight_rows(rows)
 
 
 def l1_distance(first, second) -> float:

@@ -16,8 +16,8 @@ from functools import partial
 
 import numpy as np
 
-from .distances import check_distance_entries, distance_columns, validate_distance_matrix, weighted_spectra
-from .spectra import WindowSpec
+from .distances import check_distance_entries, distance_columns, validate_distance_matrix
+from .spectra import WindowSpec, weighted_spectra
 
 
 def _farthest_points(columns, n: int, n_clusters: int) -> tuple[np.ndarray, np.ndarray]:
@@ -62,7 +62,7 @@ def km_from_distances(dist, n_clusters: int) -> np.ndarray:
 def km_from_spectra(rows: np.ndarray, n_clusters: int) -> np.ndarray:
     """km_from_distances on the distances of weighted spectra, read by center column.
 
-    `rows` come from distances.weighted_spectra (or half_spectrum_rows).
+    `rows` come from spectra.weighted_spectra (or half_spectrum_rows).
     Each center's column is computed and checked once, while seeding, and
     the assignment reuses it; the labels equal km_from_distances on the
     distance matrix of the same rows.

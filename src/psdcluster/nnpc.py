@@ -31,10 +31,9 @@ from .distances import (
     distance_columns,
     nearest_neighbors,
     validate_distance_matrix,
-    weighted_spectra,
 )
 from .numerics import RngStream, eig_symmetric, kmeans, relabel_first_seen
-from .spectra import WindowSpec
+from .spectra import WindowSpec, weighted_spectra
 
 KMEANS_RESTARTS = 10
 # Moves the known zero eigenspace above the rest of the spectrum, which a
@@ -338,7 +337,7 @@ def nnpc_from_spectra(
 ) -> NnpcResult:
     """nnpc_from_distances on the distances of weighted spectra, without the matrix.
 
-    `rows` come from distances.weighted_spectra (or half_spectrum_rows).
+    `rows` come from spectra.weighted_spectra (or half_spectrum_rows).
     The pruned q-NN scan gives the same neighbor sets and distances as the
     matrix, so the result is the same; the distance rows of isolated nodes
     are computed only if spectral_cluster has to place them by distance.

@@ -299,10 +299,11 @@ def read_observation_csv(path, with_truth: bool, pad_zeros: bool, subtract_mean:
     rows are zero-padded to the longest row when pad_zeros is set and are an
     error otherwise. Mean subtraction happens before padding. The file is
     read in batches of whole lines (_observation_rows), and each row goes
-    straight into one (rows, longest row) buffer that grows in place.
+    straight into one buffer that grows in place, in rows and in width
+    alike, and is cut to the longest row at the end.
     """
     observations = np.zeros((0, 0))
-    count, ragged = 0, False
+    count, longest, ragged = 0, 0, False
     truth_cells: list[str] = []
     for line_no, label, values in _observation_rows(path, with_truth):
         if values.size < 2:
@@ -317,11 +318,13 @@ def read_observation_csv(path, with_truth: bool, pad_zeros: bool, subtract_mean:
                 raise ValueError(f"{path}: line {line_no}: samples overflow when the mean is subtracted")
         if with_truth:
             truth_cells.append(label)
-        ragged = ragged or (count > 0 and values.size != observations.shape[1])
+        ragged = ragged or (count > 0 and values.size != longest)
         if ragged and not pad_zeros:
             continue  # an error, once every line has had its own checks
-        if values.size > observations.shape[1]:  # the first row, or a longer one to pad the rest to
-            observations = np.pad(observations, ((0, 0), (0, values.size - observations.shape[1])))
+        longest = max(longest, values.size)
+        if longest > observations.shape[1]:  # the first row, or a longer one to pad the rest to
+            width = observations.shape[1]
+            _set_width(observations, count, max(longest, width + width // 4 + 16) if count else longest)
         if count == len(observations):
             # no view of the buffer is alive, so it can grow in place; new rows are zero
             observations.resize((count + count // 4 + 16, observations.shape[1]), refcheck=False)
@@ -332,8 +335,31 @@ def read_observation_csv(path, with_truth: bool, pad_zeros: bool, subtract_mean:
     if ragged and not pad_zeros:
         raise ValueError(f"{path}: rows have different lengths; pass --pad-zeros to zero-pad them")
     observations.resize((count, observations.shape[1]), refcheck=False)
+    if observations.shape[1] > longest:
+        _set_width(observations, count, longest)
     truth = None
     if with_truth:
         seen: dict[str, int] = {}
         truth = np.array([seen.setdefault(cell, len(seen)) for cell in truth_cells])
     return observations, truth
+
+
+def _set_width(buffer: np.ndarray, count: int, width: int) -> None:
+    """Give a C-ordered (rows, w) buffer `width` columns in place.
+
+    Rows 0..count-1 keep their first min(w, width) samples, zero-padded.
+    Zero rows past count stay zero when the buffer widens; a cut leaves
+    them undefined. The rows move within the buffer's own memory, back to
+    front when it widens, so it is never held twice.
+    """
+    rows, old = buffer.shape
+    keep = min(old, width)
+    if width > old:
+        buffer.resize((rows, width), refcheck=False)  # the old rows lie packed at the front, the new memory is zero
+    flat = buffer.reshape(-1)
+    for i in range(count - 1, -1, -1) if width > old else range(count):
+        flat[i * width : i * width + keep] = flat[i * old : i * old + keep]
+        flat[i * width + keep : (i + 1) * width] = 0.0
+    del flat
+    if width < old:
+        buffer.resize((rows, width), refcheck=False)

@@ -18,9 +18,15 @@ the stage holds the output plus one budget of temporaries on any thread
 count; a generator of samples can yield chunks one by one, and then the
 samples are never held at once. Every step works row by row on real arrays,
 so a row's estimate has the same bits whichever rows share its chunk, its
-call or its thread. The sum is even in f, so an
-estimate keeps only bins j = 0..F/2, the DCT-I output; bins F/2+1..F-1
-would repeat bins F/2-1..1.
+call or its thread. The sum is even in f, so an estimate keeps only bins
+j = 0..F/2, the DCT-I output; bins F/2+1..F-1 would repeat F/2-1..1.
+
+On the F-point grid the interior bins thus count twice and the endpoints
+once. Only this module derives F = 2 (bins - 1) and these weights, for the
+full-grid mean of unit power and for the weighted rows that every distance
+kernel reads: estimates scaled by 1/F, endpoint columns halved, whose
+cityblock distance is the L1 distance. `weighted_spectra` and
+`weighted_chunk_spectra` weight estimates in place, `half_spectrum_rows` a copy.
 """
 
 from __future__ import annotations
@@ -234,6 +240,13 @@ def _unit_power_rows(values: np.ndarray) -> None:
     values /= power[:, None]
 
 
+def _weight_rows(values: np.ndarray) -> np.ndarray:
+    """Scale a float (N, F/2 + 1) stack of estimates by 1/F in place and halve its two endpoint columns; return it."""
+    values *= 1.0 / (2 * (values.shape[1] - 1))
+    values[:, [0, -1]] *= 0.5
+    return values
+
+
 def normalize_unit_power(psd) -> np.ndarray:
     """A copy of one estimate (bins 0..F/2) rescaled to average one over the full grid (unit power)."""
     values = np.array(psd, dtype=float)[None, :]
@@ -241,6 +254,16 @@ def normalize_unit_power(psd) -> np.ndarray:
         raise ValueError("a PSD estimate needs at least 2 bins (F >= 2)")
     _unit_power_rows(values)
     return values[0]
+
+
+def half_spectrum_rows(psds) -> np.ndarray:
+    """Estimates (bins 0..F/2, one per row) as a weighted float copy."""
+    rows = np.array(psds, dtype=float)
+    if rows.ndim != 2 or rows.shape[0] == 0:
+        raise ValueError("need a non-empty stack of PSD estimates, one per row")
+    if rows.shape[1] < 2:
+        raise ValueError("PSD estimates need at least 2 bins (F >= 2)")
+    return _weight_rows(rows)
 
 
 def estimate_dataset_psds(
@@ -278,3 +301,20 @@ def estimate_dataset_psds(
     if unit_power:
         _unit_power_rows(values)
     return values
+
+
+def weighted_spectra(observations, window: WindowSpec | None = None, grid_size: int | None = None,
+                     unit_power: bool = False) -> np.ndarray:
+    """estimate_dataset_psds (same arguments), weighted in place: the rows every distance kernel reads.
+
+    The estimates are never copied. F is a power of two, so the scaling is
+    exact and a distance has the bits of the unscaled sum times 1/F, except
+    where a bin lies below about F * 2**-1022 (1e-303 at F = 65536), which
+    only samples under about 1e-150 produce.
+    """
+    return _weight_rows(estimate_dataset_psds(observations, window, grid_size, unit_power))
+
+
+def weighted_chunk_spectra(chunks, n_obs: int, window: WindowSpec, grid_size: int) -> np.ndarray:
+    """weighted_spectra of n_obs observations that arrive as consecutive chunks of rows (estimate_psd_chunks)."""
+    return _weight_rows(estimate_psd_chunks(chunks, n_obs, window, grid_size))

@@ -165,7 +165,7 @@ class SeparationReport:
 def check_separation(rows, labels) -> SeparationReport:
     """Whether every cross-label distance exceeds every same-label distance.
 
-    `rows` are weighted spectra (distances.weighted_spectra). Each block of
+    `rows` are weighted spectra (spectra.weighted_spectra). Each block of
     NEIGHBOR_BLOCK_ROWS rows meets itself and the later rows in one `cdist`
     call, so each pair is computed once, with its distance matrix bits.
     Singleton label classes contribute no intra pairs; the max over an empty

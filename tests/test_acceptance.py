@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from psdcluster.cli import run_synth_bench
-from psdcluster.distances import distance_matrix, l1_distance, nearest_neighbors, weighted_spectra
+from psdcluster.distances import distance_matrix, l1_distance, nearest_neighbors
 from psdcluster.generators import benchmark_models, make_benchmark_dataset, make_model, normalize_model
 from psdcluster.km import km_from_distances
 from psdcluster.metrics import clustering_error, confusion_entropy
@@ -36,7 +36,7 @@ from psdcluster.nnpc import (
 )
 from psdcluster.numerics import RngStream
 from psdcluster.reader import read_observation_csv
-from psdcluster.spectra import bt_psd, estimate_dataset_psds, make_window, next_pow2
+from psdcluster.spectra import bt_psd, estimate_dataset_psds, make_window, next_pow2, weighted_spectra
 from psdcluster.theory import check_nfc, check_separation, nfc_probability_bound, noise_term, true_model_distance
 
 

@@ -31,7 +31,7 @@ import psdcluster.numerics
 import psdcluster.reader
 import psdcluster.spectra
 from psdcluster.cli import main, run_synth_bench
-from psdcluster.distances import distance_matrix, weighted_spectra
+from psdcluster.distances import distance_matrix
 from psdcluster.generators import benchmark_models, make_benchmark_dataset
 from psdcluster.km import km_from_distances, km_from_spectra
 from psdcluster.metrics import clustering_error
@@ -45,7 +45,7 @@ from psdcluster.nnpc import (
 )
 from psdcluster.numerics import RngStream, eig_symmetric
 from psdcluster.reader import _exact_scaling_powers, _parse_sample_lines, read_observation_csv
-from psdcluster.spectra import PSD_CHUNK_BYTES, WINDOW_KINDS, make_window
+from psdcluster.spectra import PSD_CHUNK_BYTES, WINDOW_KINDS, make_window, weighted_spectra
 
 
 @pytest.fixture()
@@ -184,7 +184,7 @@ class TestCluster:
             assert code == 0
             return labels_path.read_bytes(), report_path.read_bytes()
 
-        estimate = psdcluster.distances.estimate_dataset_psds
+        estimate = psdcluster.spectra.estimate_dataset_psds
         with monkeypatch.context() as patch:
             # the dense oracle: distance_matrix, then nnpc_from_distances or km_from_distances
             matrices = []
@@ -194,7 +194,7 @@ class TestCluster:
                 matrices.append(distance_matrix(psds))
                 return psds
 
-            patch.setattr(psdcluster.distances, "estimate_dataset_psds", dense_estimate)
+            patch.setattr(psdcluster.spectra, "estimate_dataset_psds", dense_estimate)
             patch.setattr(psdcluster.cli, "nnpc_from_spectra",
                           lambda rows, *args, **kwargs: nnpc_from_distances(matrices.pop(), *args, **kwargs))
             patch.setattr(psdcluster.cli, "km_from_spectra",
@@ -214,7 +214,7 @@ class TestCluster:
             estimates.append(estimate(*args, **kwargs))
             return estimates[-1]
 
-        monkeypatch.setattr(psdcluster.distances, "estimate_dataset_psds", recording_estimate)
+        monkeypatch.setattr(psdcluster.spectra, "estimate_dataset_psds", recording_estimate)
         for name in ("nnpc_from_spectra", "km_from_spectra"):
             cluster = getattr(psdcluster.cli, name)
 
@@ -522,6 +522,30 @@ class TestObservationReader:
         assert read_outcome(read_observation_csv, path, flags) == read_outcome(
             reference_read_observation_csv, path, flags
         )
+
+    def test_rows_that_grow_longer_widen_the_buffer_a_few_times(self, tmp_path, monkeypatch):
+        """400 rows, each one sample longer than the last, widen the buffer by
+        a quarter at a time, not once a row, and it is cut to the longest row
+        once at the end; longest-first rows set its width once."""
+        rows = [np.arange(1.0, n + 1) for n in range(2, 402)]
+        expected = np.zeros((400, 401))
+        for index, row in enumerate(rows):
+            expected[index, : row.size] = row
+        set_width = psdcluster.reader._set_width
+        for order in (1, -1):
+            widths = []
+
+            def counting_set_width(buffer, count, width):
+                widths.append(width)
+                set_width(buffer, count, width)
+
+            path = write_repr_csv(tmp_path / "ragged.csv", rows[::order])
+            with monkeypatch.context() as patch:
+                patch.setattr(psdcluster.reader, "_set_width", counting_set_width)
+                observations, _ = read_observation_csv(path, False, True, False)
+            np.testing.assert_array_equal(observations, expected[::order])
+            assert observations.flags.c_contiguous and observations.flags.owndata
+            assert widths == ([2, 18, 38, 63, 94, 133, 182, 243, 319, 414, 401] if order == 1 else [401])
 
     @pytest.mark.parametrize("flags", [(True, False, False), (True, True, True), (False, True, False)])
     def test_matches_the_reference_on_generated_data(self, dataset_csv, tmp_path, flags):
@@ -1014,14 +1038,14 @@ def dense_estimate_l(psds, n_neighbors, max_clusters):
 def recorded_psds(monkeypatch):
     """Patch the PSD stage to record a copy of each array of estimates it returns, before the weighting."""
     recorded = []
-    estimate = psdcluster.distances.estimate_dataset_psds
+    estimate = psdcluster.spectra.estimate_dataset_psds
 
     def recording(*args, **kwargs):
         psds = estimate(*args, **kwargs)
         recorded.append(psds.copy())
         return psds
 
-    monkeypatch.setattr(psdcluster.distances, "estimate_dataset_psds", recording)
+    monkeypatch.setattr(psdcluster.spectra, "estimate_dataset_psds", recording)
     return recorded
 
 
@@ -1068,7 +1092,7 @@ class TestEstimateL:
 
         monkeypatch.setattr("psdcluster.nnpc.eig_symmetric", partial_eigensolve)
         refs, alive, estimates, scanned = [], [], [], []
-        read, estimate_psds = psdcluster.reader.read_observation_csv, psdcluster.distances.estimate_dataset_psds
+        read, estimate_psds = psdcluster.reader.read_observation_csv, psdcluster.spectra.estimate_dataset_psds
 
         def recording_read(*args, **kwargs):
             observations, truth = read(*args, **kwargs)
@@ -1088,7 +1112,7 @@ class TestEstimateL:
             return scan(rows, *args, **kwargs)
 
         monkeypatch.setattr(psdcluster.reader, "read_observation_csv", recording_read)
-        monkeypatch.setattr(psdcluster.distances, "estimate_dataset_psds", recording_estimate)
+        monkeypatch.setattr(psdcluster.spectra, "estimate_dataset_psds", recording_estimate)
         monkeypatch.setattr(psdcluster.nnpc, "nearest_neighbors", checking_scan)
         assert main(["estimate-l", str(path), "--truth"]) == 0
         payload = json.loads(capsys.readouterr().out)

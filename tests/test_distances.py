@@ -12,19 +12,25 @@ from scipy.signal import lfilter
 from scipy.spatial.distance import cdist, pdist, squareform
 
 import psdcluster.distances
+import psdcluster.spectra
 from psdcluster.distances import (
     NEIGHBOR_BLOCK_ROWS,
     _pool_starts,
     distance_columns,
     distance_matrix,
-    half_spectrum_rows,
     l1_distance,
     nearest_neighbors,
     validate_distance_matrix,
-    weighted_spectra,
 )
 from psdcluster.nnpc import nearest_neighbor_sets
-from psdcluster.spectra import WINDOW_KINDS, estimate_dataset_psds, make_window, next_pow2
+from psdcluster.spectra import (
+    WINDOW_KINDS,
+    estimate_dataset_psds,
+    half_spectrum_rows,
+    make_window,
+    next_pow2,
+    weighted_spectra,
+)
 
 
 def random_psd(gen, grid=64):
@@ -191,7 +197,7 @@ def test_weighted_spectra_are_the_estimates_weighted_in_place(monkeypatch, unit_
         return estimates[-1]
 
     expected = half_spectrum_rows(estimate_dataset_psds(obs, window, 128, unit_power))
-    monkeypatch.setattr(psdcluster.distances, "estimate_dataset_psds", recording_estimate)
+    monkeypatch.setattr(psdcluster.spectra, "estimate_dataset_psds", recording_estimate)
     rows = weighted_spectra(obs, window, 128, unit_power)
     assert rows is estimates[0]  # weighted in place, never copied
     np.testing.assert_array_equal(rows, expected)

@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import psdcluster.km
-from psdcluster.distances import distance_columns, distance_matrix, half_spectrum_rows, validate_distance_matrix
+from psdcluster.distances import distance_columns, distance_matrix, validate_distance_matrix
 from psdcluster.km import assign_to_centers, farthest_point_centers, km_cluster, km_from_distances, km_from_spectra
 from psdcluster.metrics import clustering_error
 from psdcluster.numerics import RngStream
+from psdcluster.spectra import half_spectrum_rows
 from psdcluster.generators import benchmark_models, make_benchmark_dataset
 
 

@@ -19,7 +19,7 @@ from scipy.sparse import csr_array
 from scipy.sparse.csgraph import connected_components
 
 from psdcluster import nnpc, numerics
-from psdcluster.distances import distance_matrix, half_spectrum_rows, validate_distance_matrix
+from psdcluster.distances import distance_matrix, validate_distance_matrix
 from psdcluster.generators import benchmark_models, make_benchmark_dataset
 from psdcluster.metrics import clustering_error
 from psdcluster.nnpc import (
@@ -35,6 +35,7 @@ from psdcluster.nnpc import (
     spectral_cluster,
 )
 from psdcluster.numerics import RngStream, eig_symmetric, relabel_first_seen
+from psdcluster.spectra import half_spectrum_rows
 
 PROPERTY = settings(max_examples=40, deadline=None, database=None, derandomize=True)
 
@@ -259,6 +260,31 @@ class TestLaplacianSpectrum:
         if int(np.sum(oracle < 1e-9)) <= 12:
             # more zeros than the cap would leave only rounding noise to compare
             assert estimate == estimate_cluster_count(oracle, cap)
+
+    def test_arpack_above_the_dense_cutoff_on_two_node_components(self, monkeypatch):
+        # 150 two-node components: eigenvalue 0 and eigenvalue 2 each 150 times,
+        # on more nodes than DENSE_EIGH_MAX_N, so the ten 2s come from ARPACK
+        calls = []
+        eigsh = numerics.eigsh
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["k"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, "eigsh", counted)
+        n_pairs = 150
+        weights = np.random.default_rng(7).uniform(0.1, 2.0, n_pairs)
+        first = 2 * np.arange(n_pairs)
+        a = csr_array((np.concatenate([weights, weights]), (np.concatenate([first, first + 1]),
+                                                            np.concatenate([first + 1, first]))), shape=(300, 300))
+        assert a.shape[0] > numerics.DENSE_EIGH_MAX_N
+        spectrum = laplacian_spectrum(a, 160)
+        np.testing.assert_array_equal(spectrum.core, np.arange(300))
+        np.testing.assert_allclose(spectrum.eigenvalues, dense_eigenvalues(a)[:160], rtol=0.0, atol=1e-12)
+        v, values = spectrum.eigenvectors, spectrum.eigenvalues
+        assert np.abs(normalized_laplacian(a) @ v - v * values).max() <= 1e-12
+        assert np.abs(v.T @ v - np.eye(160)).max() <= 1e-12
+        assert calls == [10]
 
     def test_six_components_regression(self):
         # plain ARPACK on this Laplacian finds 4 of the 6 zero eigenvalues

@@ -30,6 +30,8 @@ from psdcluster.spectra import (
     make_window,
     next_pow2,
     normalize_unit_power,
+    weighted_chunk_spectra,
+    weighted_spectra,
 )
 
 
@@ -349,9 +351,15 @@ class TestChunkedEstimation:
     def test_chunk_stream_matches_the_stack(self):
         obs = np.random.default_rng(8).standard_normal((10, self.OBS_LEN))
         window = make_window("gaussian", self.OBS_LEN)
-        chunks = (obs[start : start + size] for start, size in [(0, 1), (1, 6), (7, 3)])
-        np.testing.assert_array_equal(estimate_psd_chunks(chunks, 10, window, 256),
+
+        def chunks():
+            return (obs[start : start + size] for start, size in [(0, 1), (1, 6), (7, 3)])
+
+        np.testing.assert_array_equal(estimate_psd_chunks(chunks(), 10, window, 256),
                                       estimate_dataset_psds(obs, window, 256))
+        # and weighted alike: the chunk route's rows are the stack's weighted spectra, bit for bit
+        np.testing.assert_array_equal(weighted_chunk_spectra(chunks(), 10, window, 256),
+                                      weighted_spectra(obs, window, 256))
 
     @pytest.mark.parametrize("n_obs", [9, 11])
     def test_chunk_stream_must_bring_the_announced_rows(self, n_obs):

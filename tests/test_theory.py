@@ -18,10 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import reference_check_separation
 
-from psdcluster.distances import NEIGHBOR_BLOCK_ROWS, distance_matrix, half_spectrum_rows
+from psdcluster.distances import NEIGHBOR_BLOCK_ROWS, distance_matrix
 from psdcluster.generators import FINE_GRID, benchmark_models, make_model, normalize_model
 from psdcluster.nnpc import build_adjacency, nearest_neighbor_sets
-from psdcluster.spectra import WindowSpec, make_window
+from psdcluster.spectra import WindowSpec, half_spectrum_rows, make_window
 from psdcluster.theory import (
     MAX_MA_COEFFICIENTS,
     acf_moment,
