@@ -3,9 +3,11 @@ thread per CPU, symmetric eigendecomposition, k-means, and minimum-cost
 assignment.
 
 `ordered_map` runs per-item work (CSV line batches, PSD chunks,
-synth-bench trials) on the calling thread and one helper thread per
-further CPU, and hands the results back in item order, so what a caller
-builds from them does not depend on the thread count. The
+synth-bench trials) in groups of up to one item per CPU, on the calling
+thread and one helper thread per further CPU, and hands the results back
+in item order, so what a caller builds from them does not depend on the
+thread count. A group stops at PSD_CHUNK_BYTES of the sizes its items
+state, so what a stage holds does not grow with the thread count. The
 eigendecomposition delegates to numpy's LAPACK backend, or to ARPACK when
 only a few eigenpairs of a large matrix are wanted. k-means and the
 assignment wrapper add the guarantees the clustering pipeline relies on:
@@ -17,8 +19,7 @@ from __future__ import annotations
 
 import os
 import threading
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,9 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 LLOYD_MAX_ITER = 300
 # Below this order a full LAPACK eigh is faster than ARPACK for a few pairs.
 DENSE_EIGH_MAX_N = 200
+# Bytes the items of one ordered_map group may hold; the PSD stage splits it
+# into one chunk of next_pow2(2M)-point FFT rows per thread.
+PSD_CHUNK_BYTES = 1 << 20
 
 
 # Set on a thread while it runs an ordered_map item, so a map started there runs serially.
@@ -44,72 +48,60 @@ def worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def ordered_map(func, items):
+def ordered_map(func, items, size=None):
     """func(item) of each item, yielded in item order, computed on this thread
-    and worker_count() - 1 helper threads.
+    and worker_count() - 1 helper threads, one group of items at a time.
 
-    Items are taken in order: by a helper whenever one is free, and by this
-    thread when every helper is busy and the oldest result is not ready. At
-    most worker_count() items are taken and not yet yielded, so each thread
-    has at most one in flight. Once an item (or taking one) has failed, no
-    item is taken; the results before it are yielded and then its exception
-    is raised, the failure a serial loop would meet first. Closing the
-    generator early waits for the running items. A map started from one of
-    the items runs serially, on the thread that runs that item.
+    A group is the next worker_count() items, or fewer once the bytes that
+    size(item) states for them reach PSD_CHUNK_BYTES, and at least one. This
+    thread runs its first item and the helpers the rest; the next group is
+    taken once all of its results are yielded. Once an item (or taking one)
+    has failed, no further group is taken; the results before it are yielded
+    and then its exception is raised, the failure a serial loop would meet
+    first. Closing the generator early waits for the running items. A map
+    started from one of the items runs serially, on the thread that runs it.
     """
     helpers = 0 if getattr(_MAPPING, "inside", False) else worker_count() - 1
     if helpers < 1:
         yield from map(func, items)
         return
-    items = iter(items)
-    pending = deque()  # futures of the items taken and not yet yielded, oldest first
-    taking = True
     with ThreadPoolExecutor(helpers, initializer=_enter_map) as pool:
-        try:
-            while taking or pending:
-                if taking and any(future.done() and future.exception() is not None for future in pending):
-                    taking = False
-                running = sum(not future.done() for future in pending)
-                if taking and len(pending) <= helpers and (running < helpers or not pending[0].done()):
-                    try:
-                        item = next(items)
-                    except StopIteration:
-                        taking = False
-                    except BaseException as exc:
-                        pending.append(_settled(exception=exc))
-                        taking = False
-                    else:
-                        pending.append(pool.submit(func, item) if running < helpers else _run_here(func, item))
-                        del item  # a batch or chunk lives only as long as its item runs
-                    continue
-                yield pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
+        for group in _groups(iter(items), helpers + 1, size):
+            later = pool.map(func, group[1:])
+            _MAPPING.inside = True
+            try:
+                first = func(group[0])
+            finally:
+                _MAPPING.inside = False
+            del group  # the next group is taken without this one's items
+            yield first
+            del first
+            yield from later
 
 
 def _enter_map() -> None:
     _MAPPING.inside = True
 
 
-def _run_here(func, item) -> Future:
-    """A finished future of func(item), run on this thread."""
-    _MAPPING.inside = True
-    try:
-        return _settled(func(item))
-    except BaseException as exc:
-        return _settled(exception=exc)  # built in another frame, so the traceback holds no cycle
-    finally:
-        _MAPPING.inside = False
-
-
-def _settled(result=None, exception: BaseException | None = None) -> Future:
-    future = Future()
-    if exception is None:
-        future.set_result(result)
-    else:
-        future.set_exception(exception)
-    return future
+def _groups(items, most: int, size):
+    """ordered_map's groups, as lists. A failure to take an item is raised
+    after the list of the items before it."""
+    while True:
+        group, held = [], 0
+        try:
+            for item in items:
+                group.append(item)
+                held += 0 if size is None else size(item)
+                if len(group) == most or held >= PSD_CHUNK_BYTES:
+                    break
+        except BaseException:
+            if group:
+                yield group
+            raise
+        if not group:
+            return
+        del item  # nor is its last item held while the next group is taken
+        yield group
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,8 @@ CSV_BATCH_BYTES = 1 << 17
 _EXACT_POWER = 27  # the largest k with 10**k exact in the x87 significand
 _EXACT_MANTISSA = 10**18  # mantissas below this are exact there, and np.fromstring reads them unsaturated
 _TOKEN_BYTES = bytes.maketrans(b"e\n", b",,")
+# ordered_map counts a batch of lines as this many times its bytes, for its parse's transients.
+_PARSE_FACTOR = 3
 _SCALE_CELLS = 2048  # cells scaled at once in np.longdouble, so the extended values of a batch are never all held
 
 
@@ -265,7 +267,8 @@ def _observation_rows(path, with_truth: bool):
     """
     batches = _line_batches(path)
     line_no = 0
-    for batch, rows in ordered_map(partial(_parsed_batch, with_truth=with_truth), _to_first_quote(batches)):
+    for batch, rows in ordered_map(partial(_parsed_batch, with_truth=with_truth), _to_first_quote(batches),
+                                   size=lambda batch: _PARSE_FACTOR * len(batch)):
         if rows is not None:
             for line_no, (label, values) in enumerate(rows, start=line_no + 1):
                 yield line_no, label, values

@@ -11,14 +11,14 @@ sequence positive semidefinite. Every estimate comes from one kernel,
 `estimate_psd_chunks`: it takes observations as consecutive chunks of rows
 and puts each through a zero-padded real FFT pair for the autocorrelations
 and a DCT-I for the spectra, written into one preallocated output. The
-chunks are estimated on one thread per CPU (numerics.ordered_map), each
-thread holding one chunk of temporaries. `estimate_dataset_psds` slices a
-stack in memory into chunks of PSD_CHUNK_BYTES split among the threads, so
-the stage holds the output plus one budget of temporaries on any thread
-count; a generator of samples can yield chunks one by one, and then the
-samples are never held at once. Every step works row by row on real arrays,
-so a row's estimate has the same bits whichever rows share its chunk, its
-call or its thread. The sum is even in f, so an estimate keeps only bins
+chunks are estimated on one thread per CPU (numerics.ordered_map), in
+groups that stop at numerics.PSD_CHUNK_BYTES of FFT rows, so the stage
+holds the output plus about one budget of temporaries on any thread count.
+`estimate_dataset_psds` slices a stack in memory into chunks that split
+that budget among the threads; a generator of samples can yield chunks one
+by one, and then the samples are never held at once. Every step works row
+by row on real arrays, so a row's estimate has the same bits whichever rows
+share its chunk, its call or its thread. The sum is even in f, so an estimate keeps only bins
 j = 0..F/2, the DCT-I output; bins F/2+1..F-1 would repeat F/2-1..1.
 
 On the F-point grid the interior bins thus count twice and the endpoints
@@ -48,10 +48,6 @@ DEFAULT_GAUSSIAN_STD = 50.0
 # The PSD grid is next_pow2(DEFAULT_GRID_FACTOR * M) unless a caller chooses one.
 DEFAULT_GRID_FACTOR = 4
 WINDOW_KINDS = ("gaussian", "bartlett", "rectangular")
-# Bytes of next_pow2(2M)-point FFT rows in the chunks of a stack's PSD stage
-# that run at once; on T threads a chunk holds
-# max(1, PSD_CHUNK_BYTES // (8 next_pow2(2M) T)) observations.
-PSD_CHUNK_BYTES = 1 << 20
 
 
 def next_pow2(n: int) -> int:
@@ -165,10 +161,11 @@ def estimate_psd_chunks(chunks, n_obs: int, window: WindowSpec, grid_size: int) 
     """PSD estimates of n_obs observations that arrive as consecutive chunks of rows, as one (n_obs, F/2 + 1) array.
 
     Each (rows, M) chunk of finite samples is estimated straight into its
-    rows of the output, on one thread per CPU (numerics.ordered_map), so the
-    stage holds the output and, on each thread, one chunk and its
-    temporaries. The estimates are batch-invariant, so a row has the same
-    bits whichever chunk or thread carries it. The grid must be a power of two of at least
+    rows of the output, on one thread per CPU (numerics.ordered_map). A chunk
+    states its next_pow2(2M)-point FFT rows as its size, so the stage holds
+    the output and about numerics.PSD_CHUNK_BYTES of temporaries. The
+    estimates are batch-invariant, so a row has the same bits whichever
+    chunk or thread carries it. The grid must be a power of two of at least
     twice the window's length. Each chunk's shape is checked as it is taken;
     its samples are not checked for finiteness. Of several failing chunks,
     the first one's error is raised.
@@ -178,7 +175,8 @@ def estimate_psd_chunks(chunks, n_obs: int, window: WindowSpec, grid_size: int) 
         raise ValueError(f"grid size must be a power of two >= {2 * window.length}, got {grid_size}")
     values = np.empty((n_obs, f // 2 + 1))
     estimate = partial(_estimate_chunk, window=window)
-    for _ in numerics.ordered_map(estimate, _placed_chunks(chunks, values, window)):
+    for _ in numerics.ordered_map(estimate, _placed_chunks(chunks, values, window),
+                                  size=lambda placed: len(placed[0]) * 8 * next_pow2(2 * window.length)):
         pass
     return values
 
@@ -278,7 +276,7 @@ def estimate_dataset_psds(
     window with std 50 and a grid of next_pow2(4 M) points. Every sample is
     checked to be finite before any row is estimated; then the stack goes
     through estimate_psd_chunks, which checks the grid and the window's
-    length, in chunks of rows that split PSD_CHUNK_BYTES among the
+    length, in chunks of rows that split numerics.PSD_CHUNK_BYTES among the
     numerics.worker_count() threads. unit_power rescales the rows in place.
     """
     obs = np.asarray(observations, dtype=float)
@@ -293,7 +291,7 @@ def estimate_dataset_psds(
         grid_size = next_pow2(DEFAULT_GRID_FACTOR * m)
     if m < 2:
         raise ValueError("observations need at least 2 samples")
-    step = max(1, PSD_CHUNK_BYTES // (8 * next_pow2(2 * m) * numerics.worker_count()))
+    step = max(1, numerics.PSD_CHUNK_BYTES // (8 * next_pow2(2 * m) * numerics.worker_count()))
     chunks = [obs[start : start + step] for start in range(0, n, step)]
     if not all(np.isfinite(chunk).all() for chunk in chunks):
         raise ValueError("observation samples must be finite")

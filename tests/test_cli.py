@@ -43,9 +43,9 @@ from psdcluster.nnpc import (
     nnpc_from_spectra,
     normalized_laplacian,
 )
-from psdcluster.numerics import RngStream, eig_symmetric
+from psdcluster.numerics import PSD_CHUNK_BYTES, RngStream, eig_symmetric
 from psdcluster.reader import _exact_scaling_powers, _parse_sample_lines, read_observation_csv
-from psdcluster.spectra import PSD_CHUNK_BYTES, WINDOW_KINDS, make_window, weighted_spectra
+from psdcluster.spectra import WINDOW_KINDS, make_window, weighted_spectra
 
 
 @pytest.fixture()
@@ -753,11 +753,14 @@ class TestByteRoute:
             outcome = read_outcome(read_observation_csv, path, flags)
         assert outcome == read_outcome(reference_read_observation_csv, path, flags)
 
-    def test_traced_peak_is_the_buffer_and_one_line(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("workers", [None, 1, 2, 3, 4, 8], ids=lambda workers: f"{workers or 'host'}-workers")
+    def test_traced_peak_is_the_buffer_and_one_line(self, tmp_path, monkeypatch, workers):
         """48 rows of 16384 samples peak at the sample buffer's capacity plus
-        the transient arrays of one line's parse on each of two threads, not
-        at every parsed row."""
-        monkeypatch.setattr(psdcluster.numerics, "worker_count", lambda: 2)
+        the transient arrays of one group of parsed lines, on the host's
+        thread count or any forced one, not at every parsed row or one line
+        per thread."""
+        if workers is not None:
+            monkeypatch.setattr(psdcluster.numerics, "worker_count", lambda: workers)
         path = write_repr_csv(tmp_path / "long.csv", np.random.default_rng(14).standard_normal((48, 16384)),
                               [f"m{index % 3}" for index in range(48)])
         flags = (True, True, True)
@@ -1974,7 +1977,7 @@ class TestThreadCount:
         rows[5] = rows[5] * 1e300  # chunk 2 of 4 rows on one thread, chunk 3 of 2 rows on two
         rows[9] = rows[9] * 1e300  # chunk 3 on one thread, chunk 5 on two
         path = write_repr_csv(tmp_path / "obs.csv", rows, labels)
-        monkeypatch.setattr(psdcluster.spectra, "PSD_CHUNK_BYTES", 4 * 8 * 128)
+        monkeypatch.setattr(psdcluster.numerics, "PSD_CHUNK_BYTES", 4 * 8 * 128)
         errors = []
         for workers in (1, 2):
             monkeypatch.setattr(psdcluster.numerics, "worker_count", lambda: workers)

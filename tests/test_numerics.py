@@ -5,8 +5,10 @@ cases evaluated by hand, exhaustive label-assignment search for k-means,
 and brute-force permutation search for the assignment problem.
 """
 
+import gc
 import threading
 import time
+import weakref
 from itertools import permutations, product
 
 import numpy as np
@@ -57,6 +59,24 @@ class TestOrderedMap:
             held.append(len(taken) - result ** 0.5)  # taken and not yet yielded, this one included
         assert max(held) <= workers
 
+    @pytest.mark.parametrize("threads", [3, 4])
+    @pytest.mark.parametrize("size, most", [(numerics.PSD_CHUNK_BYTES // 2 + 1, 2), (2 * numerics.PSD_CHUNK_BYTES, 1)],
+                             ids=["over-half-the-budget", "over-the-budget"])
+    def test_a_group_holds_one_budget_of_items(self, monkeypatch, threads, size, most):
+        monkeypatch.setattr(numerics, "worker_count", lambda: threads)
+        taken, held, results = [], [], []
+
+        def items():
+            for item in range(12):
+                taken.append(item)
+                yield item
+
+        for result in ordered_map(self.uneven, items(), size=lambda _: size):
+            held.append(len(taken) - result ** 0.5)
+            results.append(result)
+        assert results == list(map(self.uneven, range(12)))
+        assert max(held) == most  # the item that reaches the budget closes its group; an item over it runs alone
+
     def test_the_first_failure_in_item_order_wins(self, workers):
         ran, results = [], []
 
@@ -83,6 +103,43 @@ class TestOrderedMap:
             for result in ordered_map(self.uneven, items()):
                 results.append(result)
         assert results == [0, 1, 4, 9]
+
+    @pytest.mark.parametrize("position", [0, 1, 2, 5])
+    @pytest.mark.parametrize("stage", ["func", "take"])
+    def test_a_failed_map_leaves_nothing_for_the_cycle_collector(self, workers, stage, position):
+        """With the collector off, every item is freed once the failure is handled: no reference cycle holds one."""
+
+        class Item:
+            def __init__(self, index):
+                self.index = index
+
+        refs = []
+
+        def items():
+            for index in range(8):
+                if stage == "take" and index == position:
+                    raise KeyError(f"item {index} failed")
+                item = Item(index)
+                refs.append(weakref.ref(item))
+                yield item
+
+        def failing(item):
+            if item.index == position:
+                raise ValueError(f"item {item.index} failed")
+            return item.index
+
+        gc.disable()
+        try:
+            try:
+                for _ in ordered_map(failing, items()):
+                    pass
+            except (KeyError, ValueError) as exc:
+                raised = exc.args[0]
+            alive = [ref().index for ref in refs if ref() is not None]
+        finally:
+            gc.enable()
+        assert raised == f"item {position} failed"
+        assert alive == []
 
     def test_a_nested_map_runs_on_its_items_thread(self, workers):
         def outer(item):

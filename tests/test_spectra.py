@@ -20,9 +20,9 @@ import psdcluster.numerics
 import psdcluster.spectra
 from psdcluster.km import km_cluster
 from psdcluster.nnpc import nnpc_cluster
+from psdcluster.numerics import PSD_CHUNK_BYTES
 from psdcluster.spectra import (
     DEFAULT_GAUSSIAN_STD,
-    PSD_CHUNK_BYTES,
     bt_psd,
     estimate_acf,
     estimate_dataset_psds,
@@ -317,13 +317,13 @@ class TestChunkedEstimation:
     def test_small_chunks_match_one_chunk(self, monkeypatch, n_obs, budget, unit_power):
         obs = np.random.default_rng(3).standard_normal((n_obs, self.OBS_LEN))
         expected = estimate_dataset_psds(obs, unit_power=unit_power)  # one chunk
-        monkeypatch.setattr(psdcluster.spectra, "PSD_CHUNK_BYTES", budget)
+        monkeypatch.setattr(psdcluster.numerics, "PSD_CHUNK_BYTES", budget)
         np.testing.assert_array_equal(estimate_dataset_psds(obs, unit_power=unit_power), expected)
 
     def test_overflow_in_a_later_chunk_names_the_psd_stage(self, monkeypatch):
         obs = np.random.default_rng(5).standard_normal((10, self.OBS_LEN))
         obs[8] *= 1e307  # finite samples, in the third chunk of 3 rows
-        monkeypatch.setattr(psdcluster.spectra, "PSD_CHUNK_BYTES", 3 * 1024)
+        monkeypatch.setattr(psdcluster.numerics, "PSD_CHUNK_BYTES", 3 * 1024)
         with np.errstate(all="raise"), pytest.raises(ValueError, match="PSD estimation overflowed"):
             estimate_dataset_psds(obs)
 
@@ -331,7 +331,7 @@ class TestChunkedEstimation:
         obs = np.random.default_rng(6).standard_normal((10, self.OBS_LEN))
         obs[0] *= 1e307  # would overflow in the first chunk
         obs[9, 5] = np.nan
-        monkeypatch.setattr(psdcluster.spectra, "PSD_CHUNK_BYTES", 3 * 1024)
+        monkeypatch.setattr(psdcluster.numerics, "PSD_CHUNK_BYTES", 3 * 1024)
         with pytest.raises(ValueError, match="observation samples must be finite"):
             estimate_dataset_psds(obs)
 
@@ -396,11 +396,12 @@ class TestChunkedEstimation:
         assert output == 48 * 32769 * 8
         assert peak <= output + 6 * PSD_CHUNK_BYTES
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 4, 8, 16])
     def test_the_threads_share_one_budget_of_chunks(self, monkeypatch, workers):
         """The 4 rows of a budget are split among the threads, so the stage peaks
         near 2.6 budgets above the output on 1, 2 and 4 threads; whole 4-row
-        chunks on each of 4 threads would peak near 10."""
+        chunks on each of 4 threads would peak near 10. On 8 and 16 threads a
+        chunk is one row, and a group of chunks stops at the budget's 4."""
         monkeypatch.setattr(psdcluster.numerics, "worker_count", lambda: workers)
         obs = np.random.default_rng(7).standard_normal((48, 16384))
         estimate_dataset_psds(obs[:1])  # warm the FFT plan caches outside the trace
