@@ -223,20 +223,26 @@ def _embed_and_kmeans(spectrum: LaplacianSpectrum, n_clusters: int, rng: RngStre
 def spectral_cluster(spectrum: LaplacianSpectrum, n_clusters: int, rng: RngStream | None = None, dist=None) -> np.ndarray:
     """Normalized spectral clustering of a graph, given its Laplacian spectrum.
 
-    `spectrum` comes from laplacian_spectrum with at least `n_clusters`
-    pairs. The non-isolated nodes are embedded by the eigenvectors of the
-    `n_clusters` smallest Laplacian eigenvalues, rows are normalized to unit
-    length, and k-means (10 restarts) partitions the embedded points.
+    `spectrum` comes from laplacian_spectrum with at least
+    min(`n_clusters`, core size) pairs. Isolated (zero-degree) nodes have no
+    row in the embedding, so the clusters are shared by one rule:
 
-    Isolated (zero-degree) nodes cannot be placed by the embedding. Each gets
-    a label of its own while the cluster budget allows; any further ones are
-    attached to the cluster of their nearest neighbor under `dist`, a
-    function that returns the distance rows of the observations in an index
-    array. It is required and called only in that case. A warning is emitted
-    whenever isolated nodes occur.
+    - the core (the non-isolated nodes) gets n_clusters - (isolated count)
+      clusters if that is positive, else min(n_clusters, core size). It is
+      embedded by the eigenvectors of that many smallest Laplacian
+      eigenvalues, rows are normalized to unit length, and k-means
+      (10 restarts) partitions the embedded points; an empty core gets none;
+    - the first isolated nodes take one label each for the clusters the core
+      leaves: all of them if they are fewer than the clusters, else
+      n_clusters - (core size) of them when the core is the smaller;
+    - every further isolated node, in index order, joins the cluster of its
+      nearest already-placed node under `dist`, a function that returns the
+      distance rows of the observations in an index array. It is required
+      and called only for those nodes.
 
-    Clusters are named 0, 1, ... in order of their lowest observation index,
-    so observation 0 is always in cluster 0.
+    A warning is emitted whenever isolated nodes occur. Clusters are named
+    0, 1, ... in order of their lowest observation index, so observation 0
+    is always in cluster 0.
     """
     n = spectrum.n_nodes
     core = spectrum.core
@@ -246,35 +252,22 @@ def spectral_cluster(spectrum: LaplacianSpectrum, n_clusters: int, rng: RngStrea
         raise ValueError(f"spectrum holds {spectrum.eigenvalues.size} eigenpairs, fewer than the {n_clusters} clusters")
     if rng is None:
         rng = RngStream(0)
-    if core.size == n:
-        return relabel_first_seen(_embed_and_kmeans(spectrum, n_clusters, rng), n_clusters)
-
     isolated = np.setdiff1d(np.arange(n), core)
-    warnings.warn(
-        f"{isolated.size} isolated node(s) in the neighborhood graph",
-        RuntimeWarning,
-        stacklevel=2,
-    )
+    if isolated.size:
+        warnings.warn(f"{isolated.size} isolated node(s) in the neighborhood graph", RuntimeWarning, stacklevel=2)
+    core_clusters = n_clusters - isolated.size if isolated.size < n_clusters else min(n_clusters, core.size)
+    own = n_clusters - core_clusters
     labels = np.full(n, -1, dtype=int)
-    if isolated.size < n_clusters:
-        # spend one label on each isolated node, the rest on the connected part
-        core_clusters = n_clusters - isolated.size
+    if core_clusters:
         labels[core] = _embed_and_kmeans(spectrum, core_clusters, rng)
-        labels[isolated] = core_clusters + np.arange(isolated.size)
-        return relabel_first_seen(labels, n_clusters)
-
-    if dist is None:
-        raise ValueError("distance rows are needed to place isolated nodes once they exceed the cluster budget")
-    d = check_distance_entries(dist(isolated))
-    if core.size:
-        labels[core] = _embed_and_kmeans(spectrum, n_clusters, rng)
-    else:
-        labels[isolated[:n_clusters]] = np.arange(n_clusters)
-    for i, row in zip(isolated, d):
-        if labels[i] >= 0:
-            continue
-        placed = np.flatnonzero(labels >= 0)
-        labels[i] = labels[placed[np.argmin(row[placed])]]
+    labels[isolated[:own]] = core_clusters + np.arange(own)
+    rest = isolated[own:]
+    if rest.size:
+        if dist is None:
+            raise ValueError("distance rows are needed to place isolated nodes once they exceed the cluster budget")
+        for i, row in zip(rest, check_distance_entries(dist(rest))):
+            placed = np.flatnonzero(labels >= 0)
+            labels[i] = labels[placed[np.argmin(row[placed])]]
     return relabel_first_seen(labels, n_clusters)
 
 

@@ -34,7 +34,9 @@ CSV_BATCH_BYTES = 1 << 17
 _EXACT_POWER = 27  # the largest k with 10**k exact in the x87 significand
 _EXACT_MANTISSA = 10**18  # mantissas below this are exact there, and np.fromstring reads them unsaturated
 _TOKEN_BYTES = bytes.maketrans(b"e\n", b",,")
-# ordered_map counts a batch of lines as this many times its bytes, for its parse's transients.
+# ordered_map counts a batch of lines as this many times its bytes, for its parse's transients. A
+# 16 384-sample line's parse holds about 4.3 times its bytes, but 3 lets two such lines share a group:
+# read serially, cluster-long's obs_per_s fell 7.4% (benchmarks/run.py, 8 pairs, 2-vCPU Xeon).
 _PARSE_FACTOR = 3
 _SCALE_CELLS = 2048  # cells scaled at once in np.longdouble, so the extended values of a batch are never all held
 

@@ -233,8 +233,9 @@ def bt_psd(samples, window: WindowSpec, grid_size: int) -> np.ndarray:
 def _unit_power_rows(values: np.ndarray) -> None:
     """Divide each PSD row by its full-grid mean in place, so a large stack needs no second copy."""
     power = (2.0 * values.sum(axis=1) - values[:, 0] - values[:, -1]) / (2 * (values.shape[1] - 1))
-    if not np.all(power > 0.0):
-        raise ValueError("cannot normalize a PSD with nonpositive power")
+    nonpositive = np.flatnonzero(~(power > 0.0))
+    if nonpositive.size:
+        raise ValueError(f"cannot normalize a PSD with nonpositive power: observation {nonpositive[0]} (0-based)")
     values /= power[:, None]
 
 

@@ -167,6 +167,24 @@ class TestCluster:
         assert report["clustering_error"] == 0.0
         assert "neighbors" not in report
 
+    def test_a_core_smaller_than_the_cluster_count(self, tmp_path):
+        """Two unit-variance rows and six scaled by 1e3, 1e5, ..., 1e13: one neighbor leaves the six
+        isolated, the core of two takes two clusters, the first isolated row the third, and the rest
+        join their nearest placed row."""
+        rows = np.random.default_rng(0).standard_normal((8, 64))
+        rows[2:] *= 10.0 ** np.arange(3, 15, 2)[:, None]
+        path = tmp_path / "obs.csv"
+        path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows))
+        labels_path = tmp_path / "labels.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["cluster", str(path), "--neighbors", "1", "--clusters", "3",
+                         "--labels-out", str(labels_path), "--report-out", str(tmp_path / "report.json")])
+        assert code == 0
+        assert [str(w.message) for w in caught] == ["6 isolated node(s) in the neighborhood graph"]
+        labels = [0, 1, 2, 2, 2, 2, 2, 2]
+        assert labels_path.read_text() == "id,label\n" + "".join(f"{i},{label}\n" for i, label in enumerate(labels))
+
     @pytest.mark.parametrize("options", [["--clusters", "auto"], ["--algorithm", "km", "--clusters", "3"]],
                              ids=["nnpc", "km"])
     def test_clusters_without_a_square_matrix(self, tmp_path, monkeypatch, options):
@@ -1020,6 +1038,19 @@ class TestBoundaryValidation:
         path.write_text("1.0,2.0\n-1.7e308,1.7e308,1.7e308\n")  # a finite mean, a difference that overflows
         with pytest.raises(ValueError, match=r"line 2: samples overflow when the mean is subtracted"):
             read_observation_csv(path, False, True, True)
+
+    @pytest.mark.parametrize("command", ["cluster", "estimate-l"])
+    def test_a_zero_power_row_is_named(self, tmp_path, capsys, command):
+        path = tmp_path / "constant.csv"
+        rows = np.random.default_rng(4).standard_normal((6, 32))
+        rows[3] = 2.5  # all zeros once the mean is subtracted
+        path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows))
+        argv = [command, str(path), "--subtract-mean", "--normalize-psd", "--neighbors", "2"]
+        if command == "cluster":
+            argv += ["--clusters", "2", "--labels-out", str(tmp_path / "labels.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: cannot normalize a PSD with nonpositive power: observation 3 (0-based)\n"
+        assert not (tmp_path / "labels.csv").exists()
 
     def test_oversized_grid_is_an_out_of_memory_error(self, dataset_csv, tmp_path, capsys):
         # 12 rows x 2^50 grid bins is about 1e17 bytes, beyond any address

@@ -438,6 +438,16 @@ class TestSpectralCluster:
             labels = spectral_cluster(laplacian_spectrum(a, 2), 2, dist=lambda index: d[index])
         np.testing.assert_array_equal(labels, [0, 1, 0, 1])
 
+    def test_core_smaller_than_the_cluster_count(self):
+        """Core nodes 1 and 3 take two clusters and isolated node 0 the third; nodes 2 and 4 join their nearest."""
+        a = np.zeros((5, 5))
+        a[1, 3] = a[3, 1] = 1.0
+        position = np.array([0.0, 1.0, 1.8, 3.0, 4.0])
+        d = np.abs(np.subtract.outer(position, position))
+        with pytest.warns(RuntimeWarning, match="3 isolated node"):
+            labels = spectral_cluster(laplacian_spectrum(a, 2), 3, dist=lambda index: d[index])
+        np.testing.assert_array_equal(labels, [0, 1, 1, 2, 2])
+
     def test_fully_isolated_graph(self):
         d = four_node_matrix()
         with pytest.warns(RuntimeWarning):
@@ -611,14 +621,15 @@ class TestFromSpectra:
 
     @settings(max_examples=25, deadline=None, database=None, derandomize=True)
     @given(
-        core=st.one_of(st.just(0), st.integers(6, 40)),
+        core=st.one_of(st.just(0), st.integers(2, 5), st.integers(6, 40)),
         outliers=st.integers(2, 6),
         seed=st.integers(0, 2**32 - 1),
         data=st.data(),
     )
     def test_isolated_nodes_beyond_the_budget(self, core, outliers, seed, data):
         """Outliers 1e6 apart have underflowed edge weights, so they are isolated nodes
-        that outnumber the clusters and are placed by their distance rows."""
+        that outnumber the clusters and are placed by their distance rows; a core of 2-5
+        rows can be smaller than the cluster count."""
         gen = np.random.default_rng(seed)
         q = data.draw(st.integers(1, max(1, min(core - 2, 5))))
         n_clusters = data.draw(st.integers(1, outliers))
