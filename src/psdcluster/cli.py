@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict
 from functools import partial
 from itertools import product
@@ -547,6 +548,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # A warning that is shown at all is one stderr line, like an error; filters and recorders still see it.
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         return args.func(args)
     except ValueError as exc:
@@ -558,6 +562,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

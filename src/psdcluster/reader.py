@@ -303,12 +303,14 @@ def read_observation_csv(path, with_truth: bool, pad_zeros: bool, subtract_mean:
     Returns (observations, truth) with truth None unless requested. Ragged
     rows are zero-padded to the longest row when pad_zeros is set and are an
     error otherwise. Mean subtraction happens before padding. The file is
-    read in batches of whole lines (_observation_rows), and each row goes
-    straight into one buffer that grows in place, in rows and in width
-    alike, and is cut to the longest row at the end.
+    read in batches of whole lines (_observation_rows), and each row is
+    copied right after the last into one flat buffer that grows in place.
+    At the end the buffer takes the shape (rows, longest row); ragged rows
+    then move once each, last first, to their padded place.
     """
-    observations = np.zeros((0, 0))
-    count, longest, ragged = 0, 0, False
+    samples = np.zeros(0)
+    lengths: list[int] = []
+    used, ragged = 0, False
     truth_cells: list[str] = []
     for line_no, label, values in _observation_rows(path, with_truth):
         if values.size < 2:
@@ -323,48 +325,32 @@ def read_observation_csv(path, with_truth: bool, pad_zeros: bool, subtract_mean:
                 raise ValueError(f"{path}: line {line_no}: samples overflow when the mean is subtracted")
         if with_truth:
             truth_cells.append(label)
-        ragged = ragged or (count > 0 and values.size != longest)
+        ragged = ragged or (bool(lengths) and values.size != lengths[0])
         if ragged and not pad_zeros:
             continue  # an error, once every line has had its own checks
-        longest = max(longest, values.size)
-        if longest > observations.shape[1]:  # the first row, or a longer one to pad the rest to
-            width = observations.shape[1]
-            _set_width(observations, count, max(longest, width + width // 4 + 16) if count else longest)
-        if count == len(observations):
-            # no view of the buffer is alive, so it can grow in place; new rows are zero
-            observations.resize((count + count // 4 + 16, observations.shape[1]), refcheck=False)
-        observations[count, : values.size] = values
-        count += 1
-    if not count:
+        need = used + values.size
+        if need > samples.size:
+            samples.resize(need + need // 4 + 16, refcheck=False)  # no view of the buffer is alive, so it grows in place
+        samples[used:need] = values
+        used = need
+        lengths.append(values.size)
+    if not lengths:
         raise ValueError(f"{path}: no observations found")
     if ragged and not pad_zeros:
         raise ValueError(f"{path}: rows have different lengths; pass --pad-zeros to zero-pad them")
-    observations.resize((count, observations.shape[1]), refcheck=False)
-    if observations.shape[1] > longest:
-        _set_width(observations, count, longest)
+    count, longest = len(lengths), max(lengths)
+    samples.resize(count * longest, refcheck=False)
+    if ragged:
+        # Row i moves from its packed offset to i * longest, never back; going
+        # last first, no row is overwritten before it has moved.
+        for i in range(count - 1, -1, -1):
+            n = lengths[i]
+            used -= n
+            samples[i * longest : i * longest + n] = samples[used : used + n]
+            samples[i * longest + n : (i + 1) * longest] = 0.0
+    samples.resize((count, longest), refcheck=False)
     truth = None
     if with_truth:
         seen: dict[str, int] = {}
         truth = np.array([seen.setdefault(cell, len(seen)) for cell in truth_cells])
-    return observations, truth
-
-
-def _set_width(buffer: np.ndarray, count: int, width: int) -> None:
-    """Give a C-ordered (rows, w) buffer `width` columns in place.
-
-    Rows 0..count-1 keep their first min(w, width) samples, zero-padded.
-    Zero rows past count stay zero when the buffer widens; a cut leaves
-    them undefined. The rows move within the buffer's own memory, back to
-    front when it widens, so it is never held twice.
-    """
-    rows, old = buffer.shape
-    keep = min(old, width)
-    if width > old:
-        buffer.resize((rows, width), refcheck=False)  # the old rows lie packed at the front, the new memory is zero
-    flat = buffer.reshape(-1)
-    for i in range(count - 1, -1, -1) if width > old else range(count):
-        flat[i * width : i * width + keep] = flat[i * old : i * old + keep]
-        flat[i * width + keep : (i + 1) * width] = 0.0
-    del flat
-    if width < old:
-        buffer.resize((rows, width), refcheck=False)
+    return samples, truth

@@ -286,12 +286,12 @@ def estimate_dataset_psds(
     if obs.ndim != 2:
         raise ValueError("observations must be a 2-D array, one observation per row")
     n, m = obs.shape
+    if m < 2:
+        raise ValueError("observations need at least 2 samples")
     if window is None:
         window = make_window("gaussian", m, std=DEFAULT_GAUSSIAN_STD)
     if grid_size is None:
         grid_size = next_pow2(DEFAULT_GRID_FACTOR * m)
-    if m < 2:
-        raise ValueError("observations need at least 2 samples")
     step = max(1, numerics.PSD_CHUNK_BYTES // (8 * next_pow2(2 * m) * numerics.worker_count()))
     chunks = [obs[start : start + step] for start in range(0, n, step)]
     if not all(np.isfinite(chunk).all() for chunk in chunks):

@@ -541,29 +541,43 @@ class TestObservationReader:
             reference_read_observation_csv, path, flags
         )
 
-    def test_rows_that_grow_longer_widen_the_buffer_a_few_times(self, tmp_path, monkeypatch):
-        """400 rows, each one sample longer than the last, widen the buffer by
-        a quarter at a time, not once a row, and it is cut to the longest row
-        once at the end; longest-first rows set its width once."""
+    def test_rows_that_grow_longer_are_padded_in_one_buffer(self, tmp_path):
+        """400 rows, each one sample longer than the last, and the same rows
+        longest first: the zero-padded rows in one C-ordered array that owns
+        its data."""
         rows = [np.arange(1.0, n + 1) for n in range(2, 402)]
         expected = np.zeros((400, 401))
         for index, row in enumerate(rows):
             expected[index, : row.size] = row
-        set_width = psdcluster.reader._set_width
         for order in (1, -1):
-            widths = []
-
-            def counting_set_width(buffer, count, width):
-                widths.append(width)
-                set_width(buffer, count, width)
-
             path = write_repr_csv(tmp_path / "ragged.csv", rows[::order])
-            with monkeypatch.context() as patch:
-                patch.setattr(psdcluster.reader, "_set_width", counting_set_width)
-                observations, _ = read_observation_csv(path, False, True, False)
+            observations, _ = read_observation_csv(path, False, True, False)
             np.testing.assert_array_equal(observations, expected[::order])
             assert observations.flags.c_contiguous and observations.flags.owndata
-            assert widths == ([2, 18, 38, 63, 94, 133, 182, 243, 319, 414, 401] if order == 1 else [401])
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["byte-route", "csv-reader"])
+    @pytest.mark.parametrize("workers", [None, 1, 2, 3, 4, 8], ids=lambda workers: f"{workers or 'host'}-workers")
+    def test_ragged_rows_peak_at_the_padded_array(self, tmp_path, monkeypatch, workers, exact):
+        """62 rows that grow longer, to 13 487 samples, peak at the padded
+        array plus less than 1 MiB: the rows are packed while they are read,
+        with no width or rows to spare, and each moves once to its padded
+        place at the end."""
+        if workers is not None:
+            monkeypatch.setattr(psdcluster.numerics, "worker_count", lambda: workers)
+        if not exact:
+            monkeypatch.setattr(psdcluster.reader, "_EXACT_POWERS", None)
+        rows = [np.arange(1.0, n + 1) for n in np.linspace(2, 13487, 62).astype(int)]
+        path = write_repr_csv(tmp_path / "ragged.csv", rows)
+        tracemalloc.start()
+        try:
+            observations, _ = read_observation_csv(path, False, True, False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert observations.shape == (62, 13487)
+        np.testing.assert_array_equal(observations[-1], rows[-1])
+        np.testing.assert_array_equal(observations[0], np.r_[1.0, 2.0, np.zeros(13485)])
+        assert peak <= observations.nbytes + (1 << 20)
 
     @pytest.mark.parametrize("flags", [(True, False, False), (True, True, True), (False, True, False)])
     def test_matches_the_reference_on_generated_data(self, dataset_csv, tmp_path, flags):
@@ -790,7 +804,7 @@ class TestByteRoute:
         finally:
             tracemalloc.stop()
         assert observations.shape == (48, 16384)
-        capacity = 61 * 16384 * 8  # the buffer grows from 16 to 36 to 61 rows
+        capacity = 962576 * 8  # the flat buffer grows by a quarter 13 times, to under 59 rows' samples
         assert peak <= capacity + 24 * 16384 * 8
 
 
@@ -2073,4 +2087,15 @@ class TestEntryPoints:
                               timeout=120)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert proc.stdout == ""
+
+    def test_a_warning_is_one_stderr_line(self, tmp_path):
+        """The isolated-node warning reaches the terminal as one line, like an error, without a source path."""
+        path = tmp_path / "input.csv"
+        path.write_bytes(HUGE_FIRST_SAMPLE)
+        proc = subprocess.run([sys.executable, "-m", "psdcluster", "cluster", str(path), "--truth", "--labels-out",
+                               str(tmp_path / "labels.csv"), "--report-out", str(tmp_path / "report.json")],
+                              env=checkout_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "warning: 1 isolated node(s) in the neighborhood graph\n"
         assert proc.stdout == ""

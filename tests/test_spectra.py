@@ -240,6 +240,11 @@ class TestEstimateDatasetPsds:
         with pytest.raises(ValueError):
             estimate_dataset_psds(np.ones((2, 2, 2)))
 
+    @pytest.mark.parametrize("window", [None, make_window("gaussian", 16, std=4.0)], ids=["default", "given"])
+    def test_one_sample_rows_are_named_before_the_window(self, window):
+        with pytest.raises(ValueError, match="^observations need at least 2 samples$"):
+            estimate_dataset_psds(np.zeros((3, 1)), window=window)
+
     def test_rows_are_views_of_one_array(self):
         psds = estimate_dataset_psds(np.random.default_rng(9).standard_normal((3, 16)))
         # one float (N, F/2 + 1) array that owns its data, no full grid
